@@ -194,7 +194,11 @@ def cmd_table64(ns) -> int:
                        and survivors[0].family == SURVIVOR_FAMILY
                        and survivors[0].mask == SURVIVOR_MASK)
         if survivor_ok:
-            rep = survivor_analysis(survivors[0], ns.probe_depth)
+            try:
+                rep = survivor_analysis(survivors[0], ns.probe_depth)
+            except MATH_ERRORS as exc:
+                sys.stderr.write(f"survivor analysis error: {exc}\n")
+                return EXIT_MISMATCH
             summary["survivor_analysis"] = {
                 "counts": list(rep.counts),
                 "l_coeffs": list(rep.l_coeffs),
@@ -339,6 +343,12 @@ def cmd_places(ns) -> int:
 # ---------------------------------------------------------------------------
 # selftest
 
+def _require(ok: bool, what: str):
+    """An explicit check: unlike ``assert``, it still runs under python -O."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _selftest_checks():
     from .polyring import irreducible_count, monic_irreducibles
     results = []
@@ -356,18 +366,21 @@ def _selftest_checks():
             elems = list(F.elements())
             for a in elems:
                 if a:
-                    assert F.mul(a, F.inv(a)) == 1
+                    _require(F.mul(a, F.inv(a)) == 1, f"{F}: a * a^-1 != 1 for a = {a}")
                 for b in elems:
                     for c in elems:
                         lhs = F.mul(a, F.add(b, c))
                         rhs = F.add(F.mul(a, b), F.mul(a, c))
-                        assert lhs == rhs
+                        _require(lhs == rhs, f"{F}: a(b + c) != ab + ac for {(a, b, c)}")
 
     def irreducible_counts():
         for p, k in ((2, 1), (3, 1), (2, 2)):
             F = make_field(p, k)
             for d in range(1, 7):
-                assert len(monic_irreducibles(F, d)) == irreducible_count(F.order, d)
+                found = len(monic_irreducibles(F, d))
+                expected = irreducible_count(F.order, d)
+                _require(found == expected,
+                         f"{F}, degree {d}: {found} monic irreducibles, formula {expected}")
 
     def census_round_trip():
         rng = random.Random(20260823)
@@ -376,7 +389,7 @@ def _selftest_checks():
             B = [rng.randint(0, 50) for _ in range(m)]
             N = census_to_counts(census_from_counts(
                 census_to_counts(_census(B), m)), m)
-            assert N == census_to_counts(_census(B), m)
+            _require(N == census_to_counts(_census(B), m), f"round trip changed B = {B}")
 
     def _census(B):
         from .zeta import PlaceCensus
@@ -391,14 +404,15 @@ def _selftest_checks():
             for place in places_of_degree(cover.field, d):
                 kind = splitting_type(cover, place)
                 ef = {"ramified": 2, "split": 2, "inert": 2}[kind]
-                assert ef == 2
+                _require(ef == 2, f"e*f = {ef} above {place}")
 
     def zeta_invariants():
         report = verify_curve(get_entry("i"))
-        assert report.status == "pass"
+        _require(report.status == "pass", f"curve i: {report.problems}")
         L = LPoly(2, 1, report.l_coeffs)
-        assert class_number(L) == 1
-        assert extend_counts(L, 3).counts[0] == report.counts[0]
+        _require(class_number(L) == 1, "curve i: h != 1")
+        _require(extend_counts(L, 3).counts[0] == report.counts[0],
+                 "curve i: N_1 from L differs from the census")
 
     check("field axioms (distributivity, inverses)", field_axioms)
     check("irreducible counts match the divisor-sum formula", irreducible_counts)

@@ -17,8 +17,8 @@ from .gf import make_field
 from .varieties import (MultiPoly, SpaceCurve, format_point,
                         min_point_degree, parse_multipoly, parse_point,
                         point_degree)
-from .zeta import (PointCounts, census_from_counts, class_number,
-                   cyclic_extension_count, extend_counts,
+from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
+                   class_number, cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)
 
 VARS = ("x1", "x2", "x3", "x4")
@@ -260,7 +260,7 @@ def survivor_analysis(row: TableRow, probe_depth: int = 6) -> SurvivorReport:
     h = class_number(L)
     n5_ext = extend_counts(L, 5).counts[4]
     if n5_ext != counts[4]:
-        raise AssertionError(
+        raise CountInconsistencyError(
             f"N_5 mismatch: enumeration {counts[4]} vs L-extension {n5_ext}")
     census = census_from_counts(PointCounts(2, g, tuple(counts)))
     return SurvivorReport(

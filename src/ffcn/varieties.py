@@ -5,6 +5,22 @@ Points are canonical representatives: the leftmost nonzero coordinate is
 scaled to 1.  Enumeration order is ascending lexicographic on the
 coordinate tuple under the element ordering, which makes witness
 tie-breaks deterministic.
+
+Points on a model are found fiber by fiber rather than by testing all of
+P^n.  Every point other than (0:...:0:1) is a prefix (x_1:...:x_{n-1})
+of P^{n-1} followed by a last coordinate z, so for each prefix the form
+of least degree in x_n becomes a polynomial in z.  When that degree is at
+most 2 (the quadric of a space curve, or a plane form like a conic) its
+roots come in closed form from a value-to-roots table of the extension
+field: z^2 + z = v and square roots in characteristic 2, the completed
+square in characteristic 3, with a vanishing leading coefficient handled
+explicitly.  Otherwise (plane quartics) z is scanned.  The remaining forms
+are checked at the roots only.  Points come out in ``projective_points``
+order: (0:...:0:1), then prefixes in that order, then roots ascending.
+
+The point list is computed once per (model, extension field) and shared
+by ``smoothness_probe``, ``curve_point_counts`` and ``min_point_degree``;
+``points_on_model`` hands each caller its own copy.
 """
 
 from __future__ import annotations
@@ -193,44 +209,125 @@ def point_degree(coords, field: GF, base: GF) -> int:
     raise AssertionError("orbit size must divide the extension degree")
 
 
-def frobenius_point(coords, field: GF, base: GF):
-    return tuple(field.frobenius(c, base.k) for c in coords)
-
-
 def _extension(model_field: GF, m: int) -> GF:
     return make_field(model_field.p, model_field.k * m)
 
 
-def _compiled(poly: MultiPoly, ext: GF):
-    return tuple((embed(c, poly.field, ext),
-                  tuple((v, e) for v, e in enumerate(exps) if e))
-                 for exps, c in poly.terms)
+def _fibered(poly: MultiPoly, ext: GF):
+    """The form as a polynomial in its last variable: entry e holds the
+    terms (coefficient in ext, ((variable, exponent), ...)) of the
+    coefficient of x_n^e, a form in the other variables."""
+    last = poly.nvars - 1
+    fib = [[] for _ in range(max((e[last] for e, _ in poly.terms), default=0) + 1)]
+    for exps, c in poly.terms:
+        fib[exps[last]].append((embed(c, poly.field, ext),
+                                tuple((v, e) for v, e in enumerate(exps[:last]) if e)))
+    return fib
 
 
-def points_on_model(model, ext: GF):
-    """Normalized points of the common zero locus over the given field."""
-    compiled = [_compiled(p, ext) for p in model.polys]
+@lru_cache(maxsize=None)
+def _quadratic_solver(ext: GF):
+    """solve(c, b, a): the roots of a*z^2 + b*z + c in ext, ascending, or
+    None when the polynomial is zero and every z is a root.  Built from
+    one value-to-roots table over ext."""
+    mul, inv, order = ext.mul, ext.inv, ext.order
+    roots_of = [[] for _ in range(order)]
+    if ext.p == 2:
+        # w^2 + w = v has two roots w, w + 1 or none; sqrt is a bijection
+        sqrt = [0] * order
+        for w in ext.elements():
+            sq = mul(w, w)
+            sqrt[sq] = w
+            roots_of[sq ^ w].append(w)
+
+        def solve(c, b, a):
+            if not a:
+                if not b:
+                    return None if not c else []
+                return [mul(c, inv(b))]
+            if not b:
+                return [sqrt[mul(c, inv(a))]]
+            # z = (b/a) w turns the equation into w^2 + w = ac/b^2
+            s = mul(b, inv(a))
+            return sorted(mul(s, w) for w in roots_of[mul(mul(a, c), inv(mul(b, b)))])
+    else:
+        for s in ext.elements():
+            roots_of[mul(s, s)].append(s)
+        sub = ext.sub
+
+        def solve(c, b, a):
+            if not a:
+                if not b:
+                    return None if not c else []
+                return [ext.neg(mul(c, inv(b)))]
+            # p = 3: 2a = -a and 4 = 1, so z = (b -+ sqrt(b^2 - ac)) / a
+            ia = inv(a)
+            return sorted({mul(sub(b, s), ia)
+                           for s in roots_of[sub(mul(b, b), mul(a, c))]})
+    return solve
+
+
+@lru_cache(maxsize=None)
+def _model_points(model, ext: GF) -> tuple:
+    n = model.dim
+    fibs = [_fibered(p, ext) for p in model.polys]
+    # solve the form of least degree in x_n, check the others at its roots
+    key = min(range(len(fibs)), key=lambda i: len(fibs[i]))
+    fib, others = fibs[key], fibs[:key] + fibs[key + 1:]
+    solve = None
+    if len(fib) <= 3:
+        fib = fib + [[]] * (3 - len(fib))  # coefficients c, b, a
+        solve = _quadratic_solver(ext)
     maxdeg = max(p.degree for p in model.polys)
     pw = [[ext.pow(c, e) for e in range(maxdeg + 1)] for c in ext.elements()]
     mul, add = ext.mul, ext.add
-    out = []
-    for pt in projective_points(model.dim, ext):
-        ok = True
-        for terms in compiled:
+    line = ext.elements()
+
+    def coeffs(f, prefix):
+        out = []
+        for terms in f:
             acc = 0
             for coef, ves in terms:
                 t = coef
                 for v, e in ves:
-                    t = mul(t, pw[pt[v]][e])
+                    t = mul(t, pw[prefix[v]][e])
                     if not t:
                         break
                 acc = add(acc, t)
-            if acc:
-                ok = False
-                break
-        if ok:
-            out.append(pt)
-    return out
+            out.append(acc)
+        return out
+
+    def value(cs, z):
+        acc = 0
+        for c in reversed(cs):
+            acc = add(mul(acc, z), c)
+        return acc
+
+    origin = (0,) * n
+    out = []
+    if all(not value(coeffs(f, origin), 1) for f in fibs):
+        out.append(origin + (1,))
+    for prefix in projective_points(n - 1, ext):
+        cs = coeffs(fib, prefix)
+        if solve is not None:
+            roots = solve(*cs)
+            if roots is None:
+                roots = line
+        else:
+            roots = [z for z in line if not value(cs, z)]
+        if not roots:
+            continue
+        rest = [coeffs(f, prefix) for f in others]
+        out.extend(prefix + (z,) for z in roots
+                   if all(not value(r, z) for r in rest))
+    return tuple(out)
+
+
+def points_on_model(model, ext: GF) -> list:
+    """Normalized points of the common zero locus over the given field,
+    in projective_points order.  Each call returns a fresh list; the
+    enumeration itself runs once per (model, field)."""
+    return list(_model_points(model, ext))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+import types
 
+from ffcn import cli, table64
 from ffcn.catalog import DEFAULT_CATALOG
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
@@ -80,6 +83,23 @@ def test_table64_survivor_summary():
     assert analysis["census"] == [0, 0, 0, 1, 3]
 
 
+def test_table64_survivor_mismatch_exits_one(monkeypatch, capsys):
+    real = table64.extend_counts
+
+    def wrong_n5(L, up_to):
+        counts = list(real(L, up_to).counts)
+        counts[4] += 1
+        return types.SimpleNamespace(counts=tuple(counts))
+
+    monkeypatch.delenv("FFC_THREADS", raising=False)
+    monkeypatch.setattr(table64, "extend_counts", wrong_n5)
+    assert cli.main(["table64", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("survivor analysis error: N_5 mismatch")
+    assert "Traceback" not in err
+
+
 def test_table64_truncated_dmax():
     proc = run_cli("table64", "--dmax", "1", "--format", "json", check=True)
     summary = json.loads(proc.stdout)["summary"]
@@ -139,6 +159,21 @@ def test_places_output():
 def test_selftest_passes():
     proc = run_cli("selftest", check=True)
     assert "selftest: pass" in proc.stdout
+
+
+def test_selftest_fails_under_optimize_when_a_check_breaks():
+    # python -O strips assert statements; the checks must still run
+    code = ("import sys, ffcn.polyring as pr; real = pr.irreducible_count; "
+            "pr.irreducible_count = lambda q, d: real(q, d) + 1; "
+            "from ffcn.cli import main; sys.exit(main(['selftest']))")
+    env = dict(os.environ)
+    env.pop("FFC_THREADS", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "[FAIL] irreducible counts match the divisor-sum formula" in proc.stdout
+    assert proc.stdout.endswith("selftest: fail\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -1,7 +1,12 @@
+import itertools
+import random
+
 import pytest
 
+from ffcn.catalog import build_model, get_entry
 from ffcn.gf import make_field
-from ffcn.varieties import (PlaneCurve, SingularModelError,
+from ffcn.table64 import build_family
+from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
                             SpaceCurve, curve_point_counts, format_multipoly,
                             format_point, min_point_degree, normalize_point,
                             parse_multipoly, parse_point, point_degree,
@@ -119,3 +124,105 @@ def test_points_on_model_agree_with_direct_evaluation():
     expected = [pt for pt in projective_points(2, F4)
                 if model.poly(pt, F4) == 0]
     assert pts == expected
+
+
+# ---------------------------------------------------------------------------
+# fiber-wise enumeration against brute force over all of P^n
+
+def brute_force_points(model, ext):
+    return [pt for pt in projective_points(model.dim, ext)
+            if all(f(pt, ext) == 0 for f in model.polys)]
+
+
+def test_fiberwise_points_match_brute_force_on_table64():
+    rows = build_family()
+    for m in range(1, 5):
+        ext = make_field(2, m)
+        # the 16 rows of a family share the cubic: filter P^3 by it once
+        cubic_zeros = {}
+        for row in rows:
+            cubic = row.model.cubic
+            if cubic not in cubic_zeros:
+                cubic_zeros[cubic] = [pt for pt in projective_points(3, ext)
+                                      if cubic(pt, ext) == 0]
+            expected = [pt for pt in cubic_zeros[cubic]
+                        if row.model.quadric(pt, ext) == 0]
+            assert points_on_model(row.model, ext) == expected, (
+                row.family, row.mask_str, m)
+
+
+@pytest.mark.parametrize("curve_id", ["iv", "v", "viii"])
+def test_fiberwise_points_match_brute_force_on_catalog(curve_id):
+    model = build_model(get_entry(curve_id))
+    for m in range(1, 4):
+        ext = make_field(2, m)
+        assert points_on_model(model, ext) == brute_force_points(model, ext), m
+
+
+def _monomials(nvars, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) == degree]
+
+
+def _random_form(rng, field, nvars, degree, allowed):
+    while True:
+        terms = {e: rng.randrange(field.order) for e in _monomials(nvars, degree)
+                 if allowed(e) and rng.random() < 0.6}
+        form = MultiPoly.build(field, nvars, terms)
+        if form.terms:
+            return form
+
+
+# quadric and cubic monomial filters; x4 is exponent index 3
+SPACE_SHAPES = {
+    "generic": (lambda e: True, lambda e: True),
+    # a = 0 in every fiber: the fiber polynomial is linear in x4
+    "no_x4_squared": (lambda e: e[3] < 2, lambda e: True),
+    # a = b = 0: every fiber is the whole line or empty
+    "x4_free_quadric": (lambda e: e[3] == 0, lambda e: True),
+    # a quadric cone with vertex (0:0:0:1), and a cubic through the vertex
+    "cone_at_0001": (lambda e: e[3] == 0, lambda e: e[3] < 3),
+}
+
+
+@pytest.mark.parametrize("p,k,degrees", [(2, 1, (1, 2, 3)), (2, 2, (1, 2)),
+                                         (3, 1, (1, 2))], ids=["GF2", "GF4", "GF3"])
+@pytest.mark.parametrize("shape", sorted(SPACE_SHAPES))
+def test_fiberwise_points_match_brute_force_on_random_space_curves(p, k, degrees, shape):
+    F = make_field(p, k)
+    quadric_ok, cubic_ok = SPACE_SHAPES[shape]
+    rng = random.Random(f"{p}^{k} {shape}")
+    for _ in range(3):
+        model = SpaceCurve(_random_form(rng, F, 4, 3, cubic_ok),
+                           _random_form(rng, F, 4, 2, quadric_ok))
+        for m in degrees:
+            ext = make_field(p, k * m)
+            pts = points_on_model(model, ext)
+            assert pts == brute_force_points(model, ext), (str(model.cubic),
+                                                           str(model.quadric), m)
+            if shape == "cone_at_0001":
+                assert pts[0] == (0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1)], ids=["GF2", "GF4", "GF3"])
+def test_fiberwise_points_match_brute_force_on_random_plane_curves(p, k):
+    F = make_field(p, k)
+    rng = random.Random(f"plane {p}^{k}")
+    for degree in (1, 2, 3, 4):
+        # the second draw has no z: every fiber is the whole line or empty
+        for allowed in (lambda e: True, lambda e: e[2] == 0):
+            model = PlaneCurve(_random_form(rng, F, 3, degree, allowed))
+            for m in (1, 2):
+                ext = make_field(p, k * m)
+                assert points_on_model(model, ext) == brute_force_points(model, ext), (
+                    str(model.poly), m)
+
+
+def test_points_on_model_returns_a_fresh_list():
+    model = build_model(get_entry("viii"))
+    ext = make_field(2, 4)
+    expected = brute_force_points(model, ext)
+    first = points_on_model(model, ext)
+    assert first == expected
+    first.clear()
+    assert points_on_model(model, ext) == expected
