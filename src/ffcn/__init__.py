@@ -4,12 +4,13 @@ zeta L-polynomials and class numbers."""
 
 __version__ = "1.0.0"
 
-from .catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog,
-                      get_entry, load_catalog, section_facts, verify_curve)
+from .catalog import (DEFAULT_CATALOG, CatalogEntry, Rational, build_model,
+                      dump_catalog, get_entry, load_catalog, model_from_spec,
+                      section_facts, verify_curve)
 from .covers import (CoverKind, CoverModel, InvalidCoverError,
                      RamificationDatum, cover_genus, place_census,
                      ramification_data, splitting_type, validate_standard_form)
-from .gf import GF, Element, FieldError, element_str, embed, make_field, parse_element
+from .gf import GF, FieldError, element_str, embed, make_field, parse_element
 from .polyring import (Place, PoleError, Poly, RationalFunction,
                        irreducible_count, is_irreducible, moebius_mu,
                        moebius_transport, monic_irreducibles, parse_poly,
@@ -23,6 +24,6 @@ from .varieties import (MultiPoly, PlaneCurve, SingularModelError, SpaceCurve,
                         point_degree, points_on_model, projective_points,
                         smoothness_probe)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, PointCounts,
-                   abhyankar_index, census_from_counts, census_to_counts,
-                   class_number, cyclic_extension_count, extend_counts,
+                   census_from_counts, census_to_counts, class_number,
+                   cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)

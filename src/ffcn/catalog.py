@@ -1,14 +1,21 @@
 """The catalog of the eight function fields with class number one and
-positive genus, with a verification pipeline per model kind.
+positive genus, and one verification pipeline for all of them.
 
 Each entry records the claimed invariants (genus, class number) next to
 a computable model; ``verify_curve`` recomputes everything from the
-model and reports any disagreement.  Model kinds:
+model and reports any disagreement.  ``model_from_spec`` builds a model
+from a spec (catalog entries and model files alike) and is the only
+code that reads the kind:
 
+* ``rational``: the rational function field GF(q)(x) itself,
 * ``artin_schreier`` / ``kummer``: degree-2 covers of a rational field,
   handled place by place (no point enumeration needed),
 * ``plane_quartic``: a smooth homogeneous quartic in P^2,
 * ``space_curve``: a cubic-quadric intersection in P^3.
+
+Every model exposes ``field``, ``genus``, ``cross_check_depth`` and
+``counts(n, probe_depth)`` (N_1..N_n); the place census is always
+``census_from_counts`` of those counts.
 """
 
 from __future__ import annotations
@@ -16,17 +23,51 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .covers import CoverKind, CoverModel, cover_genus, place_census
-from .gf import make_field
+from .covers import CoverKind, CoverModel
+from .gf import GF, make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
-from .varieties import (PlaneCurve, SpaceCurve, curve_point_counts,
-                        parse_multipoly)
+from .varieties import PlaneCurve, SpaceCurve, parse_multipoly
 from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
-                   census_to_counts, class_number, cyclic_extension_count,
-                   extend_counts, hurwitz_different_degree, l_polynomial)
+                   class_number, cyclic_extension_count, extend_counts,
+                   hurwitz_different_degree, l_polynomial)
 
-COVER_KINDS = ("artin_schreier", "kummer")
-MODEL_KINDS = COVER_KINDS + ("plane_quartic", "space_curve")
+MODEL_KINDS = ("rational", "artin_schreier", "kummer", "plane_quartic",
+               "space_curve")
+
+
+@dataclass(frozen=True)
+class Rational:
+    """The rational function field GF(q)(x): genus 0, N_m = q^m + 1."""
+
+    field: GF
+    genus = 0
+    cross_check_depth = 0  # the counts are the definition; nothing to check
+
+    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
+        q = self.field.order
+        return [q ** m + 1 for m in range(1, n + 1)]
+
+
+def model_from_spec(spec: dict):
+    """The model a spec describes.  A spec holds ``p``, ``k``, ``kind`` and
+    the kind's fields: ``f`` for the covers, ``poly`` and ``vars`` for a
+    plane quartic, ``cubic``, ``quadric`` and ``vars`` for a space curve."""
+    try:
+        kind = spec["kind"]
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        F = make_field(spec["p"], spec["k"])
+        if kind == "rational":
+            return Rational(F)
+        if kind == "plane_quartic":
+            return PlaneCurve(parse_multipoly(spec["poly"], F, tuple(spec["vars"])))
+        if kind == "space_curve":
+            names = tuple(spec["vars"])
+            return SpaceCurve(parse_multipoly(spec["cubic"], F, names),
+                              parse_multipoly(spec["quadric"], F, names))
+        return CoverModel(CoverKind(kind), parse_rational(spec["f"], F))
+    except KeyError as exc:
+        raise ValueError(f"model spec lacks the field {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -87,16 +128,8 @@ def get_entry(curve_id: str, catalog=DEFAULT_CATALOG) -> CatalogEntry:
 
 
 def build_model(entry: CatalogEntry):
-    F = make_field(entry.p, entry.k)
-    if entry.kind in COVER_KINDS:
-        kind = (CoverKind.ARTIN_SCHREIER if entry.kind == "artin_schreier"
-                else CoverKind.KUMMER)
-        return CoverModel(kind, parse_rational(entry.data["f"], F))
-    varnames = tuple(entry.data["vars"])
-    if entry.kind == "plane_quartic":
-        return PlaneCurve(parse_multipoly(entry.data["poly"], F, varnames))
-    return SpaceCurve(parse_multipoly(entry.data["cubic"], F, varnames),
-                      parse_multipoly(entry.data["quadric"], F, varnames))
+    return model_from_spec({"p": entry.p, "k": entry.k, "kind": entry.kind,
+                            **entry.data})
 
 
 def dump_catalog(catalog=DEFAULT_CATALOG) -> str:
@@ -104,7 +137,12 @@ def dump_catalog(catalog=DEFAULT_CATALOG) -> str:
 
 
 def load_catalog(text: str) -> tuple[CatalogEntry, ...]:
-    return tuple(CatalogEntry(**item) for item in json.loads(text))
+    """Parse a catalog and build every entry's model, so that a malformed
+    entry is reported before any verification starts."""
+    catalog = tuple(CatalogEntry(**item) for item in json.loads(text))
+    for entry in catalog:
+        build_model(entry)
+    return catalog
 
 
 @dataclass(frozen=True)
@@ -129,50 +167,41 @@ def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
     the model, and compare against the entry's claims.
 
     Counts beyond N_g are computed independently of the L-polynomial and
-    cross-checked against its power-sum extension; the degrees where the
-    two agree are reported.
+    cross-checked against its power-sum extension, at least through the
+    model's ``cross_check_depth`` and otherwise through min(2g, depth);
+    the degrees where the two agree are reported.
     """
     model = build_model(entry)
-    problems = []
-    if entry.kind in COVER_KINDS:
-        genus = cover_genus(model)
-        depth = max(max_place_degree, 2 * genus + 2)
-        census_full = place_census(model, depth)
-        counts = census_to_counts(census_full, depth)
-    else:
-        genus = model.genus
-        depth = max(max_place_degree, min(2 * genus, 6), genus)
-        counts = curve_point_counts(model, depth, probe_depth)
-        census_full = census_from_counts(
-            PointCounts(make_field(entry.p, entry.k).order, genus, tuple(counts)))
+    genus = model.genus
+    check = model.cross_check_depth
+    depth = max(max_place_degree, check, genus)
+    q = model.field.order
+    counts = tuple(model.counts(depth, probe_depth))
+    census = census_from_counts(PointCounts(q, genus, counts)).counts[:max_place_degree]
 
+    problems = []
     if genus != entry.genus:
         problems.append(f"computed genus {genus} != claimed {entry.genus}")
 
-    q = make_field(entry.p, entry.k).order
     try:
-        L = l_polynomial(PointCounts(q, genus, tuple(counts[:genus])))
+        L = l_polynomial(PointCounts(q, genus, counts[:genus]))
         h = class_number(L)
     except CountInconsistencyError as exc:
-        return CurveReport(entry, genus, 0, (), tuple(counts),
-                           census_full.counts[:max_place_degree],
-                           (), tuple(problems) + (str(exc),))
+        return CurveReport(entry, genus, 0, (), counts, census, (),
+                           tuple(problems) + (str(exc),))
     if h != entry.class_number:
         problems.append(f"computed class number {h} != claimed {entry.class_number}")
 
     extended = extend_counts(L, depth).counts
     checked = []
-    for m in range(genus + 1, min(2 * genus + 2, depth) + 1
-                   if entry.kind in COVER_KINDS
-                   else min(2 * genus, depth) + 1):
+    for m in range(genus + 1, max(check, min(2 * genus, depth)) + 1):
         if extended[m - 1] != counts[m - 1]:
             problems.append(
                 f"N_{m}: enumeration {counts[m - 1]} vs L-extension {extended[m - 1]}")
         else:
             checked.append(m)
 
-    return CurveReport(entry, genus, h, L.coeffs, tuple(counts),
-                       census_full.counts[:max_place_degree],
+    return CurveReport(entry, genus, h, L.coeffs, counts, census,
                        tuple(checked), tuple(problems))
 
 

@@ -23,12 +23,10 @@ from multiprocessing import Pool
 
 from . import __version__
 from .catalog import (DEFAULT_CATALOG, build_model, get_entry, load_catalog,
-                      section_facts, verify_curve)
-from .covers import (CoverKind, CoverModel, InvalidCoverError, cover_genus,
-                     place_census)
+                      model_from_spec, section_facts, verify_curve)
+from .covers import InvalidCoverError
 from .gf import FieldError, make_field
-from .polyring import parse_rational
-from .varieties import SingularModelError, curve_point_counts, parse_multipoly
+from .varieties import SingularModelError
 from .zeta import (CountInconsistencyError, LPoly, PointCounts,
                    census_from_counts, census_to_counts, class_number,
                    extend_counts, l_polynomial)
@@ -52,7 +50,8 @@ def _worker_count() -> int:
 
 
 def _map(func, items):
-    """Order-preserving map, parallel when FFC_THREADS > 1."""
+    """Order-preserving map, parallel when FFC_THREADS > 1 (verify only:
+    the 64 table rows take a few ms each, less than starting a pool)."""
     n = _worker_count()
     if n == 1 or len(items) <= 1:
         return [func(item) for item in items]
@@ -106,6 +105,9 @@ def cmd_verify(ns) -> int:
             with open(ns.catalog) as fh:
                 catalog = load_catalog(fh.read())
         entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
+    except MATH_ERRORS as exc:
+        sys.stderr.write(f"verification error: {exc}\n")
+        return EXIT_MISMATCH
     except PARSE_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
@@ -178,7 +180,7 @@ CSV_COLUMNS = ("family", "mask", "quadric", "paper_witness", "paper_degree",
 def cmd_table64(ns) -> int:
     from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, build_family,
                           find_survivors, survivor_analysis)
-    records = _map(_table_one, [(i, ns.dmax) for i in range(64)])
+    records = [_table_one((i, ns.dmax)) for i in range(64)]
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
     summary = {"rows": 64,
@@ -238,62 +240,29 @@ def cmd_table64(ns) -> int:
 # ---------------------------------------------------------------------------
 # zeta / places: one model from the catalog or a JSON model file
 
-def _load_model(ns):
-    """Returns (model_or_None, genus, q).  None model means the rational
-    function field itself (genus 0)."""
+def _open_model(ns):
+    """(model, genus) for --curve or the --model file."""
     if ns.curve:
-        entry = get_entry(ns.curve)
-        model = build_model(entry)
-        q = make_field(entry.p, entry.k).order
-        g = cover_genus(model) if isinstance(model, CoverModel) else model.genus
-        return model, g, q
-    with open(ns.model) as fh:
-        spec = json.load(fh)
-    F = make_field(spec["p"], spec["k"])
-    kind = spec["kind"]
-    if kind == "rational":
-        return None, 0, F.order
-    if kind in ("artin_schreier", "kummer"):
-        ck = CoverKind.ARTIN_SCHREIER if kind == "artin_schreier" else CoverKind.KUMMER
-        model = CoverModel(ck, parse_rational(spec["f"], F))
-        return model, cover_genus(model), F.order
-    varnames = tuple(spec["vars"])
-    if kind == "plane_quartic":
-        from .varieties import PlaneCurve
-        model = PlaneCurve(parse_multipoly(spec["poly"], F, varnames))
-    elif kind == "space_curve":
-        from .varieties import SpaceCurve
-        model = SpaceCurve(parse_multipoly(spec["cubic"], F, varnames),
-                           parse_multipoly(spec["quadric"], F, varnames))
+        model = build_model(get_entry(ns.curve))
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return model, model.genus, F.order
-
-
-def _model_counts(model, g, q, up_to, probe_depth):
-    if model is None:
-        return [q ** m + 1 for m in range(1, up_to + 1)]
-    if isinstance(model, CoverModel):
-        return census_to_counts(place_census(model, up_to), up_to)
-    return curve_point_counts(model, up_to, probe_depth)
+        with open(ns.model) as fh:
+            model = model_from_spec(json.load(fh))
+    return model, model.genus
 
 
 def cmd_zeta(ns) -> int:
     try:
-        model, g, q = _load_model(ns)
+        model, g = _open_model(ns)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MISMATCH
     except PARSE_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
-    up_to = max(ns.counts_up_to, g)
+    q = model.field.order
     try:
-        counts = _model_counts(model, g, q, up_to, ns.probe_depth)
-        if g == 0:
-            L = LPoly(q, 0, (1,))
-        else:
-            L = l_polynomial(PointCounts(q, g, tuple(counts[:g])))
+        counts = model.counts(max(ns.counts_up_to, g), ns.probe_depth)
+        L = l_polynomial(PointCounts(q, g, tuple(counts[:g])))
         h = class_number(L)
         census = census_from_counts(counts)
     except MATH_ERRORS as exc:
@@ -315,18 +284,16 @@ def cmd_zeta(ns) -> int:
 
 def cmd_places(ns) -> int:
     try:
-        model, g, q = _load_model(ns)
+        model, g = _open_model(ns)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MISMATCH
     except PARSE_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
-    d = ns.max_place_degree
+    q, d = model.field.order, ns.max_place_degree
     try:
-        counts = _model_counts(model, g, q, d, ns.probe_depth)
-        census = (place_census(model, d) if isinstance(model, CoverModel)
-                  else census_from_counts(counts))
+        census = census_from_counts(model.counts(d, ns.probe_depth))
     except MATH_ERRORS as exc:
         sys.stderr.write(f"census error: {exc}\n")
         return EXIT_MISMATCH
@@ -395,16 +362,27 @@ def _selftest_checks():
         from .zeta import PlaceCensus
         return PlaceCensus(tuple(B))
 
-    def cover_fundamental_identity():
+    def cover_splitting_types():
+        # y^2 + y = c over curve i, y^2 = c over curve vi: off the ramified
+        # places, the fiber splits iff y has a root in the residue field
         from .covers import splitting_type
-        from .polyring import places_of_degree
-        entry = get_entry("i")
-        cover = build_model(entry)
-        for d in range(1, 4):
-            for place in places_of_degree(cover.field, d):
-                kind = splitting_type(cover, place)
-                ef = {"ramified": 2, "split": 2, "inert": 2}[kind]
-                _require(ef == 2, f"e*f = {ef} above {place}")
+        from .polyring import (place_valuation, places_of_degree, residue,
+                               residue_field, unit_residue)
+        for cid, ramified, value, lhs in (
+                ("i", lambda v: v < 0, residue, lambda R, y: R.add(R.mul(y, y), y)),
+                ("vi", lambda v: v % 2, unit_residue, lambda R, y: R.mul(y, y))):
+            cover = build_model(get_entry(cid))
+            for d in range(1, 4):
+                for place in places_of_degree(cover.field, d):
+                    if ramified(place_valuation(cover.f, place)):
+                        expected = "ramified"
+                    else:
+                        R, c = residue_field(place)[0], value(cover.f, place)
+                        roots = sum(lhs(R, y) == c for y in R.elements())
+                        expected = {0: "inert", 2: "split"}.get(roots, f"{roots} roots")
+                    kind = splitting_type(cover, place)
+                    _require(kind == expected,
+                             f"curve {cid}: {place} is {kind}, the y-roots say {expected}")
 
     def zeta_invariants():
         report = verify_curve(get_entry("i"))
@@ -417,8 +395,8 @@ def _selftest_checks():
     check("field axioms (distributivity, inverses)", field_axioms)
     check("irreducible counts match the divisor-sum formula", irreducible_counts)
     check("census/counts round trip", census_round_trip)
-    check("sum e*f = 2 above every base place (degree <= 3)",
-          cover_fundamental_identity)
+    check("splitting types match y-root counts above every base place "
+          "(degree <= 3)", cover_splitting_types)
     check("zeta pipeline invariants on a known elliptic model", zeta_invariants)
     return results
 

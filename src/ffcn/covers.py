@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf import GF
 from .polyring import (Place, RationalFunction, monic_irreducibles,
                        place_valuation, places_of_degree, residue,
                        unit_residue)
-from .zeta import PlaceCensus, census_to_counts  # noqa: F401  (re-export)
+from .zeta import PlaceCensus, census_to_counts
 
 
 class CoverKind(enum.Enum):
@@ -47,6 +48,18 @@ class CoverModel:
     @property
     def degree(self) -> int:
         return 2
+
+    @cached_property
+    def genus(self) -> int:
+        return cover_genus(self)
+
+    @property
+    def cross_check_depth(self) -> int:
+        return 2 * self.genus + 2
+
+    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
+        """N_1..N_n from the place census (no points, so no probe)."""
+        return census_to_counts(place_census(self, n), n)
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,7 @@ def _check_constant_field(cover: CoverModel, census: PlaceCensus):
     # A cover that secretly extends the constant field splits every place
     # and blows through the Weil bound at degree 1.
     q = cover.field.order
-    g = cover_genus(cover)
+    g = cover.genus
     n1 = census.b(1)
     if (n1 - (q + 1)) ** 2 > 4 * g * g * q:
         raise InvalidCoverError(

@@ -270,7 +270,8 @@ class GF:
         for _ in range(self.k):
             s = self.add(s, x)
             x = self.pow(x, self.p)
-        assert s < self.p, "trace landed outside the prime field"
+        if s >= self.p:
+            raise FieldError(f"trace {s} landed outside the prime field")
         return s
 
     def solve_artin_schreier(self, c: int):
@@ -370,18 +371,6 @@ def _subfield_root(src: GF, dst: GF) -> int:
     return root
 
 
-def conjugate_subfield_roots(src: GF, dst: GF) -> list[int]:
-    """All roots of the source modulus in the target field, ascending."""
-    roots = []
-    for x in dst.elements():
-        acc = 0
-        for c in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, x), c)
-        if acc == 0:
-            roots.append(x)
-    return roots
-
-
 def element_str(field: GF, a: int, symbol: str = "a") -> str:
     """Render an element as a polynomial in the modulus root."""
     if a == 0:
@@ -429,65 +418,3 @@ def parse_element(s: str, field: GF, symbol: str = "a") -> int:
         t = field.neg(t) if sign < 0 else t
         val = field.add(val, t)
     return val
-
-
-class Element:
-    """Thin wrapper pairing a value with its field; guards mixed-field ops."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: GF, val: int):
-        if not 0 <= val < field.order:
-            raise FieldError(f"value {val} outside {field}")
-        self.field = field
-        self.val = val
-
-    def _coerce(self, other):
-        if isinstance(other, Element):
-            if other.field is not self.field:
-                raise FieldError("operands from different fields")
-            return other.val
-        if isinstance(other, int):
-            if other % self.field.p != other:
-                raise FieldError("int operand must be a prime-field value")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Element(self.field, self.field.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Element(self.field, self.field.sub(self.val, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Element(self.field, self.field.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Element(self.field, self.field.mul(self.val, self.field.inv(v)))
-
-    def __pow__(self, n: int):
-        return Element(self.field, self.field.pow(self.val, n))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, Element):
-            return self.field is other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.val))
-
-    def __repr__(self):
-        return f"Element({self.field!r}, {element_str(self.field, self.val)})"

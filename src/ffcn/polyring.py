@@ -278,7 +278,8 @@ def moebius_mu(n: int) -> int:
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over GF(q) (Moebius formula)."""
     total = sum(moebius_mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise ArithmeticError(f"Moebius sum {total} is not divisible by {d}")
     return total // d
 
 
@@ -478,7 +479,9 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
         if coef:
             acc = acc + ((num ** i) * (den ** (n - i))).scale(coef)
     if acc.degree < n:
-        assert n == 1, "degree can only drop for rational places"
+        if n != 1:
+            raise ArithmeticError(f"transport dropped the degree of {place}, "
+                                  "which is not rational")
         return Place.infinite(F)
     return Place(F, acc.monic(), _checked=True)
 

@@ -97,8 +97,19 @@ class MultiPoly:
         return format_multipoly(self)
 
 
+class _ProjectiveCurve:
+    """What plane and space curves share: point counts by enumeration."""
+
+    @property
+    def cross_check_depth(self) -> int:
+        return min(2 * self.genus, 6)
+
+    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
+        return curve_point_counts(self, n, probe_depth)
+
+
 @dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(_ProjectiveCurve):
     """One homogeneous polynomial in 3 variables (catalog use: quartics)."""
 
     poly: MultiPoly
@@ -126,7 +137,7 @@ class PlaneCurve:
 
 
 @dataclass(frozen=True)
-class SpaceCurve:
+class SpaceCurve(_ProjectiveCurve):
     """Cubic-and-quadric intersection in P^3 (canonical genus-4 model)."""
 
     cubic: MultiPoly

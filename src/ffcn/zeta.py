@@ -9,7 +9,6 @@ and miscounted points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .polyring import moebius_mu
@@ -172,14 +171,6 @@ def hurwitz_different_degree(g_cover: int, g_base: int, n: int) -> int:
     if n < 1:
         raise ValueError("cover degree must be positive")
     return 2 * g_cover - 2 - n * (2 * g_base - 2)
-
-
-def abhyankar_index(e1: int, e2: int) -> int:
-    """Composite ramification index lcm(e1, e2) (tame-side hypothesis is
-    the caller's responsibility)."""
-    if e1 < 1 or e2 < 1:
-        raise ValueError("ramification indices must be positive")
-    return math.lcm(e1, e2)
 
 
 def cyclic_extension_count(h: int, q: int, t: int, d: int) -> int:

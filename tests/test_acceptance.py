@@ -11,10 +11,12 @@ import sys
 import time
 
 from ffcn.catalog import DEFAULT_CATALOG, get_entry, verify_curve
-from ffcn.covers import place_census, splitting_type
+from ffcn.covers import CoverKind, place_census, splitting_type
 from ffcn.gf import make_field
 from ffcn.polyring import (Place, irreducible_count, moebius_transport,
-                           monic_irreducibles, parse_poly, places_of_degree)
+                           monic_irreducibles, parse_poly, place_valuation,
+                           places_of_degree, residue, residue_field,
+                           unit_residue)
 from ffcn.table64 import build_family, find_survivors, survivor_analysis, verify_row
 from ffcn.zeta import (LPoly, PlaceCensus, PointCounts, census_from_counts,
                        census_to_counts, class_number,
@@ -105,14 +107,28 @@ def test_criterion_5_property_suites():
         round_trip_ok &= (census_from_counts(
             census_to_counts(PlaceCensus(B), m)).counts == B)
 
+    # e*f above each base place, from the valuation of f and the y-roots
+    # of y^2 + y = c or y^2 = c in the residue field: ramified (e = 2),
+    # two roots (two places, f = 1) or none (one place, f = 2)
     ef_ok = True
     for cid in ("i", "ii", "iii", "vi", "vii"):
         cover = build_model(get_entry(cid))
+        artin_schreier = cover.kind is CoverKind.ARTIN_SCHREIER
         for d in range(1, 6):
             for place in places_of_degree(cover.field, d):
-                kind = splitting_type(cover, place)
-                ef = 2 if kind in ("ramified", "inert") else 1 + 1
-                ef_ok &= ef == 2
+                v = place_valuation(cover.f, place)
+                if v < 0 if artin_schreier else v % 2:
+                    expected = "ramified"
+                else:
+                    R = residue_field(place)[0]
+                    if artin_schreier:
+                        c = residue(cover.f, place)
+                        roots = sum(R.add(R.mul(y, y), y) == c for y in R.elements())
+                    else:
+                        c = unit_residue(cover.f, place)
+                        roots = sum(R.mul(y, y) == c for y in R.elements())
+                    expected = {0: "inert", 2: "split"}.get(roots)
+                ef_ok &= splitting_type(cover, place) == expected
 
     env1 = {"FFC_THREADS": "1"}
     env2 = {"FFC_THREADS": "4"}

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import pytest
 
-from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model,
-                          dump_catalog, get_entry, load_catalog,
-                          section_facts, verify_curve)
-from ffcn.covers import CoverModel
+from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, Rational,
+                          build_model, dump_catalog, get_entry, load_catalog,
+                          model_from_spec, section_facts, verify_curve)
+from ffcn.covers import CoverKind, CoverModel
 from ffcn.varieties import PlaneCurve, SpaceCurve
 
 EXPECTED_GENERA = {"i": 1, "ii": 2, "iii": 2, "iv": 3, "v": 3,
@@ -27,6 +28,57 @@ def test_model_routing():
     assert isinstance(kinds["iv"], PlaneCurve)
     assert isinstance(kinds["v"], PlaneCurve)
     assert isinstance(kinds["viii"], SpaceCurve)
+
+
+def spec_of(curve_id):
+    entry = get_entry(curve_id)
+    return {"p": entry.p, "k": entry.k, "kind": entry.kind, **entry.data}
+
+
+# kind -> (spec, model type, genus, cross-check depth, N_1..N_4)
+SPECS = {
+    "rational": ({"kind": "rational", "p": 3, "k": 1}, Rational, 0, 0,
+                 [4, 10, 28, 82]),
+    "artin_schreier": (spec_of("i"), CoverModel, 1, 4, [1, 5, 13, 25]),
+    "kummer": (spec_of("vi"), CoverModel, 1, 4, [1, 7, 28, 91]),
+    "plane_quartic": (spec_of("iv"), PlaneCurve, 3, 6, [0, 0, 3, 28]),
+    "space_curve": (spec_of("viii"), SpaceCurve, 4, 6, [0, 0, 0, 4]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_model_from_spec(kind):
+    spec, cls, genus, check_depth, counts = SPECS[kind]
+    model = model_from_spec(spec)
+    assert type(model) is cls
+    assert model.field.order == spec["p"] ** spec["k"]
+    assert model.genus == genus
+    assert model.cross_check_depth == check_depth
+    assert model.counts(4, 6) == counts
+    if cls is CoverModel:
+        assert model.kind is CoverKind(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_model_spec_missing_field(kind):
+    spec = SPECS[kind][0]
+    for field in spec:
+        broken = {k: v for k, v in spec.items() if k != field}
+        with pytest.raises(ValueError, match=f"lacks the field '{field}'"):
+            model_from_spec(broken)
+
+
+def test_model_spec_unknown_kind():
+    with pytest.raises(ValueError, match="unknown model kind 'hyperelliptic'"):
+        model_from_spec({"kind": "hyperelliptic", "p": 2, "k": 1, "f": "x"})
+
+
+@pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
+def test_load_catalog_builds_every_model(data):
+    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items[0]["data"] = data
+    with pytest.raises(ValueError):
+        load_catalog(json.dumps(items))
 
 
 def test_catalog_serialization_round_trip():
@@ -76,3 +128,24 @@ def test_section_facts():
     # the two conventions traverse the same places in opposite orders
     assert (set(facts["transport_substitution"][1:])
             == set(facts["transport_pushforward"][1:]))
+
+
+COVERS = ("i", "ii", "iii", "vi", "vii")
+
+
+@pytest.mark.parametrize("curve_id, D", [(c, D) for c in COVERS for D in (1, 5)]
+                         + [(c, D) for c in ("iv", "v", "viii") for D in (1, 5, 7)])
+def test_verify_depth_and_cross_checked_degrees(curve_id, D):
+    # count through max(D, c, g), cross-check N_{g+1}..N_{max(c, min(2g, depth))},
+    # with c = 2g + 2 for covers and min(2g, 6) for curves
+    entry = get_entry(curve_id)
+    g = entry.genus
+    c = 2 * g + 2 if curve_id in COVERS else min(2 * g, 6)
+    depth = max(D, c, g)
+    report = verify_curve(entry, D)
+    assert report.status == "pass", report.problems
+    assert len(report.counts) == depth
+    assert len(report.census) == D
+    assert report.cross_checked == tuple(range(g + 1, max(c, min(2 * g, depth)) + 1))
+    if (curve_id, D) == ("viii", 7):
+        assert report.cross_checked == (5, 6, 7)

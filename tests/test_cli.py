@@ -5,8 +5,11 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 from ffcn import cli, table64
 from ffcn.catalog import DEFAULT_CATALOG
+from ffcn.gf import GF
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
 
@@ -56,6 +59,19 @@ def test_tampered_catalog_exits_one(tmp_path):
     path.write_text(json.dumps(items))
     proc = run_cli("verify", "--catalog", str(path), "--curve", "i")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
+def test_malformed_catalog_entry_exits_two(tmp_path, data):
+    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items[0]["data"] = data
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(items))
+    proc = run_cli("verify", "--catalog", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_catalog_exits_two():
@@ -150,6 +166,39 @@ def test_zeta_requires_exactly_one_source(tmp_path):
     assert run_cli("zeta", "--curve", "i", "--model", str(path)).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["zeta", "places"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "hyperelliptic", "p": 2, "k": 1, "f": "x^3+x+1"},
+    {"kind": "artin_schreier", "p": 2, "k": 1},
+    {"kind": "space_curve", "p": 2, "k": 1, "cubic": "x1^3",
+     "vars": ["x1", "x2", "x3", "x4"]},
+    {"p": 2, "k": 1, "f": "x^3+x+1"},
+], ids=["unknown-kind", "no-f", "no-quadric", "no-kind"])
+def test_bad_model_spec_exits_two(tmp_path, capsys, command, spec):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main([command, "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("curve_id", [e.curve_id for e in DEFAULT_CATALOG])
+def test_places_and_zeta_agree_with_verify(capsys, curve_id):
+    def report(*args):
+        assert cli.main(list(args) + ["--curve", curve_id, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    (record,) = report("verify")["curves"]
+    zeta = report("zeta")
+    places = report("places")
+    census = {str(d): b for d, b in enumerate(record["census"], start=1)}
+    assert places["census"] == census
+    assert zeta["census"] == census
+    assert zeta["l_coeffs"] == record["l_coeffs"]
+    assert zeta["genus"] == places["genus"] == record["genus_computed"]
+
+
 def test_places_output():
     proc = run_cli("places", "--curve", "viii", "--format", "json", check=True)
     report = json.loads(proc.stdout)
@@ -174,6 +223,15 @@ def test_selftest_fails_under_optimize_when_a_check_breaks():
     assert "[FAIL] irreducible counts match the divisor-sum formula" in proc.stdout
     assert proc.stdout.endswith("selftest: fail\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_selftest_fails_when_trace_is_wrong(monkeypatch, capsys):
+    # the splitting check counts y-roots itself, so a wrong trace shows
+    monkeypatch.setattr(GF, "trace", lambda self, a: 0)
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] splitting types match y-root counts" in out
+    assert out.endswith("selftest: fail\n")
 
 
 def test_out_flag_writes_file(tmp_path):

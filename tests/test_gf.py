@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from ffcn.gf import (Element, FieldError, conjugate_subfield_roots, element_str,
-                     embed, make_field, parse_element)
+from ffcn.gf import FieldError, element_str, embed, make_field, parse_element
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -100,25 +99,9 @@ def test_embed_requires_subfield():
         embed(1, make_field(2, 3), make_field(2, 4))
 
 
-def test_conjugate_subfield_roots():
-    F4, F16 = make_field(2, 2), make_field(2, 4)
-    roots = conjugate_subfield_roots(F4, F16)
-    assert len(roots) == 2  # t^2+t+1 splits in GF(16)
-    assert embed(2, F4, F16) == min(roots)
-
-
 def test_element_text_round_trip():
     F8 = make_field(2, 3)
     for a in F8.elements():
         s = element_str(F8, a, "b")
         assert parse_element(s, F8, "b") == a
     assert parse_element("b^3", F8, "b") == F8.pow(2, 3)
-
-
-def test_element_wrapper_guards_mixed_fields():
-    F4, F8 = make_field(2, 2), make_field(2, 3)
-    a = Element(F4, 2)
-    b = Element(F8, 2)
-    with pytest.raises(FieldError):
-        a + b
-    assert (a * a + a).val == F4.add(F4.mul(2, 2), 2)

@@ -58,6 +58,14 @@ def test_irreducibility_known_cases():
     assert not is_irreducible(parse_poly("x^4+x^2+1", F2))
 
 
+def test_irreducible_count_raises_when_the_moebius_sum_is_off(monkeypatch):
+    # an explicit raise, not an assert, so it also holds under python -O
+    import ffcn.polyring as polyring
+    monkeypatch.setattr(polyring, "moebius_mu", lambda n: 1)
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        irreducible_count(2, 3)  # (8 + 2) / 3
+
+
 @pytest.mark.parametrize("field,qname", [(F2, 2), (F3, 3), (F4, 4)])
 def test_irreducible_enumeration_matches_formula(field, qname):
     for d in range(1, 9):

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from ffcn.zeta import (CountInconsistencyError, LPoly, PlaceCensus,
-                       PointCounts, abhyankar_index, census_from_counts,
-                       census_to_counts, class_number,
-                       cyclic_extension_count, extend_counts,
+                       PointCounts, census_from_counts, census_to_counts,
+                       class_number, cyclic_extension_count, extend_counts,
                        hurwitz_different_degree, l_polynomial)
 
 
@@ -76,13 +75,6 @@ def test_hurwitz_different_degree():
     assert hurwitz_different_degree(4, 0, 5) == 16
     assert hurwitz_different_degree(1, 0, 2) == 4
     assert hurwitz_different_degree(0, 0, 1) == 0
-
-
-def test_abhyankar_index():
-    assert abhyankar_index(2, 5) == 10
-    assert abhyankar_index(4, 6) == 12
-    with pytest.raises(ValueError):
-        abhyankar_index(0, 3)
 
 
 def test_cyclic_extension_count():
