@@ -117,6 +117,9 @@ def cmd_verify(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"verification error: {exc}\n")
         return EXIT_MISMATCH
+    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_USAGE
     overall = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     report = {
         "tool_version": __version__,
@@ -268,6 +271,9 @@ def cmd_zeta(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"zeta pipeline error: {exc}\n")
         return EXIT_MISMATCH
+    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_USAGE
     report = {"q": q, "genus": g, "counts": list(counts),
               "l_coeffs": list(L.coeffs), "h": h,
               "census": census.as_dict()}
@@ -297,6 +303,9 @@ def cmd_places(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"census error: {exc}\n")
         return EXIT_MISMATCH
+    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_USAGE
     report = {"q": q, "genus": g, "max_degree": d, "census": census.as_dict()}
     if ns.format == "json":
         text = _render_json(report)
@@ -317,7 +326,8 @@ def _require(ok: bool, what: str):
 
 
 def _selftest_checks():
-    from .polyring import irreducible_count, monic_irreducibles
+    from .polyring import (Place, irreducible_count, is_irreducible,
+                           monic_irreducibles, residue_field)
     results = []
 
     def check(name, fn):
@@ -344,10 +354,16 @@ def _selftest_checks():
         for p, k in ((2, 1), (3, 1), (2, 2)):
             F = make_field(p, k)
             for d in range(1, 7):
-                found = len(monic_irreducibles(F, d))
+                polys = monic_irreducibles(F, d)
                 expected = irreducible_count(F.order, d)
-                _require(found == expected,
-                         f"{F}, degree {d}: {found} monic irreducibles, formula {expected}")
+                _require(len(polys) == expected,
+                         f"{F}, degree {d}: {len(polys)} monic irreducibles, "
+                         f"formula {expected}")
+                for f in polys:
+                    _require(is_irreducible(f), f"{f} over {F} is reducible")
+                    R, root = residue_field(Place(F, f, _checked=True))
+                    _require(f.eval_in(root, R) == 0,
+                             f"{f} over {F} does not vanish at its residue root")
 
     def census_round_trip():
         rng = random.Random(20260823)

@@ -13,6 +13,7 @@ external tables.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 SUPPORTED_P = (2, 3)
 MAX_K = 20
@@ -77,23 +78,10 @@ def _zp_mod(f, m, p):
 
 
 def _zp_gcd_is_one(f, g, p):
-    f, g = list(f), list(g)
     while g:
-        # remainder of f by g
-        dg = len(g) - 1
         inv_lead = pow(g[-1], p - 2, p)
-        r = list(f)
-        for i in range(len(r) - 1, dg - 1, -1):
-            if len(r) - 1 < dg:
-                break
-            c = (r[-1] * inv_lead) % p
-            for j in range(dg + 1):
-                r[len(r) - 1 - dg + j] = (r[len(r) - 1 - dg + j] - c * g[j]) % p
-            _zp_trim(r)
-            if len(r) - 1 < dg:
-                break
-        f, g = g, r
-    return len(f) == 1 and f[0] != 0
+        f, g = g, _zp_mod(f, [c * inv_lead % p for c in g], p)
+    return len(f) == 1
 
 
 def _zp_pth_power_mod(r, m, p):
@@ -105,27 +93,15 @@ def _zp_pth_power_mod(r, m, p):
 
 
 def _zp_is_irreducible(m, p: int) -> bool:
-    """Power test for a monic polynomial m over Z_p."""
-    d = len(m) - 1
-    if d == 1:
-        return True
-    if m[0] == 0:  # divisible by x
-        return False
-    r = [0, 1]  # x
-    x = [0, 1]
-    for e in range(1, d + 1):
+    """Power test for a monic polynomial m over Z_p: m has no irreducible
+    factor of degree e <= deg(m)/2, i.e. gcd(x^(p^e) - x, m) = 1."""
+    r = [0, 1]  # x^(p^e) mod m
+    for _ in range((len(m) - 1) // 2):
         r = _zp_pth_power_mod(r, m, p)
-        if e <= d // 2:
-            la = max(len(r), 2)
-            diff = [((r[i] if i < len(r) else 0) - (x[i] if i < 2 else 0)) % p
-                    for i in range(la)]
-            _zp_trim(diff)
-            if not diff:
-                # m divides x^(p^e) - x: all factors have degree dividing e < d
-                return False
-            if not _zp_gcd_is_one(m, diff, p):
-                return False
-    return r == x
+        diff = _zp_trim([(a - b) % p for a, b in zip_longest(r, [0, 1], fillvalue=0)])
+        if not _zp_gcd_is_one(m, diff, p):
+            return False
+    return True
 
 
 class GF:
@@ -142,7 +118,6 @@ class GF:
         self.modulus = modulus  # k+1 coefficients, little-endian, monic
         self._exp = None
         self._log = None
-        self._embed_roots: dict[tuple[int, int], int] = {}
 
     def __repr__(self):
         if self.k == 1:
@@ -342,33 +317,38 @@ def embed(a: int, src: GF, dst: GF) -> int:
     """
     if src is dst:
         return a
+    return embedding(src, dst)[a]
+
+
+@lru_cache(maxsize=None)
+def embedding(src: GF, dst: GF) -> tuple[int, ...]:
+    """The table of :func:`embed`: entry a is the image of a in dst."""
     if src.p != dst.p:
         raise FieldError("embedding across characteristics")
     if dst.k % src.k != 0:
         raise FieldError(f"{src} does not embed in {dst}: degree mismatch")
-    root = _subfield_root(src, dst)
-    val = 0
-    for d in reversed(_digits(a, src.p, src.k)):
-        val = dst.add(dst.mul(val, root), d)
-    return val
+    # the image of src in dst is 0 and the (q-1)-th roots of unity,
+    # the powers of h below; the modulus root maps to the smallest root
+    q = src.order
+    h = dst.pow(dst._find_generator(), (dst.order - 1) // (q - 1))
+    subfield, x = [0], 1
+    for _ in range(q - 1):
+        subfield.append(x)
+        x = dst.mul(x, h)
 
+    def is_root(x):
+        acc = 0
+        for c in reversed(src.modulus):
+            acc = dst.add(dst.mul(acc, x), c)
+        return acc == 0
 
-def _subfield_root(src: GF, dst: GF) -> int:
-    key = (src.p, src.k)
-    root = dst._embed_roots.get(key)
-    if root is None:
-        mod = src.modulus
-        for x in dst.elements():
-            acc = 0
-            for c in reversed(mod):
-                acc = dst.add(dst.mul(acc, x), c)
-            if acc == 0:
-                root = x
-                break
-        else:  # pragma: no cover - impossible when degrees divide
-            raise FieldError("modulus has no root in target field")
-        dst._embed_roots[key] = root
-    return root
+    root = min(x for x in subfield if is_root(x))
+    # the image of sum d_i t^i is sum d_i root^i, built digit by digit
+    table = [0]
+    for i in range(src.k):
+        power = dst.pow(root, i)
+        table = [dst.add(t, dst.mul(c, power)) for c in range(src.p) for t in table]
+    return tuple(table)
 
 
 def element_str(field: GF, a: int, symbol: str = "a") -> str:

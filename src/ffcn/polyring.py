@@ -2,6 +2,13 @@
 Moebius machinery (both the number-theoretic mu and fractional-linear
 transport of places).
 
+Places are Frobenius orbits: the places of degree d are the orbits
+{a^(q^i)} of the elements a of exact degree d in GF(q^d), the place
+polynomial is the product of (x - a^(q^i)), and the canonical residue
+root is min(orbit).  One cached walk over GF(q^d) yields every place of
+degree d together with its root (Lidl & Niederreiter, Finite Fields,
+ch. 2-3).
+
 Polynomial text format: sums of monomials like ``x^4+x+1``; coefficients
 outside the prime field are written in the modulus-root symbol ``a``
 (e.g. ``x^3+a``, ``(a+1)x^2``).  Parsing is exact and serialization
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import GF, FieldError, element_str, embed, make_field, parse_element
+from .gf import GF, FieldError, element_str, embedding, make_field, parse_element
 
 
 class PoleError(ValueError):
@@ -151,9 +158,10 @@ class Poly:
 
     def eval_in(self, x: int, ext: GF) -> int:
         """Evaluate at a point of an extension field (coefficients embedded)."""
+        image = embedding(self.field, ext)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = ext.add(ext.mul(acc, x), embed(c, self.field, ext))
+            acc = ext.add(ext.mul(acc, x), image[c])
         return acc
 
     def __eq__(self, other):
@@ -215,47 +223,38 @@ def _pth_power_mod(r: Poly, m: Poly) -> Poly:
 
 
 @lru_cache(maxsize=None)
+def _frobenius_orbits(field: GF, d: int) -> dict[Poly, int]:
+    """{place polynomial: canonical root} for every monic irreducible of
+    degree d, in place order.  Walks GF(q^d) in element order, so the
+    first element met of each orbit is min(orbit), the canonical root."""
+    R = make_field(field.p, field.k * d)
+    preimage = {v: a for a, v in enumerate(embedding(field, R))}
+    q, add, mul = field.order, R.add, R.mul
+    found = []
+    for alpha in R.elements():
+        orbit = [alpha]
+        x = R.pow(alpha, q)
+        while x > alpha:
+            orbit.append(x)
+            x = R.pow(x, q)
+        if x < alpha or len(orbit) < d:  # met before, or of lower degree
+            continue
+        prod = [1]  # multiplied by (x - root) for each root, little-endian
+        for r in orbit:
+            neg_r = R.neg(r)
+            prod = [add(lo, mul(neg_r, hi)) for lo, hi in zip([0] + prod, prod + [0])]
+        found.append((Poly(field, [preimage[c] for c in prod]), alpha))
+    found.sort(key=lambda item: item[0].coeffs[::-1])
+    return dict(found)
+
+
+@lru_cache(maxsize=None)
 def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree exactly d, ascending in the
     element ordering of coefficient vectors."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    q = field.order
-    if d == 1:
-        return tuple(Poly(field, (c, 1)) for c in range(q))
-    out = []
-    elems = list(field.elements())
-    for code in range(q ** d):
-        coeffs = []
-        n = code
-        for _ in range(d):
-            coeffs.append(n % q)
-            n //= q
-        if coeffs[0] == 0:  # divisible by x
-            continue
-        coeffs.append(1)
-        f = Poly(field, coeffs)
-        if any(f(e) == 0 for e in elems):  # linear-factor prefilter
-            continue
-        if d <= 3 or _irreducible_no_small_factor(f):
-            out.append(f)
-    return tuple(out)
-
-
-def _irreducible_no_small_factor(f: Poly) -> bool:
-    # f is known to have no linear factors; check degrees 2..d/2
-    F = f.field
-    d = f.degree
-    x = Poly.x(F)
-    r = x
-    for _ in range(F.k):
-        r = _pth_power_mod(r, f)
-    for e in range(2, d // 2 + 1):
-        for _ in range(F.k):
-            r = _pth_power_mod(r, f)
-        if poly_gcd(r - x, f).degree > 0:
-            return False
-    return True
+    return tuple(_frobenius_orbits(field, d))
 
 
 def moebius_mu(n: int) -> int:
@@ -403,18 +402,15 @@ def place_valuation(f: RationalFunction, place: Place) -> int:
 def residue_field(place: Place):
     """(residue field, canonical root of the place polynomial in it).
 
-    For the infinite place the residue field is the base field and the
-    root is None.
+    The canonical root is the smallest element of the polynomial's
+    Frobenius orbit.  For the infinite place the residue field is the
+    base field and the root is None.
     """
     F = place.field
     if place.is_infinite:
         return F, None
     d = place.poly.degree
-    R = make_field(F.p, F.k * d)
-    for x in R.elements():
-        if place.poly.eval_in(x, R) == 0:
-            return R, x
-    raise AssertionError("place polynomial has no root in its residue field")
+    return make_field(F.p, F.k * d), _frobenius_orbits(F, d)[place.poly]
 
 
 def residue(f: RationalFunction, place: Place) -> int:
@@ -517,19 +513,19 @@ def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a") -> Poly:
         raise ValueError("empty polynomial string")
     coeffs: dict[int, int] = {}
     for sign, term in _split_terms(s):
-        if not term:
-            raise ValueError(f"malformed polynomial {s!r}")
-        if var in term:
-            head, _, tail = term.partition(var)
-            exp = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-            if exp is None:
-                raise ValueError(f"bad term {term!r}")
-        else:
-            head, exp = term, 0
-        head = head.rstrip("*")
-        if head.startswith("(") and head.endswith(")"):
-            head = head[1:-1]
-        c = parse_element(head, field, symbol) if head else 1
+        try:
+            if not term:
+                raise ValueError("empty term")
+            head, has_var, tail = term.partition(var)
+            if tail and not tail.startswith("^"):
+                raise ValueError(f"unexpected {tail!r} after {var!r}")
+            exp = int(tail[1:]) if tail else (1 if has_var else 0)
+            head = head.rstrip("*")
+            if head.startswith("(") and head.endswith(")"):
+                head = head[1:-1]
+            c = parse_element(head, field, symbol) if head else 1
+        except ValueError as exc:
+            raise ValueError(f"bad term {term!r} in polynomial {s!r}: {exc}") from None
         if sign < 0:
             c = field.neg(c)
         coeffs[exp] = field.add(coeffs.get(exp, 0), c)
@@ -614,5 +610,7 @@ def _parse_power(s: str, field: GF, var: str, symbol: str):
     """Parse '(poly)^n' or 'poly' denominators."""
     if s.startswith("(") and ")^" in s:
         body, _, exp = s.rpartition(")^")
+        if not exp.isdigit():
+            raise ValueError(f"bad exponent {exp!r} in denominator {s!r}")
         return parse_poly(_strip_parens(body + ")"), field, var, symbol), int(exp)
     return parse_poly(_strip_parens(s), field, var, symbol), 1

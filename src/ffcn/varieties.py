@@ -423,14 +423,14 @@ def format_multipoly(poly: MultiPoly, varnames: tuple[str, ...] | None = None,
 def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...],
                     symbol: str = "a") -> MultiPoly:
     """Parse sums of monomials; '*' optional between factors."""
-    s = s.replace(" ", "").replace("*", "")
+    text, s = s, s.replace(" ", "").replace("*", "")
     nvars = len(varnames)
     var_re = "|".join(re.escape(v) for v in sorted(varnames, key=len, reverse=True))
     factor_re = re.compile(rf"({var_re})(?:\^(\d+))?")
     terms: dict[tuple[int, ...], int] = {}
     for part in s.split("+"):
         if not part:
-            raise ValueError(f"malformed polynomial {s!r}")
+            raise ValueError(f"empty term in polynomial {text!r}")
         exps = [0] * nvars
         pos = 0
         coef_src = []
@@ -446,7 +446,10 @@ def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...],
         head = "".join(coef_src)
         if head.startswith("(") and head.endswith(")"):
             head = head[1:-1]
-        c = parse_element(head, field, symbol) if head else 1
+        try:
+            c = parse_element(head, field, symbol) if head else 1
+        except ValueError as exc:
+            raise ValueError(f"bad term {part!r} in polynomial {text!r}: {exc}") from None
         key = tuple(exps)
         terms[key] = field.add(terms.get(key, 0), c)
     return MultiPoly.build(field, nvars, terms)

@@ -9,7 +9,7 @@ import pytest
 
 from ffcn import cli, table64
 from ffcn.catalog import DEFAULT_CATALOG
-from ffcn.gf import GF
+from ffcn.gf import GF, make_field
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
 
@@ -183,6 +183,56 @@ def test_bad_model_spec_exits_two(tmp_path, capsys, command, spec):
     assert err.startswith("input error: ")
 
 
+# y^2 + y = x over GF(2^11): its degree-2 places need GF(2^22), beyond GF(2^20)
+WIDE_MODEL = {"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"}
+
+
+@pytest.mark.parametrize("command", [
+    ["places", "--max-place-degree", "2"], ["zeta"]], ids=["places", "zeta"])
+def test_residue_field_out_of_range_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(WIDE_MODEL))
+    assert cli.main(command + ["--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: extension degree 22 out of range 1..20\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_catalog_field_out_of_range_exits_two(tmp_path, threads):
+    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items[0].update(k=11, data={"f": "x"})
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(items))
+    proc = run_cli("verify", "--catalog", str(path), env_extra={"FFC_THREADS": threads})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: extension degree 22 out of range 1..20\n"
+
+
+BAD_TERM = "input error: bad term 'q' in polynomial 'x^4+q': "
+
+
+def test_parse_error_names_the_polynomial_and_term(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^4+q"}))
+    assert cli.main(["zeta", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(BAD_TERM)
+    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items[0]["data"] = {"f": "x^4+q"}
+    items[7]["data"] = dict(items[7]["data"], quadric="x1^2+q*x2")
+    for bad, message in ((0, BAD_TERM),
+                         (7, "input error: bad term 'qx2' in polynomial 'x1^2+q*x2': ")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([items[bad]]))
+        assert cli.main(["verify", "--catalog", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(message)
+
+
 @pytest.mark.parametrize("curve_id", [e.curve_id for e in DEFAULT_CATALOG])
 def test_places_and_zeta_agree_with_verify(capsys, curve_id):
     def report(*args):
@@ -231,6 +281,26 @@ def test_selftest_fails_when_trace_is_wrong(monkeypatch, capsys):
     assert cli.main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] splitting types match y-root counts" in out
+    assert out.endswith("selftest: fail\n")
+
+
+def test_selftest_fails_when_a_listed_polynomial_is_reducible(monkeypatch, capsys):
+    # the count stays right; only the per-polynomial checks can see it
+    import ffcn.polyring as polyring
+    real = polyring.monic_irreducibles
+    F4 = make_field(2, 2)
+    quadratics = real(F4, 2)
+    reducible = quadratics[0] * quadratics[1]
+
+    def swapped(field, d):
+        polys = real(field, d)
+        return (reducible,) + polys[1:] if (field, d) == (F4, 4) else polys
+
+    monkeypatch.setattr(polyring, "monic_irreducibles", swapped)
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert (f"[FAIL] irreducible counts match the divisor-sum formula: "
+            f"{reducible} over GF(2^2) is reducible") in out
     assert out.endswith("selftest: fail\n")
 
 

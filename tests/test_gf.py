@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ffcn.gf import FieldError, element_str, embed, make_field, parse_element
+from ffcn.gf import (FieldError, element_str, embed, embedding, make_field,
+                     parse_element)
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -92,6 +93,35 @@ def test_embed_is_ring_homomorphism():
             ea, eb = embed(a, F4, F16), embed(b, F4, F16)
             assert embed(F4.add(a, b), F4, F16) == F16.add(ea, eb)
             assert embed(F4.mul(a, b), F4, F16) == F16.mul(ea, eb)
+
+
+EMBEDDING_PAIRS = [(p, ks, kd) for p, top in ((2, 12), (3, 7))
+                   for kd in range(1, top + 1) for ks in range(1, kd + 1) if kd % ks == 0]
+
+
+@pytest.mark.parametrize("p,ks,kd", EMBEDDING_PAIRS)
+def test_embedding_table_is_the_canonical_field_embedding(p, ks, kd):
+    src, dst = make_field(p, ks), make_field(p, kd)
+    table = embedding(src, dst)
+    assert len(set(table)) == len(table) == src.order
+
+    def modulus_at(x):
+        acc = 0
+        for c in reversed(src.modulus):
+            acc = dst.add(dst.mul(acc, x), c)
+        return acc
+
+    # the modulus root t = p goes to the smallest root in dst, by a scan
+    smallest = next(x for x in dst.elements() if modulus_at(x) == 0)
+    assert table[p if ks > 1 else 0] == smallest
+    assert table[1] == 1
+    # additive on a GF(p)-basis and multiplicative by t imply a ring map
+    t = p if ks > 1 else 1
+    for a in src.elements():
+        for i in range(ks):
+            assert table[src.add(a, p ** i)] == dst.add(table[a], table[p ** i])
+        assert table[src.mul(a, t)] == dst.mul(table[a], table[t])
+    assert all(embed(a, src, dst) == table[a] for a in src.elements())
 
 
 def test_embed_requires_subfield():

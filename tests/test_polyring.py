@@ -73,10 +73,39 @@ def test_irreducible_enumeration_matches_formula(field, qname):
         assert len(polys) == irreducible_count(qname, d)
         assert len(set(polys)) == len(polys)
         assert all(p.is_monic and p.degree == d for p in polys)
-        assert all(is_irreducible(p) for p in polys[:20])
+        assert all(is_irreducible(p) for p in polys)
         # ascending in the element ordering: high-degree coefficients first
         keys = [p.coeffs[::-1] for p in polys]
         assert keys == sorted(keys)
+
+
+WALK_CASES = [((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((3, 2), 2)]
+
+
+def _monic_polys(field, d):
+    """Every monic polynomial of degree d, ascending in coefficient order."""
+    q = field.order
+    for code in range(q ** d):
+        yield Poly(field, [code // q ** i % q for i in range(d)] + [1])
+
+
+@pytest.mark.parametrize("pk,d_max", WALK_CASES)
+def test_monic_irreducibles_match_brute_force(pk, d_max):
+    field = make_field(*pk)
+    for d in range(1, d_max + 1):
+        expected = tuple(f for f in _monic_polys(field, d) if is_irreducible(f))
+        assert monic_irreducibles(field, d) == expected
+
+
+@pytest.mark.parametrize("pk,d_max", WALK_CASES)
+def test_residue_root_is_the_smallest_root(pk, d_max):
+    field = make_field(*pk)
+    for d in range(1, d_max + 1):
+        for place in places_of_degree(field, d, include_infinite=False):
+            R, root = residue_field(place)
+            assert R.order == field.order ** d
+            smallest = next(x for x in R.elements() if place.poly.eval_in(x, R) == 0)
+            assert root == smallest
 
 
 def test_degree7_irreducibles_over_gf2():
