@@ -13,9 +13,10 @@ code that reads the kind:
 * ``plane_quartic``: a smooth homogeneous quartic in P^2,
 * ``space_curve``: a cubic-quadric intersection in P^3.
 
-Every model exposes ``field``, ``genus``, ``cross_check_depth`` and
-``counts(n, probe_depth)`` (N_1..N_n); the place census is always
-``census_from_counts`` of those counts.
+Every model exposes ``field``, ``genus``, ``cross_check_depth``,
+``counts(n, probe_depth)`` (N_1..N_n) and ``enumeration_size(n,
+probe_depth)``, the size of the largest enumeration those counts start;
+the place census is always ``census_from_counts`` of the counts.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class Rational:
     def counts(self, n: int, probe_depth: int = 6) -> list[int]:
         q = self.field.order
         return [q ** m + 1 for m in range(1, n + 1)]
+
+    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
+        return 0  # the counts are a formula; nothing is enumerated
 
 
 def model_from_spec(spec: dict):
@@ -161,6 +165,11 @@ class CurveReport:
         return "pass" if not self.problems else "fail"
 
 
+def count_depth(model, max_place_degree: int) -> int:
+    """The last N_m that ``verify_curve`` counts."""
+    return max(max_place_degree, model.cross_check_depth, model.genus)
+
+
 def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
                  probe_depth: int = 6) -> CurveReport:
     """Recompute genus, L-polynomial, class number, and place census from
@@ -174,7 +183,7 @@ def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
     model = build_model(entry)
     genus = model.genus
     check = model.cross_check_depth
-    depth = max(max_place_degree, check, genus)
+    depth = count_depth(model, max_place_degree)
     q = model.field.order
     counts = tuple(model.counts(depth, probe_depth))
     census = census_from_counts(PointCounts(q, genus, counts)).counts[:max_place_degree]

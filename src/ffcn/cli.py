@@ -22,8 +22,9 @@ import sys
 from multiprocessing import Pool
 
 from . import __version__
-from .catalog import (DEFAULT_CATALOG, build_model, get_entry, load_catalog,
-                      model_from_spec, section_facts, verify_curve)
+from .catalog import (DEFAULT_CATALOG, build_model, count_depth, get_entry,
+                      load_catalog, model_from_spec, section_facts,
+                      verify_curve)
 from .covers import InvalidCoverError
 from .gf import FieldError, make_field
 from .varieties import SingularModelError
@@ -38,6 +39,21 @@ EXIT_USAGE = 2
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError,
                 json.JSONDecodeError, FieldError)
 MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError)
+
+# The largest enumeration a run may start (``enumeration_size`` of its
+# model); a run beyond it is refused before any work.  It admits curves
+# to GF(2^8) and covers to GF(2^16), GF(3^10) and GF(4^8); the slowest of
+# these, ``places --curve vi --max-place-degree 10``, takes about 6.5 s.
+ENUMERATION_BUDGET = 100_000
+
+
+def _check_cost(model, n: int, probe_depth: int):
+    """Refuse counting N_1..N_n with this probe depth if the largest
+    enumeration it starts exceeds ENUMERATION_BUDGET."""
+    size = model.enumeration_size(n, probe_depth)
+    if size > ENUMERATION_BUDGET:
+        raise ValueError(f"the run would enumerate {size} candidates in one "
+                         f"field, beyond the budget of {ENUMERATION_BUDGET}")
 
 
 def _worker_count() -> int:
@@ -105,6 +121,9 @@ def cmd_verify(ns) -> int:
             with open(ns.catalog) as fh:
                 catalog = load_catalog(fh.read())
         entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
+        for entry in entries:
+            model = build_model(entry)
+            _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"verification error: {exc}\n")
         return EXIT_MISMATCH
@@ -183,6 +202,14 @@ CSV_COLUMNS = ("family", "mask", "quadric", "paper_witness", "paper_degree",
 def cmd_table64(ns) -> int:
     from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, build_family,
                           find_survivors, survivor_analysis)
+    # rows search points to dmax; from dmax 4 on, the survivor is counted
+    # to N_5 and probed
+    n, probe_depth = (ns.dmax, 1) if ns.dmax < 4 else (max(ns.dmax, 5), ns.probe_depth)
+    try:
+        _check_cost(build_family()[0].model, n, probe_depth)
+    except ValueError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_USAGE
     records = [_table_one((i, ns.dmax)) for i in range(64)]
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
@@ -256,6 +283,7 @@ def _open_model(ns):
 def cmd_zeta(ns) -> int:
     try:
         model, g = _open_model(ns)
+        _check_cost(model, max(ns.counts_up_to, g), ns.probe_depth)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MISMATCH
@@ -291,6 +319,7 @@ def cmd_zeta(ns) -> int:
 def cmd_places(ns) -> int:
     try:
         model, g = _open_model(ns)
+        _check_cost(model, ns.max_place_degree, ns.probe_depth)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MISMATCH

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import GF
+from .gf import MAX_K, GF
 from .polyring import (Place, RationalFunction, monic_irreducibles,
                        place_valuation, places_of_degree, residue,
                        unit_residue)
@@ -60,6 +60,11 @@ class CoverModel:
     def counts(self, n: int, probe_depth: int = 6) -> list[int]:
         """N_1..N_n from the place census (no points, so no probe)."""
         return census_to_counts(place_census(self, n), n)
+
+    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
+        """Elements of GF(q^n), the largest field the census walks (fields
+        beyond GF(p^MAX_K) stop the run before that)."""
+        return self.field.order ** min(n, MAX_K // self.field.k)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import GF, FieldError, element_str, embedding, make_field, parse_element
+from .gf import (GF, FieldError, _prime_factors, element_str, embedding,
+                 make_field, parse_element)
 
 
 class PoleError(ValueError):
@@ -117,14 +118,16 @@ class Poly:
         d = other.degree
         inv_lead = F.inv(other.coeffs[-1])
         quot = [0] * max(len(rem) - d, 0)
+        low = other.coeffs[:d]  # the leading term cancels rem[i] exactly
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c:
                 f = F.mul(c, inv_lead)
                 quot[i - d] = f
-                for j, y in enumerate(other.coeffs):
-                    rem[i - d + j] = F.sub(rem[i - d + j], F.mul(f, y))
-        return Poly(F, quot), Poly(F, rem)
+                for j, y in enumerate(low, i - d):
+                    if y:
+                        rem[j] = F.sub(rem[j], F.mul(f, y))
+        return Poly(F, quot), Poly(F, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -189,9 +192,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def is_irreducible(f: Poly) -> bool:
     """True iff f is irreducible over its base field.
 
-    Power test: f of degree d is irreducible iff it has no irreducible
-    factor of degree <= d/2, detected via gcd(x^(q^e) - x, f) for
-    e = 1..d/2 along the Frobenius chain.
+    Rabin's test: f of degree d is irreducible iff f divides x^(q^d) - x
+    and gcd(x^(q^(d/r)) - x, f) = 1 for every prime r dividing d.  The
+    chain x^(q^e) mod f is stepped by one d x d matrix: r -> r^q is
+    GF(q)-linear on GF(q)[x]/(f), and column i of the matrix is x^(iq).
     """
     d = f.degree
     if d < 1:
@@ -200,26 +204,32 @@ def is_irreducible(f: Poly) -> bool:
         return True
     F = f.field
     f = f.monic()
+    add, mul = F.add, F.mul
+    cols = _q_power_matrix(f)
+    gcd_at = {d // r for r in _prime_factors(d)}
     x = Poly.x(F)
-    r = x
-    for e in range(1, d // 2 + 1):
-        for _ in range(F.k):
-            r = _pth_power_mod(r, f)
-        if poly_gcd(r - x, f).degree > 0:
+    r = x.coeffs
+    for e in range(1, d + 1):
+        image = [0] * d
+        for c, col in zip(r, cols):
+            if c:
+                image = [add(a, mul(c, b)) if b else a for a, b in zip(image, col)]
+        r = image
+        if e in gcd_at and poly_gcd(Poly(F, r) - x, f).degree > 0:
             return False
-    return True
+    return Poly(F, r) == x
 
 
-def _pth_power_mod(r: Poly, m: Poly) -> Poly:
-    F = r.field
-    p = F.p
-    if r.is_zero:
-        return r
-    spread = [0] * (p * r.degree + 1)
-    for i, c in enumerate(r.coeffs):
-        if c:
-            spread[p * i] = F.pow(c, p)
-    return Poly(F, spread) % m
+def _q_power_matrix(f: Poly) -> list[list[int]]:
+    """The columns x^(iq) mod f, i = 0..d-1, of length d = deg f."""
+    F, d = f.field, f.degree
+    xq = Poly.x(F)
+    for _ in range(F.k):  # q = p^k
+        xq = xq ** F.p % f
+    cols = [Poly.one(F)]
+    while len(cols) < d:
+        cols.append(cols[-1] * xq % f)
+    return [list(c.coeffs) + [0] * (d - len(c.coeffs)) for c in cols]
 
 
 @lru_cache(maxsize=None)

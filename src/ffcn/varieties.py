@@ -15,8 +15,18 @@ roots come in closed form from a value-to-roots table of the extension
 field: z^2 + z = v and square roots in characteristic 2, the completed
 square in characteristic 3, with a vanishing leading coefficient handled
 explicitly.  Otherwise (plane quartics) z is scanned.  The remaining forms
-are checked at the roots only.  Points come out in ``projective_points``
-order: (0:...:0:1), then prefixes in that order, then roots ascending.
+are checked at the roots only.
+
+Only one prefix per Frobenius orbit is solved.  The model is defined over
+GF(q), so x -> x^q fixes its embedded coefficients and maps the points
+over a prefix onto the points over its conjugate prefix.  The walk keeps
+a prefix only when it is the smallest member of its orbit (applying x^q
+coordinatewise from it meets no smaller prefix before returning), solves
+its fiber, and adds the conjugate points by the same map.  The list is
+then sorted: normalized tuples in ascending order are exactly
+``projective_points`` order, (0:...:0:1) first, so witnesses and reports
+do not depend on the walk.  The power and x^q tables are built once per
+extension field and shared by every model.
 
 The point list is computed once per (model, extension field) and shared
 by ``smoothness_probe``, ``curve_point_counts`` and ``min_point_degree``;
@@ -29,7 +39,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import GF, FieldError, element_str, embed, make_field, parse_element
+from .gf import (MAX_K, GF, FieldError, element_str, embed, make_field,
+                 parse_element)
 
 
 class SingularModelError(ValueError):
@@ -106,6 +117,17 @@ class _ProjectiveCurve:
 
     def counts(self, n: int, probe_depth: int = 6) -> list[int]:
         return curve_point_counts(self, n, probe_depth)
+
+    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
+        """Candidates of the largest enumeration ``counts(n, probe_depth)``
+        starts: the prefixes of P^{dim-1}, times the field order when the
+        fiber is scanned rather than solved (degree > 2 in the last
+        variable).  Fields beyond GF(p^MAX_K) stop the run before that."""
+        m = min(max(n, probe_depth), MAX_K // self.field.k)
+        order = self.field.order ** m
+        prefixes = projective_point_count(self.dim - 1, order)
+        fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in self.polys)
+        return prefixes if fiber <= 2 else prefixes * order
 
 
 @dataclass(frozen=True)
@@ -279,6 +301,19 @@ def _quadratic_solver(ext: GF):
 
 
 @lru_cache(maxsize=None)
+def _power_table(ext: GF, maxdeg: int) -> tuple:
+    """pw[c][e] = c^e for every element c of ext and 0 <= e <= maxdeg."""
+    return tuple(tuple(ext.pow(c, e) for e in range(maxdeg + 1))
+                 for c in ext.elements())
+
+
+@lru_cache(maxsize=None)
+def _frobenius_table(ext: GF, q: int) -> tuple:
+    """frob[c] = c^q for every element c of ext."""
+    return tuple(ext.pow(c, q) for c in ext.elements())
+
+
+@lru_cache(maxsize=None)
 def _model_points(model, ext: GF) -> tuple:
     n = model.dim
     fibs = [_fibered(p, ext) for p in model.polys]
@@ -289,8 +324,9 @@ def _model_points(model, ext: GF) -> tuple:
     if len(fib) <= 3:
         fib = fib + [[]] * (3 - len(fib))  # coefficients c, b, a
         solve = _quadratic_solver(ext)
-    maxdeg = max(p.degree for p in model.polys)
-    pw = [[ext.pow(c, e) for e in range(maxdeg + 1)] for c in ext.elements()]
+    pw = _power_table(ext, max(p.degree for p in model.polys))
+    # x -> x^q fixes the embedded coefficients, so it permutes the fibers
+    frob = _frobenius_table(ext, model.field.order)
     mul, add = ext.mul, ext.add
     line = ext.elements()
 
@@ -319,6 +355,14 @@ def _model_points(model, ext: GF) -> tuple:
     if all(not value(coeffs(f, origin), 1) for f in fibs):
         out.append(origin + (1,))
     for prefix in projective_points(n - 1, ext):
+        # solve only the smallest prefix of each Frobenius orbit
+        orbit = [prefix]
+        c = tuple([frob[x] for x in prefix])
+        while c > prefix:
+            orbit.append(c)
+            c = tuple([frob[x] for x in c])
+        if c < prefix:
+            continue
         cs = coeffs(fib, prefix)
         if solve is not None:
             roots = solve(*cs)
@@ -329,8 +373,13 @@ def _model_points(model, ext: GF) -> tuple:
         if not roots:
             continue
         rest = [coeffs(f, prefix) for f in others]
-        out.extend(prefix + (z,) for z in roots
-                   if all(not value(r, z) for r in rest))
+        zs = [z for z in roots if all(not value(r, z) for r in rest)]
+        # the fiber over a conjugate prefix holds the conjugate roots
+        for conj in orbit:
+            out.extend(conj + (z,) for z in zs)
+            zs = [frob[z] for z in zs]
+    # normalized tuples sort in projective_points order
+    out.sort()
     return tuple(out)
 
 

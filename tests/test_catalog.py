@@ -7,7 +7,8 @@ from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, Rational,
                           build_model, dump_catalog, get_entry, load_catalog,
                           model_from_spec, section_facts, verify_curve)
 from ffcn.covers import CoverKind, CoverModel
-from ffcn.varieties import PlaneCurve, SpaceCurve
+from ffcn.gf import make_field
+from ffcn.varieties import PlaneCurve, SpaceCurve, parse_multipoly
 
 EXPECTED_GENERA = {"i": 1, "ii": 2, "iii": 2, "iv": 3, "v": 3,
                    "vi": 1, "vii": 1, "viii": 4}
@@ -149,3 +150,23 @@ def test_verify_depth_and_cross_checked_degrees(curve_id, D):
     assert report.cross_checked == tuple(range(g + 1, max(c, min(2 * g, depth)) + 1))
     if (curve_id, D) == ("viii", 7):
         assert report.cross_checked == (5, 6, 7)
+
+
+def test_enumeration_size():
+    F2 = make_field(2, 1)
+    viii, iv, vii = (build_model(get_entry(c)) for c in ("viii", "iv", "vii"))
+    # space curve: prefixes of P^2(GF(2^m)), solved in closed form
+    assert viii.enumeration_size(5, 6) == 64 ** 2 + 64 + 1
+    assert viii.enumeration_size(7, 6) == 128 ** 2 + 128 + 1
+    # plane quartic: prefixes of P^1(GF(2^m)), each fiber scanned
+    assert iv.enumeration_size(5, 6) == 65 * 64
+    assert iv.enumeration_size(5, 1) == 33 * 32
+    # a conic is solved in closed form
+    conic = PlaneCurve(parse_multipoly("xz+y^2", F2, ("x", "y", "z")))
+    assert conic.enumeration_size(4, 1) == 17
+    # covers walk GF(q^n); nothing is probed
+    assert vii.enumeration_size(5, 20) == 4 ** 5
+    assert Rational(F2).enumeration_size(30, 30) == 0
+    # fields beyond GF(p^20) stop the run: GF(2^11) reaches only degree 1
+    wide = model_from_spec({"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"})
+    assert wide.enumeration_size(5) == 2 ** 11

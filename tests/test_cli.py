@@ -8,20 +8,20 @@ import types
 import pytest
 
 from ffcn import cli, table64
-from ffcn.catalog import DEFAULT_CATALOG
+from ffcn.catalog import DEFAULT_CATALOG, build_model, count_depth
 from ffcn.gf import GF, make_field
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
 
 
-def run_cli(*args, env_extra=None, check=False):
+def run_cli(*args, env_extra=None, check=False, timeout=None):
     import os
     env = dict(os.environ)
     env.pop("FFC_THREADS", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env)
+                          env=env, timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(proc.stderr or proc.stdout)
     return proc
@@ -314,3 +314,41 @@ def test_out_flag_writes_file(tmp_path):
 def test_unwritable_out_exits_two():
     proc = run_cli("selftest", "--out", "/nonexistent/dir/report.txt")
     assert proc.returncode == 2
+
+
+# each would run for minutes or hours: refused at once, or the test times out
+@pytest.mark.parametrize("args", [
+    ["zeta", "--curve", "viii", "--probe-depth", "20"],
+    ["zeta", "--curve", "iv", "--counts-up-to", "14"],
+    ["places", "--curve", "vii", "--max-place-degree", "10"],
+    ["places", "--curve", "i", "--max-place-degree", "30"],
+    ["verify", "--max-place-degree", "17"],
+    ["verify", "--curve", "viii", "--probe-depth", "10"],
+], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_costly_runs_are_refused_before_any_work(args):
+    proc = run_cli(*args, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: the run would enumerate ")
+    assert proc.stderr.endswith(f"beyond the budget of {cli.ENUMERATION_BUDGET}\n")
+
+
+def test_costly_table64_is_refused(capsys):
+    assert cli.main(["table64", "--probe-depth", "9"]) == 2
+    assert cli.main(["table64", "--dmax", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("input error: the run would enumerate 262657 candidates") == 2
+
+
+def test_budget_admits_the_largest_runs_in_use():
+    # verify --max-place-degree 7 (the deepest verify that tests and the
+    # report checks run) with probe depth 8, on every catalog curve
+    for entry in DEFAULT_CATALOG:
+        model = build_model(entry)
+        cli._check_cost(model, count_depth(model, 7), 8)
+    sizes = {e.curve_id: build_model(e).enumeration_size(8, 8) for e in DEFAULT_CATALOG}
+    assert sizes == {"i": 2 ** 8, "ii": 2 ** 8, "iii": 2 ** 8, "iv": 257 * 256,
+                     "v": 257 * 256, "vi": 3 ** 8, "vii": 4 ** 8,
+                     "viii": 2 ** 16 + 2 ** 8 + 1}
+    assert max(sizes.values()) <= cli.ENUMERATION_BUDGET

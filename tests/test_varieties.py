@@ -5,7 +5,7 @@ import pytest
 
 from ffcn.catalog import build_model, get_entry
 from ffcn.gf import make_field
-from ffcn.table64 import build_family
+from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
                             SpaceCurve, curve_point_counts, format_multipoly,
                             format_point, min_point_degree, normalize_point,
@@ -204,18 +204,27 @@ def test_fiberwise_points_match_brute_force_on_random_space_curves(p, k, degrees
                 assert pts[0] == (0, 0, 0, 1)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1)], ids=["GF2", "GF4", "GF3"])
-def test_fiberwise_points_match_brute_force_on_random_plane_curves(p, k):
+def _closed_under_frobenius(points, ext, q):
+    pts = set(points)
+    return all(tuple(ext.pow(c, q) for c in pt) in pts for pt in pts)
+
+
+# up to GF(2^6) and GF(q^3): Frobenius orbits of prefixes of size 3 to 6,
+# also over a non-prime field
+@pytest.mark.parametrize("p,k,degrees", [(2, 1, range(1, 7)), (2, 2, (1, 2, 3)),
+                                         (3, 1, (1, 2, 3))], ids=["GF2", "GF4", "GF3"])
+def test_fiberwise_points_match_brute_force_on_random_plane_curves(p, k, degrees):
     F = make_field(p, k)
     rng = random.Random(f"plane {p}^{k}")
     for degree in (1, 2, 3, 4):
         # the second draw has no z: every fiber is the whole line or empty
         for allowed in (lambda e: True, lambda e: e[2] == 0):
             model = PlaneCurve(_random_form(rng, F, 3, degree, allowed))
-            for m in (1, 2):
+            for m in degrees:
                 ext = make_field(p, k * m)
-                assert points_on_model(model, ext) == brute_force_points(model, ext), (
-                    str(model.poly), m)
+                pts = points_on_model(model, ext)
+                assert pts == brute_force_points(model, ext), (str(model.poly), m)
+                assert _closed_under_frobenius(pts, ext, F.order), (str(model.poly), m)
 
 
 def test_points_on_model_returns_a_fresh_list():
@@ -226,3 +235,22 @@ def test_points_on_model_returns_a_fresh_list():
     assert first == expected
     first.clear()
     assert points_on_model(model, ext) == expected
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk on the genus-4 curves, where prefix orbits over GF(2^m)
+# have sizes 4 and 5
+
+def _survivor():
+    (row,) = [r for r in build_family()
+              if (r.family, r.mask) == (SURVIVOR_FAMILY, SURVIVOR_MASK)]
+    return row.model
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_orbit_walk_matches_brute_force_on_genus_four_curves(m):
+    ext = make_field(2, m)
+    for model in (build_model(get_entry("viii")), _survivor()):
+        pts = points_on_model(model, ext)
+        assert pts == brute_force_points(model, ext)
+        assert _closed_under_frobenius(pts, ext, 2)
