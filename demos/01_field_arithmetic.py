@@ -26,7 +26,7 @@ F16 = make_field(2, 4)
 zeros = [c for c in F16.elements() if F16.trace(c) == 0]
 print("\nGF(16): trace-zero elements:", len(zeros), "of", F16.order)
 c = zeros[1]
-z = F16.solve_artin_schreier(c)
+z = next(z for z in F16.elements() if F16.add(F16.mul(z, z), z) == c)
 print(f"solve z^2 + z = {element_str(F16, c)}: z = {element_str(F16, z)}")
 assert F16.add(F16.mul(z, z), z) == c
 

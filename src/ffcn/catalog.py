@@ -124,11 +124,18 @@ DEFAULT_CATALOG = (
 )
 
 
+class UnknownCurveError(KeyError):
+    """No catalog entry has the requested curve id."""
+
+    def __str__(self):  # KeyError's own str() is the repr of its message
+        return self.args[0]
+
+
 def get_entry(curve_id: str, catalog=DEFAULT_CATALOG) -> CatalogEntry:
     for entry in catalog:
         if entry.curve_id == curve_id:
             return entry
-    raise KeyError(f"no curve {curve_id!r} in the catalog")
+    raise UnknownCurveError(f"no curve {curve_id!r} in the catalog")
 
 
 def build_model(entry: CatalogEntry):

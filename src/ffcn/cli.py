@@ -7,7 +7,7 @@ invariant suite).
 
 Exit codes: 0 = everything verified, 1 = a mathematical mismatch,
 2 = usage or input error.  Reports are deterministic: byte-identical
-across runs and across FFC_THREADS worker counts.
+across runs.
 """
 
 from __future__ import annotations
@@ -16,19 +16,22 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
-from multiprocessing import Pool
 
 from . import __version__
 from .catalog import (DEFAULT_CATALOG, build_model, count_depth, get_entry,
                       load_catalog, model_from_spec, section_facts,
                       verify_curve)
-from .covers import InvalidCoverError
+from .covers import InvalidCoverError, splitting_type
 from .gf import FieldError, make_field
-from .varieties import SingularModelError
-from .zeta import (CountInconsistencyError, LPoly, PointCounts,
+from .polyring import (Place, irreducible_count, is_irreducible,
+                       monic_irreducibles, place_valuation, places_of_degree,
+                       residue, residue_field, unit_residue)
+from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, build_family,
+                      find_survivors, survivor_analysis, verify_row)
+from .varieties import SingularModelError, format_multipoly
+from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, PointCounts,
                    census_from_counts, census_to_counts, class_number,
                    extend_counts, l_polynomial)
 
@@ -56,25 +59,6 @@ def _check_cost(model, n: int, probe_depth: int):
                          f"field, beyond the budget of {ENUMERATION_BUDGET}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FFC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _map(func, items):
-    """Order-preserving map, parallel when FFC_THREADS > 1 (verify only:
-    the 64 table rows take a few ms each, less than starting a pool)."""
-    n = _worker_count()
-    if n == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with Pool(min(n, len(items))) as pool:
-        return pool.map(func, items)
-
-
 def _emit(text: str, out_path: str | None) -> int:
     if out_path is None:
         sys.stdout.write(text)
@@ -95,8 +79,7 @@ def _render_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_one(args):
-    entry, max_place_degree, probe_depth = args
+def _verify_one(entry, max_place_degree: int, probe_depth: int):
     report = verify_curve(entry, max_place_degree, probe_depth)
     return {
         "id": entry.curve_id,
@@ -131,8 +114,8 @@ def cmd_verify(ns) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
     try:
-        records = _map(_verify_one,
-                       [(e, ns.max_place_degree, ns.probe_depth) for e in entries])
+        records = [_verify_one(e, ns.max_place_degree, ns.probe_depth)
+                   for e in entries]
     except MATH_ERRORS as exc:
         sys.stderr.write(f"verification error: {exc}\n")
         return EXIT_MISMATCH
@@ -172,10 +155,7 @@ def cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 # table64
 
-def _table_one(args):
-    index, d_max = args
-    from .table64 import build_family, verify_row
-    from .varieties import format_multipoly
+def _table_one(index: int, d_max: int):
     row = build_family()[index]
     res = verify_row(row, d_max)
     return {
@@ -200,8 +180,6 @@ CSV_COLUMNS = ("family", "mask", "quadric", "paper_witness", "paper_degree",
 
 
 def cmd_table64(ns) -> int:
-    from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, build_family,
-                          find_survivors, survivor_analysis)
     # rows search points to dmax; from dmax 4 on, the survivor is counted
     # to N_5 and probed
     n, probe_depth = (ns.dmax, 1) if ns.dmax < 4 else (max(ns.dmax, 5), ns.probe_depth)
@@ -210,7 +188,7 @@ def cmd_table64(ns) -> int:
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
-    records = [_table_one((i, ns.dmax)) for i in range(64)]
+    records = [_table_one(i, ns.dmax) for i in range(64)]
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
     summary = {"rows": 64,
@@ -355,8 +333,6 @@ def _require(ok: bool, what: str):
 
 
 def _selftest_checks():
-    from .polyring import (Place, irreducible_count, is_irreducible,
-                           monic_irreducibles, residue_field)
     results = []
 
     def check(name, fn):
@@ -404,15 +380,11 @@ def _selftest_checks():
             _require(N == census_to_counts(_census(B), m), f"round trip changed B = {B}")
 
     def _census(B):
-        from .zeta import PlaceCensus
         return PlaceCensus(tuple(B))
 
     def cover_splitting_types():
         # y^2 + y = c over curve i, y^2 = c over curve vi: off the ramified
         # places, the fiber splits iff y has a root in the residue field
-        from .covers import splitting_type
-        from .polyring import (place_valuation, places_of_degree, residue,
-                               residue_field, unit_residue)
         for cid, ramified, value, lhs in (
                 ("i", lambda v: v < 0, residue, lambda R, y: R.add(R.mul(y, y), y)),
                 ("vi", lambda v: v % 2, unit_residue, lambda R, y: R.mul(y, y))):

@@ -16,7 +16,7 @@ from functools import cached_property
 from .gf import MAX_K, GF
 from .polyring import (Place, RationalFunction, monic_irreducibles,
                        place_valuation, places_of_degree, residue,
-                       unit_residue)
+                       residue_field, unit_residue)
 from .zeta import PlaceCensus, census_to_counts
 
 
@@ -168,16 +168,11 @@ def splitting_type(cover: CoverModel, place: Place) -> str:
         return "ramified"
     if cover.kind is CoverKind.ARTIN_SCHREIER:
         c = residue(cover.f, place) if v >= 0 else None
-        R = _residue_ring(place)
+        R = residue_field(place)[0]
         return "split" if R.trace(c) == 0 else "inert"
     c = unit_residue(cover.f, place)
-    R = _residue_ring(place)
+    R = residue_field(place)[0]
     return "split" if R.quadratic_character(c) == 1 else "inert"
-
-
-def _residue_ring(place: Place) -> GF:
-    from .polyring import residue_field
-    return residue_field(place)[0]
 
 
 def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:

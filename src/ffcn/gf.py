@@ -7,13 +7,13 @@ field modulus.  That integer value is also the canonical element
 ordering used for every tie-break in this library.  The modulus is the
 lexicographically smallest monic irreducible of degree k over GF(p)
 under the same ordering, so fields are reproducible across runs with no
-external tables.
+external tables.  It is found by running Rabin's irreducibility test in
+the quotient ring of each candidate in turn.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 
 SUPPORTED_P = (2, 3)
 MAX_K = 20
@@ -53,55 +53,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over Z_p (coefficient lists, little-endian), used only
-# for the canonical-modulus search
-
-def _zp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zp_mod(f, m, p):
-    f = list(f)
-    dm = len(m) - 1
-    for i in range(len(f) - 1, dm - 1, -1):
-        c = f[i]
-        if c:
-            for j in range(dm + 1):
-                f[i - dm + j] = (f[i - dm + j] - c * m[j]) % p
-    del f[dm:]
-    return _zp_trim(f)
-
-
-def _zp_gcd_is_one(f, g, p):
-    while g:
-        inv_lead = pow(g[-1], p - 2, p)
-        f, g = g, _zp_mod(f, [c * inv_lead % p for c in g], p)
-    return len(f) == 1
-
-
-def _zp_pth_power_mod(r, m, p):
-    # (sum c_i x^i)^p = sum c_i x^(p*i) over Z_p
-    spread = [0] * (p * (len(r) - 1) + 1) if r else []
-    for i, c in enumerate(r):
-        spread[p * i] = c
-    return _zp_mod(spread, m, p)
-
-
-def _zp_is_irreducible(m, p: int) -> bool:
-    """Power test for a monic polynomial m over Z_p: m has no irreducible
-    factor of degree e <= deg(m)/2, i.e. gcd(x^(p^e) - x, m) = 1."""
-    r = [0, 1]  # x^(p^e) mod m
-    for _ in range((len(m) - 1) // 2):
-        r = _zp_pth_power_mod(r, m, p)
-        diff = _zp_trim([(a - b) % p for a, b in zip_longest(r, [0, 1], fillvalue=0)])
-        if not _zp_gcd_is_one(m, diff, p):
-            return False
-    return True
 
 
 class GF:
@@ -249,41 +200,6 @@ class GF:
             raise FieldError(f"trace {s} landed outside the prime field")
         return s
 
-    def solve_artin_schreier(self, c: int):
-        """Smallest z with z**p - z == c, or None if the trace obstructs."""
-        if self.trace(c) != 0:
-            return None
-        p, k = self.p, self.k
-        # z -> z^p - z is GF(p)-linear; solve by Gaussian elimination on the
-        # k x k matrix whose columns are images of the basis t^j.
-        cols = [_digits(self.sub(self.pow(p ** j, p), p ** j), p, k)
-                for j in range(k)]
-        rows = [[cols[j][i] for j in range(k)] + [_digits(c, p, k)[i]]
-                for i in range(k)]
-        piv_col_of_row = []
-        r = 0
-        for col in range(k):
-            piv = next((i for i in range(r, k) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv_lead = pow(rows[r][col], p - 2, p)
-            rows[r] = [(v * inv_lead) % p for v in rows[r]]
-            for i in range(k):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-            piv_col_of_row.append(col)
-            r += 1
-        if any(rows[i][k] for i in range(r, k)):
-            return None  # unreachable when trace(c) == 0
-        z_digits = [0] * k
-        for i, col in enumerate(piv_col_of_row):
-            z_digits[col] = rows[i][k]
-        z0 = _undigits(z_digits, p)
-        # kernel is GF(p); minimize over the p translates
-        return min(self.add(z0, c0) for c0 in range(p))
-
     def quadratic_character(self, a: int) -> int:
         """1 for a nonzero square, -1 for a nonsquare, 0 for zero."""
         if self.p == 2:
@@ -291,6 +207,18 @@ class GF:
         if a == 0:
             return 0
         return 1 if self.pow(a, (self.order - 1) // 2) == 1 else -1
+
+
+def _is_field(ring: GF) -> bool:
+    """Rabin's test, run in the quotient ring Z_p[t]/(m) of a candidate
+    modulus m: m is irreducible iff t^(p^k) = t and t^(p^(k/r)) - t is a
+    unit for every prime r | k, and an element whose (p^k - 1)-th power is
+    1 is a unit.  Ring operations only: ``pow`` presumes a field."""
+    p, k, t = ring.p, ring.k, ring.p
+    if ring._raw_pow(t, ring.order) != t:
+        return False
+    return all(ring._raw_pow(ring.sub(ring._raw_pow(t, p ** (k // r)), t),
+                             ring.order - 1) == 1 for r in _prime_factors(k))
 
 
 @lru_cache(maxsize=None)
@@ -303,9 +231,9 @@ def make_field(p: int, k: int) -> GF:
     if k == 1:
         return GF(p, 1, (0, 1))
     for c in range(p ** k):
-        m = tuple(_digits(c, p, k)) + (1,)
-        if _zp_is_irreducible(list(m), p):
-            return GF(p, k, m)
+        F = GF(p, k, tuple(_digits(c, p, k)) + (1,))
+        if _is_field(F):
+            return F
     raise AssertionError("no irreducible modulus found")  # pragma: no cover
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import make_field
-from .varieties import (MultiPoly, SpaceCurve, format_point,
-                        min_point_degree, parse_multipoly, parse_point,
-                        point_degree)
+from .varieties import (MultiPoly, SpaceCurve, curve_point_counts,
+                        format_point, min_point_degree, parse_multipoly,
+                        parse_point, point_degree)
 from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
                    class_number, cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)
@@ -251,8 +251,6 @@ def survivor_analysis(row: TableRow, probe_depth: int = 6) -> SurvivorReport:
     N_5 is computed twice (direct GF(32) enumeration and L-polynomial
     extension) and must agree; the census must be nonnegative integers.
     """
-    from .varieties import curve_point_counts
-
     counts = curve_point_counts(row.model, 5, probe_depth)
     g = row.model.genus
     pc = PointCounts(2, g, tuple(counts[:g]))

@@ -27,6 +27,25 @@ def run_cli(*args, env_extra=None, check=False, timeout=None):
     return proc
 
 
+@pytest.mark.parametrize("command", ["verify", "zeta", "places"])
+def test_unknown_curve_exits_two_with_the_plain_message(command):
+    proc = run_cli(command, "--curve", "ix")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: no curve 'ix' in the catalog\n"
+
+
+def test_cli_loads_only_the_standard_library():
+    # no runtime math dependencies: with site-packages switched off (-S),
+    # importing the CLI loads ffcn and standard-library modules only
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, ffcn.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    roots = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert roots - sys.stdlib_module_names - {"__main__"} == {"ffcn"}
+
+
 def test_verify_single_curve():
     proc = run_cli("verify", "--curve", "i", "--format", "json", check=True)
     report = json.loads(proc.stdout)
@@ -286,8 +305,7 @@ def test_selftest_fails_when_trace_is_wrong(monkeypatch, capsys):
 
 def test_selftest_fails_when_a_listed_polynomial_is_reducible(monkeypatch, capsys):
     # the count stays right; only the per-polynomial checks can see it
-    import ffcn.polyring as polyring
-    real = polyring.monic_irreducibles
+    real = cli.monic_irreducibles
     F4 = make_field(2, 2)
     quadratics = real(F4, 2)
     reducible = quadratics[0] * quadratics[1]
@@ -296,7 +314,7 @@ def test_selftest_fails_when_a_listed_polynomial_is_reducible(monkeypatch, capsy
         polys = real(field, d)
         return (reducible,) + polys[1:] if (field, d) == (F4, 4) else polys
 
-    monkeypatch.setattr(polyring, "monic_irreducibles", swapped)
+    monkeypatch.setattr(cli, "monic_irreducibles", swapped)
     assert cli.main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert (f"[FAIL] irreducible counts match the divisor-sum formula: "

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ffcn.gf import (FieldError, element_str, embed, embedding, make_field,
-                     parse_element)
+from ffcn.gf import (MAX_K, SUPPORTED_P, FieldError, element_str, embed,
+                     embedding, make_field, parse_element)
+from ffcn.polyring import Poly, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -35,6 +36,20 @@ def test_canonical_moduli():
     assert make_field(2, 20).modulus[:5] == (1, 0, 0, 1, 0)  # t^20+t^3+1
 
 
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_moduli_are_the_first_irreducible_candidates(p):
+    # make_field tests candidates by powers in their quotient rings;
+    # polyring tests them independently, by a q-power matrix and gcds
+    Fp = make_field(p, 1)
+    for k in range(1, MAX_K + 1):
+        modulus = make_field(p, k).modulus
+        assert is_irreducible(Poly(Fp, modulus))
+        index = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+        for c in range(index):
+            candidate = [c // p ** i % p for i in range(k)] + [1]
+            assert not is_irreducible(Poly(Fp, candidate)), (k, candidate)
+
+
 def test_field_size_limits():
     with pytest.raises(FieldError):
         make_field(5, 1)
@@ -59,17 +74,6 @@ def test_trace_surjective_and_additive():
     values = {F.trace(a) for a in F.elements()}
     assert values == {0, 1}
     assert sum(F.trace(a) == 0 for a in F.elements()) == 8
-
-
-def test_artin_schreier_solver():
-    F = make_field(2, 4)
-    for c in F.elements():
-        z = F.solve_artin_schreier(c)
-        if F.trace(c) == 0:
-            assert z is not None
-            assert F.add(F.mul(z, z), z) == c
-        else:
-            assert z is None
 
 
 def test_quadratic_character():
