@@ -45,9 +45,9 @@ MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError)
 
 # The largest enumeration a run may start (``enumeration_size`` of its
 # model); a run beyond it is refused before any work.  It admits curves
-# to GF(2^8) and covers to GF(2^16), GF(3^10) and GF(4^8); the slowest of
-# these, ``places --curve vi --max-place-degree 10``, takes about 6.5 s.
-ENUMERATION_BUDGET = 100_000
+# to GF(2^8) and covers to GF(2^17), GF(3^10) and GF(4^8); the slowest of
+# these, ``places --curve iii --max-place-degree 17``, takes about 5.6 s.
+ENUMERATION_BUDGET = 131_072
 
 
 def _check_cost(model, n: int, probe_depth: int):

@@ -9,6 +9,24 @@ lexicographically smallest monic irreducible of degree k over GF(p)
 under the same ordering, so fields are reproducible across runs with no
 external tables.  It is found by running Rabin's irreducibility test in
 the quotient ring of each candidate in turn.
+
+Once the modulus is found, :func:`make_field` picks the smallest
+generator g of the multiplicative group and, for fields of order up to
+``_TABLE_MAX``, builds the tables ``exp[i] = g^i`` and ``log[g^i] = i``.
+Then ``mul``, ``inv`` and ``pow`` are table lookups: a*b is
+``exp[log[a] + log[b]]``.  ``log[0]`` points into a run of zeros after
+two periods of ``exp``, so a product with zero needs no test.  For p = 2,
+``add``, ``sub`` and ``neg`` are xor.  For p = 3 they use the Zech
+logarithm ``zech[n] = log(1 + g^n)``: a + b = a*(1 + b/a) is
+``exp[log[a] + zech[log[b] - log[a]]]``, and -a = ``exp[log[a] + (q-1)/2]``.
+Where 1 + g^n = 0, ``zech[n]`` is ``log[0]`` and lands in the zeros.
+
+Above ``_TABLE_MAX`` there are no tables.  A p = 2 product is a shift/xor
+product of ints, reduced as it goes by the modulus held as a bitmask, and
+``inv`` and ``pow`` square and multiply with it.  For p = 3 the product,
+sum, difference and negative go through base-3 digit lists.  These table-
+free ring operations also test candidate moduli, find the generator and
+build the tables.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from functools import lru_cache
 SUPPORTED_P = (2, 3)
 MAX_K = 20
 
-# exp/log tables are built lazily for fields up to this order
+# exp/log tables are built with the field for fields up to this order
 _TABLE_MAX = 1 << 16
 
 
@@ -39,6 +57,11 @@ def _undigits(ds, p: int) -> int:
     for d in reversed(ds):
         n = n * p + d
     return n
+
+
+def _digitwise(a: int, b: int, sign: int, k: int) -> int:
+    """a + sign*b in GF(3^k), digit by digit: the sum without tables."""
+    return _undigits([(x + sign * y) % 3 for x, y in zip(_digits(a, 3, k), _digits(b, 3, k))], 3)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -67,8 +90,9 @@ class GF:
         self.k = k
         self.order = p ** k
         self.modulus = modulus  # k+1 coefficients, little-endian, monic
-        self._exp = None
-        self._log = None
+        self._mask = _undigits(modulus, 2) if p == 2 else None
+        self._generator = None
+        self._exp = self._log = self._zech = None
 
     def __repr__(self):
         if self.k == 1:
@@ -83,66 +107,78 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        da, db = _digits(a, 3, self.k), _digits(b, 3, self.k)
-        return _undigits([(x + y) % 3 for x, y in zip(da, db)], 3)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        if log is None:
+            return _digitwise(a, b, 1, self.k)
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        return _undigits([(-x) % 3 for x in _digits(a, 3, self.k)], 3)
+        if self._log is None:
+            return _digitwise(0, a, -1, self.k)
+        return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        log = self._log
+        if log is None:
+            return _digitwise(a, b, -1, self.k)
+        lb = log[b] + (self.order - 1) // 2  # the log of -b
+        if a == 0:
+            return self._exp[lb]
+        la = log[a]
+        return self._exp[la + self._zech[lb - la]]
 
     def _raw_mul(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
+        if self.p == 2:
+            if a < b:
+                a, b = b, a  # one step per bit of the smaller factor
+            r, top, mask = 0, 1 << self.k, self._mask
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mask
+            return r
         if a == 0 or b == 0:
             return 0
-        if k == 1:
-            return (a * b) % p
-        da, db = _digits(a, p, k), _digits(b, p, k)
+        k = self.k
+        da, db = _digits(a, 3, k), _digits(b, 3, k)
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
+                        prod[i + j] = (prod[i + j] + x * y) % 3
         m = self.modulus
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i]
             if c:
                 prod[i] = 0
                 for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * m[j]) % p
-        return _undigits(prod[:k], p)
+                    prod[i - k + j] = (prod[i - k + j] - c * m[j]) % 3
+        return _undigits(prod[:k], 3)
 
     def _raw_pow(self, a: int, n: int) -> int:
         r = 1
         while n:
             if n & 1:
                 r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
             n >>= 1
+            if n:
+                a = self._raw_mul(a, a)
         return r
-
-    def _ensure_tables(self):
-        if self._exp is not None or self.order > _TABLE_MAX:
-            return
-        q = self.order
-        g = self._find_generator()
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        e = 1
-        for i in range(q - 1):
-            exp[i] = e
-            log[e] = i
-            e = self._raw_mul(e, g)
-        for i in range(q - 1):
-            exp[q - 1 + i] = exp[i]
-        self._exp = exp
-        self._log = log
 
     def _find_generator(self) -> int:
         q = self.order
@@ -154,19 +190,38 @@ class GF:
                 return g
         raise AssertionError("no generator found")  # pragma: no cover
 
+    def _build_tables(self):
+        """exp and log, and for p = 3 zech, from the field's generator.
+
+        ``exp`` holds two periods of g^i, so a sum of two logs needs no
+        reduction, then zeros for the sentinel ``log[0] = 2(q-1)``.  ``zech``
+        holds two periods too: ``sub`` indexes it up to (q-1)/2 past the
+        first, and a negative index wraps into the second."""
+        q, g = self.order, self._generator
+        zero = 2 * (q - 1)
+        exp = [0] * (2 * zero + 1)
+        log = [zero] * q
+        e = 1
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = e
+            log[e] = i
+            e = self._raw_mul(e, g)
+        self._exp, self._log = exp, log
+        if self.p == 3:
+            # 1 + e changes only the constant digit of e
+            zech = [log[e + 1 if e % 3 < 2 else e - 2] for e in exp[:q - 1]]
+            self._zech = zech + zech
+
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        self._ensure_tables()
-        if self._exp is None:
+        log = self._log
+        if log is None:
             return self._raw_mul(a, b)
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inversion of zero")
-        self._ensure_tables()
-        if self._exp is None:
+        if self._log is None:
             return self._raw_pow(a, self.order - 2)
         return self._exp[self.order - 1 - self._log[a]]
 
@@ -175,8 +230,7 @@ class GF:
             return self.pow(self.inv(a), -n)
         if a == 0:
             return 0 if n else 1
-        self._ensure_tables()
-        if self._exp is None:
+        if self._log is None:
             return self._raw_pow(a, n % (self.order - 1))
         return self._exp[(self._log[a] * n) % (self.order - 1)]
 
@@ -229,12 +283,14 @@ def make_field(p: int, k: int) -> GF:
     if not 1 <= k <= MAX_K:
         raise FieldError(f"extension degree {k} out of range 1..{MAX_K}")
     if k == 1:
-        return GF(p, 1, (0, 1))
-    for c in range(p ** k):
-        F = GF(p, k, tuple(_digits(c, p, k)) + (1,))
-        if _is_field(F):
-            return F
-    raise AssertionError("no irreducible modulus found")  # pragma: no cover
+        F = GF(p, 1, (0, 1))
+    else:
+        candidates = (GF(p, k, tuple(_digits(c, p, k)) + (1,)) for c in range(p ** k))
+        F = next(R for R in candidates if _is_field(R))
+    F._generator = F._find_generator()
+    if F.order <= _TABLE_MAX:
+        F._build_tables()
+    return F
 
 
 def embed(a: int, src: GF, dst: GF) -> int:
@@ -258,7 +314,7 @@ def embedding(src: GF, dst: GF) -> tuple[int, ...]:
     # the image of src in dst is 0 and the (q-1)-th roots of unity,
     # the powers of h below; the modulus root maps to the smallest root
     q = src.order
-    h = dst.pow(dst._find_generator(), (dst.order - 1) // (q - 1))
+    h = dst.pow(dst._generator, (dst.order - 1) // (q - 1))
     subfield, x = [0], 1
     for _ in range(q - 1):
         subfield.append(x)
@@ -284,8 +340,9 @@ def element_str(field: GF, a: int, symbol: str = "a") -> str:
     if a == 0:
         return "0"
     parts = []
+    digits = _digits(a, field.p, field.k)
     for i in reversed(range(field.k)):
-        d = _digits(a, field.p, field.k)[i]
+        d = digits[i]
         if not d:
             continue
         coef = "" if d == 1 else str(d)

@@ -8,7 +8,7 @@ import types
 import pytest
 
 from ffcn import cli, table64
-from ffcn.catalog import DEFAULT_CATALOG, build_model, count_depth
+from ffcn.catalog import DEFAULT_CATALOG, build_model, count_depth, get_entry
 from ffcn.gf import GF, make_field
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
@@ -370,3 +370,12 @@ def test_budget_admits_the_largest_runs_in_use():
                      "v": 257 * 256, "vi": 3 ** 8, "vii": 4 ** 8,
                      "viii": 2 ** 16 + 2 ** 8 + 1}
     assert max(sizes.values()) <= cli.ENUMERATION_BUDGET
+
+
+def test_budget_admits_curve_i_to_degree_17_only():
+    # a census of a cover over GF(2) to degree d walks GF(2^d): GF(2^17)
+    # has no log tables, and the run is admitted; GF(2^18) is refused
+    model = build_model(get_entry("i"))
+    cli._check_cost(model, 17, 6)
+    with pytest.raises(ValueError, match="enumerate 262144 candidates"):
+        cli._check_cost(model, 18, 6)

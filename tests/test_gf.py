@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ffcn.gf import (MAX_K, SUPPORTED_P, FieldError, element_str, embed,
-                     embedding, make_field, parse_element)
+from ffcn.gf import (_TABLE_MAX, GF, MAX_K, SUPPORTED_P, FieldError, _is_field,
+                     element_str, embed, embedding, make_field, parse_element)
 from ffcn.polyring import Poly, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
@@ -26,6 +26,74 @@ def test_field_axioms_exhaustive(p, k):
         assert F.mul(a, b) == F.mul(b, a)
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+
+
+def _pairs(q, exhaustive, seed):
+    """Every pair of elements of a field of order q, or a seeded sample."""
+    if exhaustive:
+        return [(a, b) for a in range(q) for b in range(q)]
+    rng = random.Random(seed)
+    return [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+
+
+def _clmul_mod(a, b, modulus):
+    """a * b over GF(2): the whole carry-less product, then its remainder
+    by the modulus, both on ints whose bits are the coefficients."""
+    prod = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            prod ^= a << i
+    k = modulus.bit_length() - 1
+    while prod.bit_length() > k:
+        prod ^= modulus << (prod.bit_length() - 1 - k)
+    return prod
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_binary_mul_and_inv_match_carry_less_products(k):
+    # k <= 6 exhaustively; k >= 17 is the path without tables
+    F = make_field(2, k)
+    assert (F._log is None) == (F.order > _TABLE_MAX)
+    modulus = sum(c << i for i, c in enumerate(F.modulus))
+    for a, b in _pairs(F.order, k <= 6, k):
+        assert F.mul(a, b) == _clmul_mod(a, b, modulus), (a, b)
+        if a:
+            assert _clmul_mod(a, F.inv(a), modulus) == 1, a
+
+
+def _ternary_digitwise(a, b, sign):
+    """a + sign*b over GF(3^k), coordinate by coordinate."""
+    out, scale = 0, 1
+    while a or b:
+        out += (a % 3 + sign * (b % 3)) % 3 * scale
+        a, b, scale = a // 3, b // 3, scale * 3
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ternary_add_sub_neg_match_digitwise_arithmetic(k):
+    # k <= 4 exhaustively (Zech tables); k >= 11 is the path without tables
+    F = make_field(3, k)
+    assert (F._zech is None) == (F.order > _TABLE_MAX)
+    for a, b in _pairs(F.order, k <= 4, k):
+        assert F.add(a, b) == _ternary_digitwise(a, b, 1), (a, b)
+        assert F.sub(a, b) == _ternary_digitwise(a, b, -1), (a, b)
+        assert F.neg(b) == _ternary_digitwise(0, b, -1), b
+
+
+@pytest.mark.parametrize("p,modulus,irreducible", [
+    (3, (2, 0, 1), False),     # t^2 - 1 = (t - 1)(t + 1)
+    (3, (0, 1, 0, 1), False),  # t^3 + t = t(t^2 + 1)
+    (2, (1, 0, 1), False),     # t^2 + 1 = (t + 1)^2
+    (3, (1, 0, 1), True),      # t^2 + 1
+    (2, (1, 1, 0, 1), True),   # t^3 + t + 1
+])
+def test_ring_test_runs_without_tables(p, modulus, irreducible):
+    # the candidate ring is tested with ring operations only: it has no
+    # log tables, and a reducible one must be rejected, not raise
+    ring = GF(p, len(modulus) - 1, modulus)
+    assert _is_field(ring) is irreducible
+    assert ring._log is None and ring._zech is None
 
 
 def test_canonical_moduli():
