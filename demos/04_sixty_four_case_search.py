@@ -8,6 +8,8 @@ point of degree at most 3; exactly one candidate survives, and its zeta
 data shows it has class number one.
 """
 
+import sys
+
 from ffcn import (build_family, find_survivors, min_point_degree,
                   survivor_analysis, verify_row)
 
@@ -40,5 +42,7 @@ print("  (one place of degree 4, three of degree 5, nothing smaller)")
 # Every published row checks out too: witnesses lie on their curves with
 # the claimed degrees, and the quadric expansions match monomial by
 # monomial.
-assert all(verify_row(row).status == "pass" for row in rows)
+failed = [row for row in rows if verify_row(row).status != "pass"]
+if failed:
+    sys.exit(f"{len(failed)} rows disagree with the published table")
 print("\nall 64 rows verified against the published table")

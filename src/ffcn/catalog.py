@@ -22,11 +22,11 @@ the place census is always ``census_from_counts`` of the counts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 
 from .covers import CoverKind, CoverModel
-from .gf import GF, make_field
+from .gf import make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
+from .records import record
 from .varieties import PlaneCurve, SpaceCurve, parse_multipoly
 from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
                    class_number, cyclic_extension_count, extend_counts,
@@ -36,11 +36,10 @@ MODEL_KINDS = ("rational", "artin_schreier", "kummer", "plane_quartic",
                "space_curve")
 
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(record("Rational", "field")):
     """The rational function field GF(q)(x): genus 0, N_m = q^m + 1."""
 
-    field: GF
+    __slots__ = ()
     genus = 0
     cross_check_depth = 0  # the counts are the definition; nothing to check
 
@@ -74,20 +73,19 @@ def model_from_spec(spec: dict):
         raise ValueError(f"model spec lacks the field {exc}") from None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    curve_id: str
-    p: int
-    k: int
-    genus: int
-    class_number: int
-    kind: str
-    data: dict
-    equation: str
+class CatalogEntry(record("CatalogEntry",
+                          "curve_id p k genus class_number kind data equation")):
+    """A curve's claimed invariants next to its model: ``data`` holds the
+    model fields of its ``kind`` (see ``model_from_spec``)."""
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, curve_id: str, p: int, k: int, genus: int,
+                class_number: int, kind: str, data: dict, equation: str):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        return super().__new__(cls, curve_id, p, k, genus, class_number, kind,
+                               data, equation)
 
 
 DEFAULT_CATALOG = (
@@ -144,28 +142,41 @@ def build_model(entry: CatalogEntry):
 
 
 def dump_catalog(catalog=DEFAULT_CATALOG) -> str:
-    return json.dumps([asdict(e) for e in catalog], indent=2, sort_keys=True) + "\n"
+    return json.dumps([e._asdict() for e in catalog], indent=2, sort_keys=True) + "\n"
+
+
+def _entry_from_json(item) -> CatalogEntry:
+    """The entry a catalog item describes; a TypeError names any missing
+    or unknown keys."""
+    if not isinstance(item, dict):
+        raise TypeError(f"catalog entry {item!r} is not a JSON object")
+    missing = [name for name in CatalogEntry._fields if name not in item]
+    unknown = sorted(set(item) - set(CatalogEntry._fields))
+    faults = []
+    if missing:
+        faults.append("lacks the keys " + ", ".join(map(repr, missing)))
+    if unknown:
+        faults.append("has the unknown keys " + ", ".join(map(repr, unknown)))
+    if faults:
+        raise TypeError(f"catalog entry {item.get('curve_id')!r} " + " and ".join(faults))
+    return CatalogEntry(**item)
 
 
 def load_catalog(text: str) -> tuple[CatalogEntry, ...]:
     """Parse a catalog and build every entry's model, so that a malformed
     entry is reported before any verification starts."""
-    catalog = tuple(CatalogEntry(**item) for item in json.loads(text))
+    catalog = tuple(_entry_from_json(item) for item in json.loads(text))
     for entry in catalog:
         build_model(entry)
     return catalog
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    entry: CatalogEntry
-    genus: int
-    h: int
-    l_coeffs: tuple[int, ...]
-    counts: tuple[int, ...]          # N_1..N_D
-    census: tuple[int, ...]          # B_1..B_D
-    cross_checked: tuple[int, ...]   # degrees m where enumeration met L-extension
-    problems: tuple[str, ...]
+class CurveReport(record("CurveReport", "entry genus h l_coeffs counts census "
+                                        "cross_checked problems")):
+    """``counts`` is N_1..N_D, ``census`` B_1..B_D, and ``cross_checked``
+    the degrees m where enumeration met the L-extension."""
+
+    __slots__ = ()
 
     @property
     def status(self) -> str:

@@ -10,13 +10,13 @@ trace for Artin-Schreier, quadratic character for Kummer).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import MAX_K, GF
 from .polyring import (Place, RationalFunction, monic_irreducibles,
                        place_valuation, places_of_degree, residue,
                        residue_field, unit_residue)
+from .records import record
 from .zeta import PlaceCensus, census_to_counts
 
 
@@ -29,17 +29,34 @@ class InvalidCoverError(ValueError):
     """The cover is not in the standard form this module handles."""
 
 
-@dataclass(frozen=True)
 class CoverModel:
-    kind: CoverKind
-    f: RationalFunction
+    """The cover of ``kind`` given by the right-hand side ``f``.  Immutable
+    and compared by value; a plain class rather than a record because
+    ``genus`` is cached in the instance dict."""
 
-    def __post_init__(self):
-        p = self.f.field.p
-        if self.kind is CoverKind.ARTIN_SCHREIER and p != 2:
+    def __init__(self, kind: CoverKind, f: RationalFunction):
+        p = f.field.p
+        if kind is CoverKind.ARTIN_SCHREIER and p != 2:
             raise InvalidCoverError("Artin-Schreier covers need characteristic 2")
-        if self.kind is CoverKind.KUMMER and p == 2:
+        if kind is CoverKind.KUMMER and p == 2:
             raise InvalidCoverError("Kummer covers need odd characteristic")
+        self.__dict__.update(kind=kind, f=f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (type(other) is CoverModel
+                and self.kind is other.kind and self.f == other.f)
+
+    def __hash__(self):
+        return hash((self.kind, self.f))
+
+    def __repr__(self):
+        return f"CoverModel(kind={self.kind!r}, f={self.f!r})"
 
     @property
     def field(self) -> GF:
@@ -67,12 +84,8 @@ class CoverModel:
         return self.field.order ** min(n, MAX_K // self.field.k)
 
 
-@dataclass(frozen=True)
-class RamificationDatum:
-    place: Place
-    ramification_index: int
-    different_exponent: int
-    degree: int
+RamificationDatum = record("RamificationDatum",
+                           "place ramification_index different_exponent degree")
 
 
 def support_places(f: RationalFunction) -> list[tuple[Place, int]]:

@@ -25,8 +25,15 @@ Above ``_TABLE_MAX`` there are no tables.  A p = 2 product is a shift/xor
 product of ints, reduced as it goes by the modulus held as a bitmask, and
 ``inv`` and ``pow`` square and multiply with it.  For p = 3 the product,
 sum, difference and negative go through base-3 digit lists.  These table-
-free ring operations also test candidate moduli, find the generator and
-build the tables.
+free ring operations also test candidate moduli and find the generator.
+
+The tables are built by stepping e -> e*g through the powers of g.  For
+p = 2 each step is one shift/xor product.  For p = 3 a digit-list product
+per step would dominate the build (about 1 s for GF(3^10)), so the step
+uses that e -> e*g is GF(3)-linear: with e = lo + 3^h * hi split into its
+low and high h digits, e*g is the sum of two precomputed images, and each
+half of that sum is one lookup in a table of digit-wise sums of h-digit
+numbers.  Only the 3^h + 3^(k-h) images are digit-list products.
 """
 
 from __future__ import annotations
@@ -197,20 +204,48 @@ class GF:
         reduction, then zeros for the sentinel ``log[0] = 2(q-1)``.  ``zech``
         holds two periods too: ``sub`` indexes it up to (q-1)/2 past the
         first, and a negative index wraps into the second."""
-        q, g = self.order, self._generator
+        q = self.order
         zero = 2 * (q - 1)
         exp = [0] * (2 * zero + 1)
         log = [zero] * q
-        e = 1
-        for i in range(q - 1):
+        for i, e in enumerate(self._generator_powers()):
             exp[i] = exp[i + q - 1] = e
             log[e] = i
-            e = self._raw_mul(e, g)
         self._exp, self._log = exp, log
         if self.p == 3:
             # 1 + e changes only the constant digit of e
             zech = [log[e + 1 if e % 3 < 2 else e - 2] for e in exp[:q - 1]]
             self._zech = zech + zech
+
+    def _generator_powers(self):
+        """g^0, g^1, ..., g^(q-2), stepped as the module docstring says."""
+        g, mul = self._generator, self._raw_mul
+        if self.p == 2:
+            e = 1
+            for _ in range(self.order - 1):
+                yield e
+                e = mul(e, g)
+            return
+        h = (self.k + 1) // 2
+        B = 3 ** h
+        # add[x*B + y] = x + y digit by digit, for x, y < B; each round
+        # gives x and y one more significant digit
+        add, w = [0], 1
+        for _ in range(h):
+            rows = [add[x * w:(x + 1) * w] for x in range(w)]
+            add = [a + w * ((xd + yd) % 3) for xd in range(3) for row in rows
+                   for yd in range(3) for a in row]
+            w *= 3
+        # the high and low halves of lo*g, times B so that they index add,
+        # and the high and low halves of (B*hi)*g
+        lo_img = [(B * (x // B), B * (x % B)) for x in (mul(lo, g) for lo in range(B))]
+        hi_img = [divmod(mul(B * hi, g), B) for hi in range(3 ** (self.k - h))]
+        lo, hi = 1, 0
+        for _ in range(self.order - 1):
+            yield lo + B * hi
+            a, b = lo_img[lo]
+            c, d = hi_img[hi]
+            lo, hi = add[b + d], add[a + c]
 
     def mul(self, a: int, b: int) -> int:
         log = self._log

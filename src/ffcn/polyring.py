@@ -576,14 +576,16 @@ def format_rational(f: RationalFunction, var: str = "x", symbol: str = "a") -> s
 
 
 def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a") -> RationalFunction:
-    s = s.replace(" ", "")
+    text, s = s, s.replace(" ", "")
     parts = _split_fraction(s)
     if len(parts) == 1:
         return RationalFunction(parse_poly(_strip_parens(parts[0]), field, var, symbol))
     num, den = parts
     dpoly, dexp = _parse_power(den, field, var, symbol)
-    return RationalFunction(parse_poly(_strip_parens(num), field, var, symbol),
-                            dpoly ** dexp)
+    dpoly = dpoly ** dexp
+    if dpoly.is_zero:
+        raise ValueError(f"zero denominator in rational function {text!r}")
+    return RationalFunction(parse_poly(_strip_parens(num), field, var, symbol), dpoly)
 
 
 def _split_fraction(s: str):

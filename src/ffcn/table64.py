@@ -10,10 +10,10 @@ the GF(8) generator with b^3+b+1 = 0, matching the table's notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import make_field
+from .records import record
 from .varieties import (MultiPoly, SpaceCurve, curve_point_counts,
                         format_point, min_point_degree, parse_multipoly,
                         parse_point, point_degree)
@@ -119,13 +119,11 @@ SURVIVOR_FAMILY = 2
 SURVIVOR_MASK = (1, 0, 1, 1)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    family: int
-    mask: tuple[int, int, int, int]
-    model: SpaceCurve
-    paper_quadric: str
-    paper_witness: str | None  # None for the published degree-4 row
+class TableRow(record("TableRow", "family mask model paper_quadric paper_witness")):
+    """One published row: ``mask`` is (k1, k2, k3, k4), ``model`` the
+    SpaceCurve, ``paper_witness`` None for the published degree-4 row."""
+
+    __slots__ = ()
 
     @property
     def quadric(self) -> MultiPoly:
@@ -136,33 +134,21 @@ class TableRow:
         return "".join(map(str, self.mask))
 
 
-@dataclass(frozen=True)
-class RowResult:
-    row: TableRow
-    quadric_matches_published: bool
-    witness_on_curve: bool | None
-    witness_degree: int | None
-    claimed_degree: int | None
-    computed_min_degree: int | None
-    computed_witness: str | None
-    problems: tuple[str, ...]
+class RowResult(record("RowResult", "row quadric_matches_published witness_on_curve "
+                                    "witness_degree claimed_degree computed_min_degree "
+                                    "computed_witness problems")):
+    __slots__ = ()
 
     @property
     def status(self) -> str:
         return "pass" if not self.problems else "fail"
 
 
-@dataclass(frozen=True)
-class SurvivorReport:
-    row: TableRow
-    probe_depth: int
-    counts: tuple[int, ...]            # N_1..N_5, direct enumeration
-    n5_extended: int                   # N_5 from the L-polynomial
-    l_coeffs: tuple[int, ...]
-    h: int
-    census: tuple[int, ...]            # B_1..B_5
-    different_degree: int              # Hurwitz check for the degree-5 cover
-    cyclic_count: int                  # ray-class cyclic extension count
+# counts: N_1..N_5 by direct enumeration; n5_extended: N_5 from the
+# L-polynomial; census: B_1..B_5; different_degree: the Hurwitz check for
+# the degree-5 cover; cyclic_count: the ray-class cyclic extension count
+SurvivorReport = record("SurvivorReport", "row probe_depth counts n5_extended l_coeffs "
+                                          "h census different_degree cyclic_count")
 
 
 def expanded_quadric(family: int, mask) -> MultiPoly:

@@ -36,24 +36,22 @@ by ``smoothness_probe``, ``curve_point_counts`` and ``min_point_degree``;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import (MAX_K, GF, FieldError, element_str, embed, make_field,
                  parse_element)
+from .records import record
 
 
 class SingularModelError(ValueError):
     """The smoothness probe found singular points on the model."""
 
 
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse homogeneous-friendly multivariate polynomial."""
+class MultiPoly(record("MultiPoly", "field nvars terms")):
+    """Sparse homogeneous-friendly multivariate polynomial; ``terms`` is
+    ((exponents, coeff), ...)."""
 
-    field: GF
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]  # ((exponents, coeff), ...)
+    __slots__ = ()
 
     @staticmethod
     def build(field: GF, nvars: int, term_map: dict[tuple[int, ...], int]) -> "MultiPoly":
@@ -111,6 +109,8 @@ class MultiPoly:
 class _ProjectiveCurve:
     """What plane and space curves share: point counts by enumeration."""
 
+    __slots__ = ()
+
     @property
     def cross_check_depth(self) -> int:
         return min(2 * self.genus, 6)
@@ -130,15 +130,15 @@ class _ProjectiveCurve:
         return prefixes if fiber <= 2 else prefixes * order
 
 
-@dataclass(frozen=True)
-class PlaneCurve(_ProjectiveCurve):
+class PlaneCurve(_ProjectiveCurve, record("PlaneCurve", "poly")):
     """One homogeneous polynomial in 3 variables (catalog use: quartics)."""
 
-    poly: MultiPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.poly.nvars != 3 or not self.poly.is_homogeneous:
+    def __new__(cls, poly: MultiPoly):
+        if poly.nvars != 3 or not poly.is_homogeneous:
             raise ValueError("plane model needs a homogeneous 3-variable polynomial")
+        return super().__new__(cls, poly)
 
     @property
     def field(self):
@@ -158,19 +158,18 @@ class PlaneCurve(_ProjectiveCurve):
         return (d - 1) * (d - 2) // 2
 
 
-@dataclass(frozen=True)
-class SpaceCurve(_ProjectiveCurve):
+class SpaceCurve(_ProjectiveCurve, record("SpaceCurve", "cubic quadric")):
     """Cubic-and-quadric intersection in P^3 (canonical genus-4 model)."""
 
-    cubic: MultiPoly
-    quadric: MultiPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        for poly, d in ((self.cubic, 3), (self.quadric, 2)):
+    def __new__(cls, cubic: MultiPoly, quadric: MultiPoly):
+        for poly, d in ((cubic, 3), (quadric, 2)):
             if poly.nvars != 4 or not poly.is_homogeneous or poly.degree != d:
                 raise ValueError(f"expected a homogeneous degree-{d} form in 4 variables")
-        if self.cubic.field is not self.quadric.field:
+        if cubic.field is not quadric.field:
             raise FieldError("cubic and quadric over different fields")
+        return super().__new__(cls, cubic, quadric)
 
     @property
     def field(self):

@@ -9,74 +9,69 @@ and miscounted points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polyring import moebius_mu
+from .records import record
 
 
 class CountInconsistencyError(ValueError):
     """Point counts are not those of a curve of the asserted genus."""
 
 
-@dataclass(frozen=True)
-class PointCounts:
+class PointCounts(record("PointCounts", "q g counts")):
     """N_1..N_m over GF(q^n) for a curve of asserted genus g."""
 
-    q: int
-    g: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.g < 0 or self.q < 2:
+    def __new__(cls, q: int, g: int, counts):
+        self = super().__new__(cls, q, g, tuple(counts))
+        if g < 0 or q < 2:
             raise ValueError("bad genus or field size")
         for n, N in enumerate(self.counts, start=1):
             if N < 0:
                 raise CountInconsistencyError(f"negative count N_{n}")
             # Weil bound, squared to stay in integers
-            if (N - (self.q ** n + 1)) ** 2 > 4 * self.g ** 2 * self.q ** n:
+            if (N - (q ** n + 1)) ** 2 > 4 * g ** 2 * q ** n:
                 raise CountInconsistencyError(
-                    f"N_{n}={N} violates the Weil bound for g={self.g}, q={self.q}")
+                    f"N_{n}={N} violates the Weil bound for g={g}, q={q}")
+        return self
 
     def power_sums(self) -> list[int]:
         return [self.q ** n + 1 - N for n, N in enumerate(self.counts, start=1)]
 
 
-@dataclass(frozen=True)
-class LPoly:
+class LPoly(record("LPoly", "q g coeffs")):
     """Integer numerator of the zeta function; degree 2g, a_0 = 1."""
 
-    q: int
-    g: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __new__(cls, q: int, g: int, coeffs):
+        self = super().__new__(cls, q, g, tuple(coeffs))
         a = self.coeffs
-        if len(a) != 2 * self.g + 1:
+        if len(a) != 2 * g + 1:
             raise ValueError("L-polynomial must have degree exactly 2g")
         if a[0] != 1:
             raise ValueError("a_0 must be 1")
-        for i in range(self.g + 1):
-            if a[2 * self.g - i] != self.q ** (self.g - i) * a[i]:
+        for i in range(g + 1):
+            if a[2 * g - i] != q ** (g - i) * a[i]:
                 raise ValueError(f"functional equation fails at i={i}")
         if sum(a) < 1:
             raise ValueError("class number L(1) must be positive")
+        return self
 
     def __call__(self, t: int) -> int:
         return sum(c * t ** i for i, c in enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class PlaceCensus:
+class PlaceCensus(record("PlaceCensus", "counts")):
     """B_d = number of places of degree exactly d, for d = 1..max_degree."""
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
+    def __new__(cls, counts):
+        self = super().__new__(cls, tuple(counts))
         if any(b < 0 for b in self.counts):
             raise CountInconsistencyError("negative place count")
+        return self
 
     @property
     def max_degree(self) -> int:

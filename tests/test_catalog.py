@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -76,7 +75,7 @@ def test_model_spec_unknown_kind():
 
 @pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
 def test_load_catalog_builds_every_model(data):
-    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items = json.loads(dump_catalog())
     items[0]["data"] = data
     with pytest.raises(ValueError):
         load_catalog(json.dumps(items))
@@ -115,7 +114,7 @@ def test_survivor_census_through_catalog():
 
 
 def test_tampered_genus_detected():
-    entry = dataclasses.replace(get_entry("i"), genus=7)
+    entry = get_entry("i")._replace(genus=7)
     report = verify_curve(entry)
     assert report.status == "fail"
     assert any("genus" in p for p in report.problems)

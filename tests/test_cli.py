@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +7,8 @@ import types
 import pytest
 
 from ffcn import cli, table64
-from ffcn.catalog import DEFAULT_CATALOG, build_model, count_depth, get_entry
+from ffcn.catalog import (DEFAULT_CATALOG, build_model, count_depth, dump_catalog,
+                          get_entry)
 from ffcn.gf import GF, make_field
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
@@ -46,6 +46,17 @@ def test_cli_loads_only_the_standard_library():
     assert roots - sys.stdlib_module_names - {"__main__"} == {"ffcn"}
 
 
+def test_cli_import_stays_light():
+    # the records are plain classes: importing the CLI must not pull in
+    # dataclasses (and with it inspect, ast and dis) or typing
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
+    code = f"import sys, ffcn.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.split() == []
+
+
 def test_verify_single_curve():
     proc = run_cli("verify", "--curve", "i", "--format", "json", check=True)
     report = json.loads(proc.stdout)
@@ -72,7 +83,7 @@ def test_verify_viii_census():
 
 
 def test_tampered_catalog_exits_one(tmp_path):
-    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items = json.loads(dump_catalog())
     items[0]["genus"] = 7
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(items))
@@ -82,7 +93,7 @@ def test_tampered_catalog_exits_one(tmp_path):
 
 @pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
 def test_malformed_catalog_entry_exits_two(tmp_path, data):
-    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items = json.loads(dump_catalog())
     items[0]["data"] = data
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(items))
@@ -91,6 +102,51 @@ def test_malformed_catalog_entry_exits_two(tmp_path, data):
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error: ")
     assert "Traceback" not in proc.stderr
+
+
+ZERO_DENOMINATORS = ["x^3+x+1/0", "x^3+x+1/(x+x)"]
+
+
+@pytest.mark.parametrize("f", ZERO_DENOMINATORS)
+@pytest.mark.parametrize("command", ["zeta", "places"])
+def test_zero_denominator_in_model_exits_two(tmp_path, command, f):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "artin_schreier", "p": 2, "k": 1, "f": f}))
+    proc = run_cli(command, "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: zero denominator in rational function {f!r}\n"
+
+
+@pytest.mark.parametrize("f", ZERO_DENOMINATORS)
+def test_zero_denominator_in_catalog_exits_two(tmp_path, f):
+    items = json.loads(dump_catalog())
+    items[0]["data"] = {"f": f}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(items))
+    proc = run_cli("verify", "--catalog", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: zero denominator in rational function {f!r}\n"
+
+
+@pytest.mark.parametrize("drop,add,message", [
+    (("genus", "data"), {}, "catalog entry 'i' lacks the keys 'genus', 'data'"),
+    ((), {"colour": "blue", "age": 3},
+     "catalog entry 'i' has the unknown keys 'age', 'colour'"),
+    (("kind",), {"kinds": "kummer"},
+     "catalog entry 'i' lacks the keys 'kind' and has the unknown keys 'kinds'"),
+], ids=["missing", "unknown", "both"])
+def test_catalog_entry_keys_are_named(tmp_path, drop, add, message):
+    items = json.loads(dump_catalog())
+    items[0] = {key: value for key, value in items[0].items() if key not in drop}
+    items[0].update(add)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(items))
+    proc = run_cli("verify", "--catalog", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {message}\n"
 
 
 def test_missing_catalog_exits_two():
@@ -219,7 +275,7 @@ def test_residue_field_out_of_range_exits_two(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_catalog_field_out_of_range_exits_two(tmp_path, threads):
-    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items = json.loads(dump_catalog())
     items[0].update(k=11, data={"f": "x"})
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(items))
@@ -239,7 +295,7 @@ def test_parse_error_names_the_polynomial_and_term(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(BAD_TERM)
-    items = [dataclasses.asdict(e) for e in DEFAULT_CATALOG]
+    items = json.loads(dump_catalog())
     items[0]["data"] = {"f": "x^4+q"}
     items[7]["data"] = dict(items[7]["data"], quadric="x1^2+q*x2")
     for bad, message in ((0, BAD_TERM),

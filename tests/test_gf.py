@@ -61,6 +61,39 @@ def test_binary_mul_and_inv_match_carry_less_products(k):
             assert _clmul_mod(a, F.inv(a), modulus) == 1, a
 
 
+def _ternary_mul_mod(a, b, modulus):
+    """a * b over GF(3): the schoolbook product of the base-3 digit
+    vectors, then its remainder by the monic modulus (little-endian)."""
+    def digits(n):
+        out = []
+        while n:
+            n, d = divmod(n, 3)
+            out.append(d)
+        return out
+
+    k = len(modulus) - 1
+    prod = [0] * (2 * k)
+    for i, x in enumerate(digits(a)):
+        for j, y in enumerate(digits(b)):
+            prod[i + j] = (prod[i + j] + x * y) % 3
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for j, m in enumerate(modulus):
+            prod[top - k + j] = (prod[top - k + j] - c * m) % 3
+    return sum(d * 3 ** i for i, d in enumerate(prod[:k]))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ternary_mul_and_inv_match_digitwise_products(k):
+    # k <= 4 exhaustively; k >= 11 is the path without tables
+    F = make_field(3, k)
+    assert (F._log is None) == (F.order > _TABLE_MAX)
+    for a, b in _pairs(F.order, k <= 4, k):
+        assert F.mul(a, b) == _ternary_mul_mod(a, b, F.modulus), (a, b)
+        if a:
+            assert _ternary_mul_mod(a, F.inv(a), F.modulus) == 1, a
+
+
 def _ternary_digitwise(a, b, sign):
     """a + sign*b over GF(3^k), coordinate by coordinate."""
     out, scale = 0, 1

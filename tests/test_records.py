@@ -1,0 +1,113 @@
+"""The value records keep the semantics of frozen dataclasses: every
+construction check still raises (also through ``_replace``), fields
+cannot be assigned, models compare and hash by value, and the catalog
+serializes to the same bytes."""
+
+import hashlib
+
+import pytest
+
+from ffcn.catalog import DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog, get_entry
+from ffcn.covers import CoverKind, CoverModel, InvalidCoverError
+from ffcn.gf import FieldError, make_field
+from ffcn.polyring import parse_rational
+from ffcn.varieties import PlaneCurve, SpaceCurve, parse_multipoly
+from ffcn.zeta import CountInconsistencyError, LPoly, PlaceCensus, PointCounts
+
+F2, F3, F4 = make_field(2, 1), make_field(3, 1), make_field(2, 2)
+XYZ = ("x", "y", "z")
+X14 = ("x1", "x2", "x3", "x4")
+CUBIC = "x1^3+x2^3+x3^3+x4^3"
+QUADRIC = "x1x2+x3x4"
+
+
+def _space(cubic, quadric, cubic_field=F2, quadric_field=F2):
+    return SpaceCurve(parse_multipoly(cubic, cubic_field, X14),
+                      parse_multipoly(quadric, quadric_field, X14))
+
+
+INVALID = {
+    "plane-not-homogeneous": (
+        lambda: PlaneCurve(parse_multipoly("x^4+y^3z+z", F2, XYZ)),
+        ValueError, "homogeneous 3-variable"),
+    "plane-not-3-variables": (
+        lambda: PlaneCurve(parse_multipoly("x^4+y^4", F2, ("x", "y"))),
+        ValueError, "homogeneous 3-variable"),
+    "space-cubic-wrong-degree": (
+        lambda: _space(QUADRIC, QUADRIC), ValueError, "degree-3 form"),
+    "space-quadric-wrong-degree": (
+        lambda: _space(CUBIC, CUBIC), ValueError, "degree-2 form"),
+    "space-different-fields": (
+        lambda: _space(CUBIC, QUADRIC, quadric_field=F4), FieldError, "different fields"),
+    "artin-schreier-odd-characteristic": (
+        lambda: CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x^3+x+1", F3)),
+        InvalidCoverError, "characteristic 2"),
+    "kummer-characteristic-2": (
+        lambda: CoverModel(CoverKind.KUMMER, parse_rational("x^3+x+1", F2)),
+        InvalidCoverError, "odd characteristic"),
+    "counts-bad-q": (lambda: PointCounts(1, 1, (1,)), ValueError, "bad genus or field size"),
+    "counts-bad-g": (lambda: PointCounts(2, -1, (3,)), ValueError, "bad genus or field size"),
+    "lpoly-wrong-degree": (lambda: LPoly(2, 1, (1, -2)), ValueError, "degree exactly 2g"),
+    "census-negative": (lambda: PlaceCensus((1, -1)), CountInconsistencyError,
+                        "negative place count"),
+    "catalog-unknown-kind": (
+        lambda: CatalogEntry("x", 2, 1, 0, 1, "hyperelliptic", {}, ""),
+        ValueError, "unknown model kind 'hyperelliptic'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_construction_checks_raise(case):
+    build, exc, match = INVALID[case]
+    with pytest.raises(exc, match=match):
+        build()
+
+
+@pytest.mark.parametrize("valid,change,exc", [
+    (PointCounts(2, 1, (1, 5)), {"q": 1}, ValueError),
+    (PointCounts(2, 1, (1, 5)), {"counts": (9,)}, CountInconsistencyError),
+    (LPoly(2, 1, (1, -2, 2)), {"g": 2}, ValueError),
+    (PlaceCensus((1, 2)), {"counts": (-1,)}, CountInconsistencyError),
+    (get_entry("i"), {"kind": "hyperelliptic"}, ValueError),
+    (build_model(get_entry("viii")), {"quadric": parse_multipoly(CUBIC, F2, X14)}, ValueError),
+], ids=["counts-q", "counts-weil", "lpoly-g", "census", "entry-kind", "space-quadric"])
+def test_replace_runs_the_construction_checks(valid, change, exc):
+    with pytest.raises(exc):
+        valid._replace(**change)
+
+
+def test_replace_coerces_like_construction():
+    counts = PointCounts(2, 1, (1, 5))._replace(counts=[1, 5, 13])
+    assert counts.counts == (1, 5, 13)
+    assert counts == PointCounts(2, 1, (1, 5, 13))
+
+
+@pytest.mark.parametrize("obj,name,value", [
+    (parse_multipoly(CUBIC, F2, X14), "nvars", 3),
+    (build_model(get_entry("viii")), "cubic", None),
+    (get_entry("i"), "genus", 7),
+    (LPoly(2, 1, (1, -2, 2)), "coeffs", (1, 0, 2)),
+    (build_model(get_entry("i")), "f", None),
+], ids=["MultiPoly", "SpaceCurve", "CatalogEntry", "LPoly", "CoverModel"])
+def test_fields_cannot_be_assigned(obj, name, value):
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        obj.new_attribute = value
+    assert getattr(obj, name) == before
+
+
+@pytest.mark.parametrize("entry", DEFAULT_CATALOG, ids=lambda e: e.curve_id)
+def test_models_compare_and_hash_by_value(entry):
+    first, second = build_model(entry), build_model(entry)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.genus == entry.genus  # caching it changes neither
+    assert first == second and hash(first) == hash(second)
+
+
+def test_dump_catalog_bytes_are_pinned():
+    digest = hashlib.sha256(dump_catalog().encode()).hexdigest()
+    assert digest == "0bfa50b95f2339e8637b0a2b22f59fa64dbf7518dbb32aab36712893b79584fa"

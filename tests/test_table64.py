@@ -83,9 +83,8 @@ def test_truncated_search_still_verifies_rational_witnesses():
 
 
 def test_tampered_witness_fails():
-    import dataclasses
     row = build_family()[0]
-    bad = dataclasses.replace(row, paper_witness="(0:1:0:0)")
+    bad = row._replace(paper_witness="(0:1:0:0)")
     res = verify_row(bad)
     assert res.status == "fail"
     assert any("not on the curve" in p for p in res.problems)
