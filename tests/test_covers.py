@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+from ffcn import covers
+from ffcn.catalog import build_model, get_entry
 from ffcn.covers import (CoverKind, CoverModel, InvalidCoverError,
                          cover_genus, place_census, ramification_data,
-                         splitting_type, validate_standard_form)
+                         splitting_type, support_places, validate_standard_form)
 from ffcn.gf import make_field
-from ffcn.polyring import parse_rational, places_of_degree
+from ffcn.polyring import (Poly, RationalFunction, irreducible_count,
+                           monic_irreducibles, parse_rational, place_valuation,
+                           places_of_degree, poly_gcd, residue_field)
 from ffcn.zeta import census_from_counts, census_to_counts
 
 F2 = make_field(2, 1)
@@ -96,3 +102,141 @@ def test_constant_field_extension_rejected():
     # y^2 + y = x^2 + x has no poles: z := y + x satisfies z^2 + z = 0
     with pytest.raises(InvalidCoverError):
         place_census(_as("x^2+x"), 2)
+
+
+def test_each_cover_support_is_walked_once(monkeypatch):
+    # the support and the genus are cached by value: two copies of a model
+    # share them, and the census reads valuations off the cached support
+    support_places.cache_clear()
+    cover_genus.cache_clear()
+    walked = []
+    real = covers.place_valuation
+    monkeypatch.setattr(covers, "place_valuation",
+                        lambda f, place: walked.append(place) or real(f, place))
+    for cover in (build_model(get_entry("iii")), build_model(get_entry("iii"))):
+        assert cover.genus == 2
+        assert cover.cross_check_depth == 6
+        assert place_census(cover, 5).counts == (0, 3, 3, 1, 6)
+    # f = (x^3+x^2+1)/(x^3+x+1): one valuation per finite place of degree <= 3
+    assert len(walked) == len(set(walked)) == sum(irreducible_count(2, d) for d in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: census and genus recounted from valuations found by
+# division and from the y-roots in each residue field
+
+MAX_SUPPORT_DEGREE = 6  # the support walk visits GF(q^6) at most
+ORACLE_DEGREE = 4
+
+
+def _low_places(F):
+    return [u for d in (1, 2) for u in monic_irreducibles(F, d)]
+
+
+def _draw_artin_schreier(rng, F):
+    """y^2 + y = num/den with poles of order 1 or 3 at up to two finite
+    places of degree <= 2 and a pole of order 1 or 3 at infinity."""
+    while True:
+        den = Poly.one(F)
+        for u in rng.sample(_low_places(F), rng.randint(0, 2)):
+            den = den * u ** rng.choice((1, 3))
+        degree = den.degree + rng.choice((1, 3))
+        if degree > MAX_SUPPORT_DEGREE:
+            continue
+        num = Poly(F, [rng.randrange(F.order) for _ in range(degree)]
+                   + [rng.randrange(1, F.order)])
+        if poly_gcd(num, den).degree == 0:
+            return CoverModel(CoverKind.ARTIN_SCHREIER, RationalFunction(num, den))
+
+
+def _draw_kummer(rng, F, drawn):
+    """y^2 = c * prod u^v with v in -3..3 at one to three finite places of
+    degree <= 2, an odd valuation somewhere and |v| <= 3 at infinity."""
+    while True:
+        num, den = Poly.constant(F, rng.randrange(1, F.order)), Poly.one(F)
+        places = rng.sample(_low_places(F), rng.randint(1, 3))
+        vals = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places]
+        for u, v in zip(places, vals):
+            if v > 0:
+                num = num * u ** v
+            else:
+                den = den * u ** -v
+        v_inf = den.degree - num.degree
+        if (max(num.degree, den.degree) <= MAX_SUPPORT_DEGREE and abs(v_inf) <= 3
+                and any(v % 2 for v in vals + [v_inf])):
+            drawn.update(vals)
+            return CoverModel(CoverKind.KUMMER, RationalFunction(num, den))
+
+
+def _draw_covers(per_family=8):
+    """``per_family`` distinct covers of each family, by name."""
+    rng = random.Random(20261018)
+    kummer_valuations = set()
+    out = {}
+    for name, draw in (("as-gf2", lambda: _draw_artin_schreier(rng, F2)),
+                       ("as-gf4", lambda: _draw_artin_schreier(rng, F4)),
+                       ("kummer-gf3", lambda: _draw_kummer(rng, F3, kummer_valuations))):
+        family = []
+        while len(family) < per_family:
+            cover = draw()
+            if cover not in family:
+                family.append(cover)
+        out.update((f"{name}-{i}", cover) for i, cover in enumerate(family))
+    # the draws reach the even valuations +-2, where the unit residue matters
+    assert {-2, 2} <= kummer_valuations
+    return out
+
+
+RANDOM_COVERS = _draw_covers()
+
+
+def _unit_value(f, place, v):
+    """The value at the place of f / t^v, t the uniformizer: u for a
+    finite place, 1/x at infinity."""
+    F = f.field
+    if place.is_infinite:
+        return F.mul(f.num.coeffs[-1], F.inv(f.den.coeffs[-1]))
+    R, root = residue_field(place)
+    num, den = f.num, f.den
+    if v > 0:
+        num = num // place.poly ** v
+    elif v < 0:
+        den = den // place.poly ** -v
+    return R.mul(num.eval_in(root, R), R.inv(den.eval_in(root, R)))
+
+
+def _oracle(cover, d_max):
+    """(genus, B_1..B_d_max) counted place by place from first principles."""
+    f = cover.f
+    artin_schreier = cover.kind is CoverKind.ARTIN_SCHREIER
+    diff_degree, B = 0, [0] * d_max
+    for d in range(1, max(d_max, f.num.degree, f.den.degree) + 1):
+        for place in places_of_degree(cover.field, d):
+            v = place_valuation(f, place)
+            if v < 0 if artin_schreier else v % 2:
+                diff_degree += (1 - v if artin_schreier else 1) * d
+                if d <= d_max:
+                    B[d - 1] += 1
+                continue
+            if d > d_max:
+                continue
+            R = residue_field(place)[0]
+            if artin_schreier:
+                c = 0 if v > 0 else _unit_value(f, place, 0)
+                roots = sum(R.add(R.mul(y, y), y) == c for y in R.elements())
+            else:
+                c = _unit_value(f, place, v)
+                roots = sum(R.mul(y, y) == c for y in R.elements())
+            if roots == 2:
+                B[d - 1] += 2
+            elif roots == 0 and 2 * d <= d_max:
+                B[2 * d - 1] += 1
+    return (diff_degree - 2) // 2, tuple(B)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_COVERS))
+def test_census_and_genus_match_the_oracle(name):
+    cover = RANDOM_COVERS[name]
+    genus, census = _oracle(cover, ORACLE_DEGREE)
+    assert cover_genus(cover) == genus
+    assert place_census(cover, ORACLE_DEGREE).counts == census

@@ -70,7 +70,9 @@ def test_construction_checks_raise(case):
     (PlaceCensus((1, 2)), {"counts": (-1,)}, CountInconsistencyError),
     (get_entry("i"), {"kind": "hyperelliptic"}, ValueError),
     (build_model(get_entry("viii")), {"quadric": parse_multipoly(CUBIC, F2, X14)}, ValueError),
-], ids=["counts-q", "counts-weil", "lpoly-g", "census", "entry-kind", "space-quadric"])
+    (build_model(get_entry("vi")), {"kind": CoverKind.ARTIN_SCHREIER}, InvalidCoverError),
+], ids=["counts-q", "counts-weil", "lpoly-g", "census", "entry-kind", "space-quadric",
+        "cover-kind"])
 def test_replace_runs_the_construction_checks(valid, change, exc):
     with pytest.raises(exc):
         valid._replace(**change)
@@ -106,6 +108,12 @@ def test_models_compare_and_hash_by_value(entry):
     assert hash(first) == hash(second)
     assert first.genus == entry.genus  # caching it changes neither
     assert first == second and hash(first) == hash(second)
+
+
+def test_cover_model_repr_is_pinned():
+    assert repr(build_model(get_entry("i"))) == (
+        "CoverModel(kind=<CoverKind.ARTIN_SCHREIER: 'artin_schreier'>, "
+        "f=RationalFunction('x^3+x+1'))")
 
 
 def test_dump_catalog_bytes_are_pinned():
