@@ -8,8 +8,9 @@ from .catalog import (DEFAULT_CATALOG, CatalogEntry, Rational, build_model,
                       dump_catalog, get_entry, load_catalog, model_from_spec,
                       section_facts, verify_curve)
 from .covers import (CoverKind, CoverModel, InvalidCoverError,
-                     RamificationDatum, cover_genus, place_census,
-                     ramification_data, splitting_type, validate_standard_form)
+                     NonStandardCoverError, RamificationDatum, cover_genus,
+                     place_census, ramification_data, splitting_type,
+                     validate_standard_form)
 from .gf import GF, FieldError, element_str, embed, make_field, parse_element
 from .polyring import (Place, PoleError, Poly, RationalFunction,
                        irreducible_count, is_irreducible, moebius_mu,

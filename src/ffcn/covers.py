@@ -29,7 +29,15 @@ class CoverKind(enum.Enum):
 
 
 class InvalidCoverError(ValueError):
-    """The cover is not in the standard form this module handles."""
+    """The cover fails a check: it is not in the handled standard form
+    (``NonStandardCoverError``), the Hurwitz formula gives no genus, or
+    N_1 breaks the Weil bound."""
+
+
+class NonStandardCoverError(InvalidCoverError):
+    """The cover is not in the standard form this module handles: its
+    kind does not fit the characteristic, or f is zero or outside the
+    handled form.  Such a cover is unusable input, not a counterexample."""
 
 
 class CoverModel(record("CoverModel", "kind f")):
@@ -40,9 +48,9 @@ class CoverModel(record("CoverModel", "kind f")):
     def __new__(cls, kind: CoverKind, f: RationalFunction):
         p = f.field.p
         if kind is CoverKind.ARTIN_SCHREIER and p != 2:
-            raise InvalidCoverError("Artin-Schreier covers need characteristic 2")
+            raise NonStandardCoverError("Artin-Schreier covers need characteristic 2")
         if kind is CoverKind.KUMMER and p == 2:
-            raise InvalidCoverError("Kummer covers need odd characteristic")
+            raise NonStandardCoverError("Kummer covers need odd characteristic")
         return super().__new__(cls, kind, f)
 
     @property
@@ -139,7 +147,7 @@ def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
     """
     problems = validate_standard_form(cover)
     if problems:
-        raise InvalidCoverError("; ".join(problems))
+        raise NonStandardCoverError("; ".join(problems))
     p = cover.field.p
     data = []
     for place, v in support_places(cover.f).items():
@@ -158,7 +166,8 @@ def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
 @lru_cache(maxsize=None)
 def cover_genus(cover: CoverModel) -> int:
     """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff.
-    Raises InvalidCoverError unless the cover is in standard form."""
+    Raises NonStandardCoverError unless the cover is in standard form,
+    and InvalidCoverError when 2g is not an even number >= 0."""
     diff_degree = sum(r.different_exponent * r.degree
                       for r in ramification_data(cover))
     two_g = diff_degree - 2

@@ -8,7 +8,8 @@ ordering used for every tie-break in this library.  The modulus is the
 lexicographically smallest monic irreducible of degree k over GF(p)
 under the same ordering, so fields are reproducible across runs with no
 external tables.  It is found by running Rabin's irreducibility test in
-the quotient ring of each candidate in turn.
+the quotient ring of each candidate in turn, skipping the candidates
+with a root in GF(p).
 
 Once the modulus is found, :func:`make_field` picks the smallest
 generator g of the multiplicative group and, for fields of order up to
@@ -27,13 +28,28 @@ product of ints, reduced as it goes by the modulus held as a bitmask, and
 sum, difference and negative go through base-3 digit lists.  These table-
 free ring operations also test candidate moduli and find the generator.
 
-The tables are built by stepping e -> e*g through the powers of g.  For
-p = 2 each step is one shift/xor product.  For p = 3 a digit-list product
-per step would dominate the build (about 1 s for GF(3^10)), so the step
-uses that e -> e*g is GF(3)-linear: with e = lo + 3^h * hi split into its
-low and high h digits, e*g is the sum of two precomputed images, and each
-half of that sum is one lookup in a table of digit-wise sums of h-digit
-numbers.  Only the 3^h + 3^(k-h) images are digit-list products.
+The tables are built by stepping e -> e*g through the powers of g.  The
+step uses that e -> e*g is GF(p)-linear: with e split into its low and
+high h digits, e*g is the sum of two precomputed images, so only the
+p^h + p^(k-h) images are products.  For p = 2 the sum is one xor.  For
+p = 3 each half of the sum is one lookup in a table of digit-wise sums of
+h-digit numbers; a digit-list product per step would dominate the build
+(about 1 s for GF(3^10)).
+
+Evaluation is table-driven too.  ``GF.horner`` evaluates a polynomial at
+an element by lookups (xor for p = 2, Zech sums for p = 3), ``GF.values``
+at a list of elements in one pass per coefficient, ``GF.evaluate`` a
+multivariate form given by its terms through sums of logs, and
+``GF.from_roots`` multiplies out the product of (x - r).  The trace for
+p = 2 is GF(2)-linear: the parity of ``a & mask``, where bit i of the
+mask is the trace of t^i.
+
+The Frobenius map a -> a^q (q a power of p) is one cached table per
+field and q, ``frobenius_table``: the log of a^q is q times the log of a,
+and without tables the map is built from its GF(p)-linear images of the
+basis.  ``orbit_representatives`` walks that table once and returns the
+least member of each orbit with the orbit's size.  Places of GF(q)(x) and
+points of curves are enumerated from these least members.
 """
 
 from __future__ import annotations
@@ -45,6 +61,9 @@ MAX_K = 20
 
 # exp/log tables are built with the field for fields up to this order
 _TABLE_MAX = 1 << 16
+# a log for zero in GF.evaluate: past any sum of logs of nonzero elements,
+# which are below 2^16 each
+_FAR = 1 << 40
 
 
 class FieldError(ValueError):
@@ -100,6 +119,7 @@ class GF:
         self._mask = _undigits(modulus, 2) if p == 2 else None
         self._generator = None
         self._exp = self._log = self._zech = None
+        self._trace_mask = None
 
     def __repr__(self):
         if self.k == 1:
@@ -220,13 +240,16 @@ class GF:
     def _generator_powers(self):
         """g^0, g^1, ..., g^(q-2), stepped as the module docstring says."""
         g, mul = self._generator, self._raw_mul
+        h = (self.k + 1) // 2
         if self.p == 2:
+            low = (1 << h) - 1
+            lo_img = [mul(lo, g) for lo in range(1 << h)]
+            hi_img = [mul(hi << h, g) for hi in range(1 << (self.k - h))]
             e = 1
             for _ in range(self.order - 1):
                 yield e
-                e = mul(e, g)
+                e = lo_img[e & low] ^ hi_img[e >> h]
             return
-        h = (self.k + 1) // 2
         B = 3 ** h
         # add[x*B + y] = x + y digit by digit, for x, y < B; each round
         # gives x and y one more significant digit
@@ -246,6 +269,89 @@ class GF:
             a, b = lo_img[lo]
             c, d = hi_img[hi]
             lo, hi = add[b + d], add[a + c]
+
+    def horner(self, coeffs, x: int) -> int:
+        """coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ..., by Horner's rule.
+
+        With tables, acc*x is ``exp[log[acc] + log[x]]``; for p = 2 the
+        sum is xor, for p = 3 it is a Zech sum.  A product with zero lands
+        in the zeros of ``exp`` (p = 2) or at or past ``log[0]`` (p = 3)."""
+        log = self._log
+        acc = 0
+        if log is None:
+            mul, add = self._raw_mul, self.add
+            for c in reversed(coeffs):
+                acc = add(mul(acc, x), c)
+            return acc
+        exp, lx = self._exp, log[x]
+        if self.p == 2:
+            for c in reversed(coeffs):
+                acc = exp[log[acc] + lx] ^ c
+            return acc
+        zech, n = self._zech, self.order - 1
+        for c in reversed(coeffs):
+            lt = log[acc] + lx  # the log of acc*x
+            if lt >= 2 * n:
+                acc = c
+                continue
+            if lt >= n:
+                lt -= n  # a Zech sum takes a log below q - 1, as in add
+            acc = exp[lt + zech[log[c] - lt]] if c else exp[lt]
+        return acc
+
+    def values(self, coeffs, xs) -> list[int]:
+        """[horner(coeffs, x) for x in xs]; for p = 2 with tables, one
+        pass of lookups over all of xs per coefficient.  Below four
+        points, Horner per point is the cheaper of the two."""
+        log = self._log
+        if log is None or self.p == 3 or len(xs) < 4:
+            return [self.horner(coeffs, x) for x in xs]
+        exp, lxs = self._exp, [log[x] for x in xs]
+        vals = [0] * len(lxs)
+        for c in reversed(coeffs):
+            vals = [exp[log[v] + lx] ^ c for v, lx in zip(vals, lxs)]
+        return vals
+
+    def evaluate(self, terms, coords) -> int:
+        """The sum over terms (c, factors) of c times the product of
+        coords[v] for v in factors, by sums of logs with tables: a zero
+        coordinate's log is pushed past any sum of logs of nonzero ones."""
+        log = self._log
+        acc = 0
+        if log is None:
+            mul, add = self._raw_mul, self.add
+            for c, factors in terms:
+                for v in factors:
+                    c = mul(c, coords[v])
+                acc = add(acc, c)
+            return acc
+        exp, n, p = self._exp, self.order - 1, self.p
+        lx = [log[x] if x else _FAR for x in coords]
+        for c, factors in terms:
+            s = log[c] if c else _FAR
+            for v in factors:
+                s += lx[v]
+            if s < _FAR:
+                acc = acc ^ exp[s % n] if p == 2 else self.add(acc, exp[s % n])
+        return acc
+
+    def from_roots(self, roots) -> list[int]:
+        """The coefficients of the product of (x - r) over the roots,
+        little-endian: each root multiplies in place, from the top."""
+        prod = [1]
+        log = self._log if self.p == 2 else None
+        for r in roots:
+            r = self.neg(r)
+            prod.append(0)
+            if log is None:
+                for i in range(len(prod) - 1, 0, -1):
+                    prod[i] = self.horner((prod[i - 1], prod[i]), r)
+            else:
+                exp, lr = self._exp, log[r]
+                for i in range(len(prod) - 1, 0, -1):
+                    prod[i] = prod[i - 1] ^ exp[lr + log[prod[i]]]
+            prod[0] = self.mul(prod[0], r)
+        return prod
 
     def mul(self, a: int, b: int) -> int:
         log = self._log
@@ -280,7 +386,16 @@ class GF:
         return a
 
     def trace(self, a: int) -> int:
-        """Absolute trace into GF(p), returned as an int in range(p)."""
+        """Absolute trace into GF(p), returned as an int in range(p).
+
+        For p = 2 the trace is GF(2)-linear, so it is the parity of
+        ``a & mask``, where bit i of the mask is the trace of t^i."""
+        if self.p == 2:
+            return (a & self._trace_mask).bit_count() & 1
+        return self._trace_sum(a)
+
+    def _trace_sum(self, a: int) -> int:
+        """The trace as the sum of the conjugates a^(p^i)."""
         s, x = 0, a
         for _ in range(self.k):
             s = self.add(s, x)
@@ -320,11 +435,16 @@ def make_field(p: int, k: int) -> GF:
     if k == 1:
         F = GF(p, 1, (0, 1))
     else:
-        candidates = (GF(p, k, tuple(_digits(c, p, k)) + (1,)) for c in range(p ** k))
+        # a candidate with a root in GF(p) has a linear factor: skip it
+        moduli = (tuple(_digits(c, p, k)) + (1,) for c in range(p ** k))
+        candidates = (GF(p, k, m) for m in moduli
+                      if all(_undigits(m, a) % p for a in range(p)))
         F = next(R for R in candidates if _is_field(R))
     F._generator = F._find_generator()
     if F.order <= _TABLE_MAX:
         F._build_tables()
+    if p == 2:
+        F._trace_mask = sum(F._trace_sum(1 << i) << i for i in range(k))
     return F
 
 
@@ -355,19 +475,47 @@ def embedding(src: GF, dst: GF) -> tuple[int, ...]:
         subfield.append(x)
         x = dst.mul(x, h)
 
-    def is_root(x):
-        acc = 0
-        for c in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, x), c)
-        return acc == 0
-
-    root = min(x for x in subfield if is_root(x))
+    root = min(x for x in subfield if not dst.horner(src.modulus, x))
     # the image of sum d_i t^i is sum d_i root^i, built digit by digit
     table = [0]
     for i in range(src.k):
         power = dst.pow(root, i)
         table = [dst.add(t, dst.mul(c, power)) for c in range(src.p) for t in table]
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def frobenius_table(field: GF, q: int) -> tuple[int, ...]:
+    """frob[a] = a^q for every element a of the field, q a power of p.
+
+    With tables, the log of a^q is q times the log of a.  Without them,
+    a -> a^q is GF(p)-linear, so the table is built from the images of
+    the basis t^i alone, one digit at a time, as ``embedding`` is."""
+    if field._log is not None:
+        exp, log, n = field._exp, field._log, field.order - 1
+        return (0,) + tuple([exp[log[a] * q % n] for a in range(1, field.order)])
+    table = [0]
+    for i in range(field.k):
+        image = field.pow(field.p ** i, q)
+        multiples = [field.mul(c, image) for c in range(field.p)]
+        table = [field.add(t, s) for s in multiples for t in table]
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def orbit_representatives(field: GF, q: int) -> tuple[tuple[int, int], ...]:
+    """(least member, orbit size) of every orbit of a -> a^q on the
+    field, ascending; q is a power of p.  An element is least when the
+    walk through its orbit meets no smaller one before returning."""
+    frob = frobenius_table(field, q)
+    out = []
+    for a in range(field.order):
+        x, size = frob[a], 1
+        while x > a:
+            x, size = frob[x], size + 1
+        if x == a:
+            out.append((a, size))
+    return tuple(out)
 
 
 def element_str(field: GF, a: int, symbol: str = "a") -> str:

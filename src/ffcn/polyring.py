@@ -5,9 +5,10 @@ transport of places).
 Places are Frobenius orbits: the places of degree d are the orbits
 {a^(q^i)} of the elements a of exact degree d in GF(q^d), the place
 polynomial is the product of (x - a^(q^i)), and the canonical residue
-root is min(orbit).  One cached walk over GF(q^d) yields every place of
-degree d together with its root (Lidl & Niederreiter, Finite Fields,
-ch. 2-3).
+root is min(orbit).  One cached walk over the least members of the
+orbits of x -> x^q on GF(q^d) (``gf.orbit_representatives``) yields every
+place of degree d together with its root, and the x^q table gives the
+rest of each orbit (Lidl & Niederreiter, Finite Fields, ch. 2-3).
 
 Polynomial text format: sums of monomials like ``x^4+x+1``; coefficients
 outside the prime field are written in the modulus-root symbol ``a``
@@ -20,7 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf import (GF, FieldError, _prime_factors, element_str, embedding,
-                 make_field, parse_element)
+                 frobenius_table, make_field, orbit_representatives,
+                 parse_element)
 
 
 class PoleError(ValueError):
@@ -153,19 +155,12 @@ class Poly:
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def __call__(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
+        return self.field.horner(self.coeffs, x)
 
     def eval_in(self, x: int, ext: GF) -> int:
         """Evaluate at a point of an extension field (coefficients embedded)."""
         image = embedding(self.field, ext)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ext.add(ext.mul(acc, x), image[c])
-        return acc
+        return ext.horner([image[c] for c in self.coeffs], x)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field is other.field
@@ -235,25 +230,21 @@ def _q_power_matrix(f: Poly) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _frobenius_orbits(field: GF, d: int) -> dict[Poly, int]:
     """{place polynomial: canonical root} for every monic irreducible of
-    degree d, in place order.  Walks GF(q^d) in element order, so the
-    first element met of each orbit is min(orbit), the canonical root."""
+    degree d, in place order.  The roots are the least members of the
+    orbits of x -> x^q on GF(q^d) of size d; each place polynomial is
+    the product of (x - r) over the orbit of its root."""
     R = make_field(field.p, field.k * d)
     preimage = {v: a for a, v in enumerate(embedding(field, R))}
-    q, add, mul = field.order, R.add, R.mul
+    q = field.order
+    frob = frobenius_table(R, q)
     found = []
-    for alpha in R.elements():
-        orbit = [alpha]
-        x = R.pow(alpha, q)
-        while x > alpha:
-            orbit.append(x)
-            x = R.pow(x, q)
-        if x < alpha or len(orbit) < d:  # met before, or of lower degree
+    for alpha, size in orbit_representatives(R, q):
+        if size < d:  # of lower degree
             continue
-        prod = [1]  # multiplied by (x - root) for each root, little-endian
-        for r in orbit:
-            neg_r = R.neg(r)
-            prod = [add(lo, mul(neg_r, hi)) for lo, hi in zip([0] + prod, prod + [0])]
-        found.append((Poly(field, [preimage[c] for c in prod]), alpha))
+        orbit = [alpha]
+        for _ in range(d - 1):
+            orbit.append(frob[orbit[-1]])
+        found.append((Poly(field, [preimage[c] for c in R.from_roots(orbit)]), alpha))
     found.sort(key=lambda item: item[0].coeffs[::-1])
     return dict(found)
 

@@ -151,10 +151,16 @@ SurvivorReport = record("SurvivorReport", "row probe_depth counts n5_extended l_
                                           "h census different_degree cyclic_count")
 
 
+@lru_cache(maxsize=None)
+def _base_quadric(family: int) -> MultiPoly:
+    """Q_family, parsed once per family rather than once per mask."""
+    return parse_multipoly(QUADRICS[family], make_field(2, 1), VARS)
+
+
 def expanded_quadric(family: int, mask) -> MultiPoly:
     """Q_family + k1*x1^2 + ... + k4*x4^2 (char 2: L(k)^2 = sum k_j x_j^2)."""
     F2 = make_field(2, 1)
-    terms = dict(parse_multipoly(QUADRICS[family], F2, VARS).terms)
+    terms = dict(_base_quadric(family).terms)
     for j, k in enumerate(mask):
         if k:
             exps = tuple(2 if v == j else 0 for v in range(4))

@@ -19,14 +19,24 @@ are checked at the roots only.
 
 Only one prefix per Frobenius orbit is solved.  The model is defined over
 GF(q), so x -> x^q fixes its embedded coefficients and maps the points
-over a prefix onto the points over its conjugate prefix.  The walk keeps
-a prefix only when it is the smallest member of its orbit (applying x^q
-coordinatewise from it meets no smaller prefix before returning), solves
-its fiber, and adds the conjugate points by the same map.  The list is
+over a prefix onto the points over its conjugate prefix.  The least prefix
+of each orbit is walked directly, not found among all prefixes.  A prefix
+is a head (all its coordinates but the last, y) followed by y; it is
+least in its orbit iff its head is least in its own orbit, of size s, and
+y is least among its conjugates under the head's stabiliser x -> x^(q^s)
+(``gf.orbit_representatives``, which also gives the orbit sizes).  Each
+head is put into each fibered form once, leaving polynomials in y; one
+``GF.values`` call per polynomial gives the form's coefficients in z at
+every y of the head.  The solved form's roots are checked against the
+other forms by ``GF.values`` too, and the points over the conjugate
+prefixes come from the x^q table (``gf.frobenius_table``).  The list is
 then sorted: normalized tuples in ascending order are exactly
 ``projective_points`` order, (0:...:0:1) first, so witnesses and reports
-do not depend on the walk.  The power and x^q tables are built once per
-extension field and shared by every model.
+do not depend on the walk.
+
+The smoothness probe evaluates the partial derivatives at each point
+from their terms, embedded in the extension field once per field, with
+``GF.evaluate``.
 
 The point list is computed once per (model, extension field) and shared
 by ``smoothness_probe``, ``curve_point_counts`` and ``min_point_degree``;
@@ -38,7 +48,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .gf import (MAX_K, GF, FieldError, element_str, embed, make_field,
+from .gf import (MAX_K, GF, FieldError, element_str, embed,
+                 frobenius_table, make_field, orbit_representatives,
                  parse_element)
 from .records import record
 
@@ -246,20 +257,53 @@ def _extension(model_field: GF, m: int) -> GF:
 
 
 def _fibered(poly: MultiPoly, ext: GF):
-    """The form as a polynomial in its last variable: entry e holds the
-    terms (coefficient in ext, ((variable, exponent), ...)) of the
-    coefficient of x_n^e, a form in the other variables."""
-    last = poly.nvars - 1
-    fib = [[] for _ in range(max((e[last] for e, _ in poly.terms), default=0) + 1)]
+    """The form as a polynomial in its last variable z: entry e holds the
+    terms (coefficient in ext, ((head variable, exponent), ...), exponent
+    of y) of the coefficient of z^e, a form in the head variables and y,
+    the variable before z."""
+    y = poly.nvars - 2
+    fib = [[] for _ in range(max((e[-1] for e, _ in poly.terms), default=0) + 1)]
     for exps, c in poly.terms:
-        fib[exps[last]].append((embed(c, poly.field, ext),
-                                tuple((v, e) for v, e in enumerate(exps[:last]) if e)))
+        fib[exps[-1]].append((embed(c, poly.field, ext),
+                              tuple((v, e) for v, e in enumerate(exps[:y]) if e),
+                              exps[y]))
     return fib
+
+
+def _restrict(fib, head, ext: GF):
+    """The coefficients of z^e of a fibered form at the prefixes
+    (head : y), as polynomials in y, little-endian."""
+    mul, pow_ = ext.mul, ext.pow
+    lines = []
+    for terms in fib:
+        line = []
+        for coef, ves, ey in terms:
+            for v, e in ves:
+                coef = mul(coef, pow_(head[v], e))
+            if coef:
+                line.extend([0] * (ey + 1 - len(line)))
+                line[ey] = ext.add(line[ey], coef)
+        lines.append(line)
+    return lines
+
+
+def _representatives(dim: int, ext: GF, q: int) -> list:
+    """(point, orbit size) for the least point of every orbit of x -> x^q
+    on P^dim over ext.  A point other than (0:...:0:1) is a head in
+    P^(dim-1) followed by y; it is least in its orbit iff its head is,
+    with orbit size s, and y is least under the head's stabiliser
+    x -> x^(q^s), with orbit size t.  The point's orbit size is s*t."""
+    if dim == 0:
+        return [((1,), 1)]
+    out = [((0,) * dim + (1,), 1)]
+    for head, s in _representatives(dim - 1, ext, q):
+        out.extend((head + (y,), s * t) for y, t in orbit_representatives(ext, q ** s))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _quadratic_solver(ext: GF):
-    """solve(c, b, a): the roots of a*z^2 + b*z + c in ext, ascending, or
+    """solve(c, b, a): the roots of a*z^2 + b*z + c in ext, or
     None when the polynomial is zero and every z is a root.  Built from
     one value-to-roots table over ext."""
     mul, inv, order = ext.mul, ext.inv, ext.order
@@ -281,7 +325,7 @@ def _quadratic_solver(ext: GF):
                 return [sqrt[mul(c, inv(a))]]
             # z = (b/a) w turns the equation into w^2 + w = ac/b^2
             s = mul(b, inv(a))
-            return sorted(mul(s, w) for w in roots_of[mul(mul(a, c), inv(mul(b, b)))])
+            return [mul(s, w) for w in roots_of[mul(mul(a, c), inv(mul(b, b)))]]
     else:
         for s in ext.elements():
             roots_of[mul(s, s)].append(s)
@@ -294,89 +338,54 @@ def _quadratic_solver(ext: GF):
                 return [ext.neg(mul(c, inv(b)))]
             # p = 3: 2a = -a and 4 = 1, so z = (b -+ sqrt(b^2 - ac)) / a
             ia = inv(a)
-            return sorted({mul(sub(b, s), ia)
-                           for s in roots_of[sub(mul(b, b), mul(a, c))]})
+            return list({mul(sub(b, s), ia) for s in roots_of[sub(mul(b, b), mul(a, c))]})
     return solve
 
 
 @lru_cache(maxsize=None)
-def _power_table(ext: GF, maxdeg: int) -> tuple:
-    """pw[c][e] = c^e for every element c of ext and 0 <= e <= maxdeg."""
-    return tuple(tuple(ext.pow(c, e) for e in range(maxdeg + 1))
-                 for c in ext.elements())
-
-
-@lru_cache(maxsize=None)
-def _frobenius_table(ext: GF, q: int) -> tuple:
-    """frob[c] = c^q for every element c of ext."""
-    return tuple(ext.pow(c, q) for c in ext.elements())
-
-
-@lru_cache(maxsize=None)
 def _model_points(model, ext: GF) -> tuple:
-    n = model.dim
+    n, q = model.dim, model.field.order
     fibs = [_fibered(p, ext) for p in model.polys]
-    # solve the form of least degree in x_n, check the others at its roots
+    # solve the form of least degree in z, check the others at its roots
     key = min(range(len(fibs)), key=lambda i: len(fibs[i]))
-    fib, others = fibs[key], fibs[:key] + fibs[key + 1:]
     solve = None
-    if len(fib) <= 3:
-        fib = fib + [[]] * (3 - len(fib))  # coefficients c, b, a
+    if len(fibs[key]) <= 3:
+        fibs[key] += [[]] * (3 - len(fibs[key]))  # coefficients c, b, a
         solve = _quadratic_solver(ext)
-    pw = _power_table(ext, max(p.degree for p in model.polys))
     # x -> x^q fixes the embedded coefficients, so it permutes the fibers
-    frob = _frobenius_table(ext, model.field.order)
-    mul, add = ext.mul, ext.add
-    line = ext.elements()
-
-    def coeffs(f, prefix):
-        out = []
-        for terms in f:
-            acc = 0
-            for coef, ves in terms:
-                t = coef
-                for v, e in ves:
-                    t = mul(t, pw[prefix[v]][e])
-                    if not t:
-                        break
-                acc = add(acc, t)
-            out.append(acc)
-        return out
-
-    def value(cs, z):
-        acc = 0
-        for c in reversed(cs):
-            acc = add(mul(acc, z), c)
-        return acc
-
-    origin = (0,) * n
-    out = []
-    if all(not value(coeffs(f, origin), 1) for f in fibs):
-        out.append(origin + (1,))
-    for prefix in projective_points(n - 1, ext):
-        # solve only the smallest prefix of each Frobenius orbit
-        orbit = [prefix]
-        c = tuple([frob[x] for x in prefix])
-        while c > prefix:
-            orbit.append(c)
-            c = tuple([frob[x] for x in c])
-        if c < prefix:
-            continue
-        cs = coeffs(fib, prefix)
-        if solve is not None:
-            roots = solve(*cs)
-            if roots is None:
-                roots = line
-        else:
-            roots = [z for z in line if not value(cs, z)]
-        if not roots:
-            continue
-        rest = [coeffs(f, prefix) for f in others]
-        zs = [z for z in roots if all(not value(r, z) for r in rest)]
-        # the fiber over a conjugate prefix holds the conjugate roots
-        for conj in orbit:
-            out.extend(conj + (z,) for z in zs)
-            zs = [frob[z] for z in zs]
+    frob = frobenius_table(ext, q)
+    values, line = ext.values, ext.elements()
+    # a form vanishes at (0:...:0:1) iff it has no z^d term
+    on_origin = all(all(any(e[:-1]) for e, _ in p.terms) for p in model.polys)
+    out = [(0,) * n + (1,)] if on_origin else []
+    # heads in P^(n-2) and the zero head, whose only prefix is (0:...:0:1)
+    heads = [((0,) * (n - 1), 1, ((1, 1),))]
+    heads += [(head, s, orbit_representatives(ext, q ** s))
+              for head, s in _representatives(n - 2, ext, q)]
+    for head, s, reps in heads:
+        # every form's coefficients in z, at every y over the head
+        ys = [y for y, _ in reps]
+        cols = [list(zip(*[values(c, ys) for c in _restrict(f, head, ext)]))
+                for f in fibs]
+        main, others = cols[key], cols[:key] + cols[key + 1:]
+        for i, (y, t) in enumerate(reps):
+            if solve is not None:
+                roots = solve(*main[i])
+                if roots is None:
+                    roots = line
+            else:
+                roots = [z for z, v in zip(line, values(main[i], line)) if not v]
+            for f in others:
+                if roots:
+                    roots = [z for z, v in zip(roots, values(f[i], roots)) if not v]
+            if not roots:
+                continue
+            # the fiber over a conjugate prefix holds the conjugate roots
+            prefix = head + (y,)
+            for _ in range(s * t):
+                out.extend(prefix + (z,) for z in roots)
+                prefix = tuple([frob[x] for x in prefix])
+                roots = [frob[z] for z in roots]
     # normalized tuples sort in projective_points order
     out.sort()
     return tuple(out)
@@ -389,20 +398,38 @@ def points_on_model(model, ext: GF) -> list:
     return list(_model_points(model, ext))
 
 
+def _embedded_terms(poly: MultiPoly, ext: GF) -> tuple:
+    """The terms of the form as (coefficient in ext, factors), as
+    ``GF.evaluate`` takes them: the factors list variable v once per unit
+    of its exponent."""
+    return tuple((embed(c, poly.field, ext),
+                  tuple(v for v, e in enumerate(exps) for _ in range(e)))
+                 for exps, c in poly.terms)
+
+
+def _jacobian(model, ext: GF) -> list:
+    """The partial derivatives of the model's forms, one row per form,
+    embedded in ext as ``GF.evaluate`` takes them."""
+    return [[_embedded_terms(p.partial(v), ext) for v in range(p.nvars)]
+            for p in model.polys]
+
+
 @lru_cache(maxsize=None)
 def smoothness_probe(model, m_probe: int = 6):
     """Points over GF(q^m), m <= m_probe, where the Jacobian drops rank.
 
     Empty tuple means the probe passed.  Results are (m, point) pairs.
+    The partial derivatives are embedded in each GF(q^m) once and then
+    evaluated at its points.
     """
     if m_probe < 1:
         raise ValueError("probe depth must be >= 1")
-    jac = tuple(tuple(p.partial(v) for v in range(p.nvars)) for p in model.polys)
     bad = []
     for m in range(1, m_probe + 1):
         ext = _extension(model.field, m)
+        jac = _jacobian(model, ext)
         for pt in points_on_model(model, ext):
-            rows = [tuple(d(pt, ext) for d in row) for row in jac]
+            rows = [[ext.evaluate(d, pt) for d in row] for row in jac]
             if _rank_lt_codim(rows, ext, len(model.polys)):
                 bad.append((m, pt))
     return tuple(bad)

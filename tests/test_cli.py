@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from ffcn import cli, table64
+from ffcn import cli, covers, table64
 from ffcn.catalog import (DEFAULT_CATALOG, build_model, count_depth, dump_catalog,
                           get_entry)
 from ffcn.gf import GF, make_field
@@ -123,6 +123,57 @@ def test_zero_denominator_in_catalog_exits_two(tmp_path, f):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"input error: zero denominator in rational function {f!r}\n"
+
+
+# covers outside the handled standard form are unusable input (exit 2);
+# the first two are the ones that exited 1 as mathematical failures
+NONSTANDARD_COVERS = [
+    ({"kind": "kummer", "p": 3, "k": 1, "f": "x^5"},
+     "valuation 5 at Place(x) outside the handled range; "
+     "valuation -5 at Place(infinity) outside the handled range"),
+    ({"kind": "kummer", "p": 3, "k": 1, "f": "0"}, "right-hand side is identically zero"),
+    ({"kind": "artin_schreier", "p": 3, "k": 1, "f": "x^3+x"},
+     "Artin-Schreier covers need characteristic 2"),
+]
+
+
+@pytest.mark.parametrize("spec,message", NONSTANDARD_COVERS,
+                         ids=["valuation", "zero", "characteristic"])
+@pytest.mark.parametrize("command", ["zeta", "places", "verify"])
+def test_nonstandard_cover_exits_two(tmp_path, capsys, command, spec, message):
+    path = tmp_path / "input.json"
+    if command == "verify":
+        item = json.loads(dump_catalog())[5]  # curve vi, a Kummer cover over GF(3)
+        item.update(kind=spec["kind"], p=spec["p"], k=spec["k"], data={"f": spec["f"]})
+        path.write_text(json.dumps([item]))
+        args = ["verify", "--catalog", str(path)]
+    else:
+        path.write_text(json.dumps(spec))
+        args = [command, "--model", str(path)]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command,label", [
+    ("zeta", "model error"), ("places", "model error"), ("verify", "verification error")])
+@pytest.mark.parametrize("target,message", [
+    ("cover_genus", "Hurwitz formula gives non-genus 2g = -3"),
+    ("place_census", "N_1 = 9 violates the Weil bound: constant field extension?")],
+    ids=["hurwitz", "weil"])
+def test_cover_failing_a_theorem_exits_one(monkeypatch, capsys, command, label,
+                                           target, message):
+    def fail(*args):
+        raise covers.InvalidCoverError(message)
+
+    monkeypatch.setattr(covers, target, fail)
+    assert cli.main([command, "--curve", "i"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    if target == "place_census":  # met while counting, after the genus
+        label = {"zeta": "zeta pipeline error", "places": "census error"}.get(command, label)
+    assert err == f"{label}: {message}\n"
 
 
 @pytest.mark.parametrize("drop,add,message", [

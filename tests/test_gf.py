@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from ffcn.gf import (_TABLE_MAX, GF, MAX_K, SUPPORTED_P, FieldError, _is_field,
-                     element_str, embed, embedding, make_field, parse_element)
+                     element_str, embed, embedding, frobenius_table, make_field,
+                     orbit_representatives, parse_element)
 from ffcn.polyring import Poly, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
@@ -240,3 +243,127 @@ def test_element_text_round_trip():
         s = element_str(F8, a, "b")
         assert parse_element(s, F8, "b") == a
     assert parse_element("b^3", F8, "b") == F8.pow(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Frobenius tables, orbit representatives and the table-driven kernels
+
+
+def _naive_horner(F, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def _euler_phi(n):
+    return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+def _burnside(q, m, r):
+    """Orbits of x -> x^q on r-tuples over GF(q^m): the average number of
+    tuples fixed by a power of the map, the fixed field GF(q^d) for d | m."""
+    total = sum(_euler_phi(m // d) * q ** (d * r) for d in range(1, m + 1) if m % d == 0)
+    assert total % m == 0
+    return total // m
+
+
+def _tuple_representatives(F, q, r):
+    """(least r-tuple, orbit size) per orbit, built as the curve point walk
+    builds its prefixes: a least head, then a last coordinate least under
+    the head's stabiliser."""
+    if r == 0:
+        return [((), 1)]
+    return [(head + (y,), s * t) for head, s in _tuple_representatives(F, q, r - 1)
+            for y, t in orbit_representatives(F, q ** s)]
+
+
+ORBIT_FIELDS = ([(2, 1, m) for m in range(1, 7)] + [(2, 2, m) for m in (1, 2, 3)]
+                + [(3, 1, m) for m in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("p,k,m", ORBIT_FIELDS)
+@pytest.mark.parametrize("r", [1, 2])
+def test_orbit_representatives_match_burnside_and_brute_force(p, k, m, r):
+    q, F = p ** k, make_field(p, k * m)
+    reps = _tuple_representatives(F, q, r)
+    assert len(reps) == _burnside(q, m, r)
+    # every orbit, walked with pow rather than the table, holds exactly one
+    # representative, and its size is the representative's orbit size
+    least = {}
+    for point in itertools.product(F.elements(), repeat=r):
+        orbit = [point]
+        while True:
+            nxt = tuple(F.pow(c, q) for c in orbit[-1])
+            if nxt == point:
+                break
+            orbit.append(nxt)
+        least[min(orbit)] = len(orbit)
+    assert dict(reps) == least
+    assert [x for x, _ in reps] == sorted(x for x, _ in reps)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (2, 17), (3, 11)])
+def test_frobenius_table_is_the_q_power_map(p, k):
+    F = make_field(p, k)
+    rng = random.Random(k)
+    sample = F.elements() if F.order <= 729 else [rng.randrange(F.order) for _ in range(300)]
+    # without tables, one table is built per step: one step suffices there
+    for step in ((1, 2, k) if F._log is not None else (1,)):
+        q = p ** step
+        table = frobenius_table(F, q)
+        assert len(table) == F.order
+        assert all(table[a] == F.pow(a, q) for a in sample)
+
+
+# p = 2 and 3, with tables and (GF(2^17), GF(3^11)) without them
+KERNEL_FIELDS = [(2, 1), (2, 4), (2, 10), (2, 16), (2, 17), (3, 1), (3, 3), (3, 7), (3, 11)]
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_horner_and_values_match_naive_evaluation(p, k):
+    F = make_field(p, k)
+    assert (F._log is None) == (F.order > _TABLE_MAX)
+    rng = random.Random(f"horner {p}^{k}")
+    for _ in range(200):
+        coeffs = [rng.randrange(F.order) if rng.random() < 0.8 else 0
+                  for _ in range(rng.randrange(7))]
+        xs = [rng.randrange(F.order) for _ in range(5)] + [0, 1]
+        expected = [_naive_horner(F, coeffs, x) for x in xs]
+        assert [F.horner(coeffs, x) for x in xs] == expected, coeffs
+        assert F.values(coeffs, xs) == expected, coeffs
+        assert F.values(coeffs, xs[:2]) == expected[:2], coeffs
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_evaluate_and_from_roots_match_naive_products(p, k):
+    F = make_field(p, k)
+    rng = random.Random(f"evaluate {p}^{k}")
+    for _ in range(100):
+        coords = [rng.choice((0, 1, rng.randrange(F.order))) for _ in range(4)]
+        terms = [(rng.randrange(F.order), tuple(rng.randrange(4) for _ in range(rng.randrange(5))))
+                 for _ in range(rng.randrange(6))]
+        expected = 0
+        for c, factors in terms:
+            for v in factors:
+                c = F.mul(c, coords[v])
+            expected = F.add(expected, c)
+        assert F.evaluate(terms, coords) == expected, (terms, coords)
+        roots = [rng.randrange(F.order) for _ in range(rng.randrange(6))]
+        prod = Poly.one(F)
+        for r in roots:
+            prod = prod * Poly(F, (F.neg(r), 1))
+        assert tuple(F.from_roots(roots)) == prod.coeffs, roots
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_trace_mask_matches_the_sum_of_conjugates(k):
+    # every element for k <= 10, a seeded sample above
+    F = make_field(2, k)
+    rng = random.Random(f"trace {k}")
+    sample = F.elements() if k <= 10 else [rng.randrange(F.order) for _ in range(200)]
+    for a in sample:
+        s, x = 0, a
+        for _ in range(k):
+            s, x = F.add(s, x), F.mul(x, x)
+        assert F.trace(a) == s, a

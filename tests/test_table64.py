@@ -1,3 +1,4 @@
+from ffcn import table64
 from ffcn.gf import make_field
 from ffcn.table64 import (CUBICS, PUBLISHED_TABLE, QUADRICS, SURVIVOR_FAMILY,
                           SURVIVOR_MASK, build_family, expanded_quadric,
@@ -31,6 +32,21 @@ def test_mask_zero_is_base_quadric():
     for family in (1, 2, 3, 4):
         base = parse_multipoly(QUADRICS[family], F2, VARS)
         assert expanded_quadric(family, (0, 0, 0, 0)) == base
+
+
+def test_each_base_quadric_is_parsed_once(monkeypatch):
+    parsed = []
+
+    def counting_parse(text, *args):
+        parsed.append(text)
+        return parse_multipoly(text, *args)
+
+    monkeypatch.setattr(table64, "parse_multipoly", counting_parse)
+    table64._base_quadric.cache_clear()
+    for family in (1, 2, 3, 4):
+        for code in range(16):
+            expanded_quadric(family, tuple((code >> (3 - j)) & 1 for j in range(4)))
+    assert sorted(parsed) == sorted(QUADRICS.values())
 
 
 def test_all_rows_verify():

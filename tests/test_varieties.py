@@ -7,11 +7,14 @@ from ffcn.catalog import build_model, get_entry
 from ffcn.gf import make_field
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
-                            SpaceCurve, curve_point_counts, format_multipoly,
-                            format_point, min_point_degree, normalize_point,
-                            parse_multipoly, parse_point, point_degree,
-                            points_on_model, projective_point_count,
-                            projective_points, smoothness_probe)
+                            SpaceCurve, _jacobian, _representatives,
+                            curve_point_counts,
+                            format_multipoly, format_point, min_point_degree,
+                            normalize_point, parse_multipoly, parse_point,
+                            point_degree, points_on_model,
+                            projective_point_count, projective_points,
+                            smoothness_probe)
+from ffcn.zeta import PointCounts, extend_counts, l_polynomial
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -254,3 +257,57 @@ def test_orbit_walk_matches_brute_force_on_genus_four_curves(m):
         pts = points_on_model(model, ext)
         assert pts == brute_force_points(model, ext)
         assert _closed_under_frobenius(pts, ext, 2)
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2)])
+def test_representatives_are_the_least_points_of_the_orbits(p, k, m):
+    # P^1 heads the prefixes of space curves; P^2 checks the recursion
+    # past one level
+    q, ext = p ** k, make_field(p, k * m)
+    for dim in (1, 2):
+        least = {}
+        for pt in projective_points(dim, ext):
+            orbit = [pt]
+            while (nxt := tuple(ext.pow(c, q) for c in orbit[-1])) != pt:
+                orbit.append(nxt)
+            least[min(orbit)] = len(orbit)
+        assert dict(_representatives(dim, ext, q)) == least, dim
+
+
+# ---------------------------------------------------------------------------
+# the probe's table-driven Jacobian against MultiPoly evaluation
+
+def _jacobian_cases():
+    rng = random.Random("jacobian")
+    F3, F4 = make_field(3, 1), make_field(2, 2)
+    models = [build_model(get_entry("viii")), build_model(get_entry("iv")), _survivor()]
+    models += [PlaneCurve(_random_form(rng, F, 3, 4, lambda e: True)) for F in (F3, F4)]
+    models += [SpaceCurve(_random_form(rng, F, 4, 3, lambda e: True),
+                          _random_form(rng, F, 4, 2, lambda e: True)) for F in (F3, F4)]
+    return models
+
+
+@pytest.mark.parametrize("model", _jacobian_cases(),
+                         ids=["viii", "iv", "survivor", "plane-GF3", "plane-GF4",
+                              "space-GF3", "space-GF4"])
+def test_probe_jacobian_matches_multipoly_evaluation(model):
+    # at every point of P^n over the fields up to order 16
+    F = model.field
+    for m in range(1, 5):
+        ext = make_field(F.p, F.k * m)
+        if ext.order > 16:
+            break
+        jac = _jacobian(model, ext)
+        partials = [[f.partial(v) for v in range(f.nvars)] for f in model.polys]
+        for pt in projective_points(model.dim, ext):
+            assert ([[ext.evaluate(d, pt) for d in row] for row in jac]
+                    == [[d(pt, ext) for d in row] for row in partials]), (m, pt)
+
+
+def test_viii_counts_to_gf256_match_the_l_extension():
+    # N_5..N_8 by the orbit walk over P^2(GF(2^m)), against the
+    # L-polynomial that N_1..N_4 determine
+    model = build_model(get_entry("viii"))
+    counts = curve_point_counts(model, 8)
+    L = l_polynomial(PointCounts(2, 4, tuple(counts[:4])))
+    assert extend_counts(L, 8).counts == tuple(counts)
