@@ -45,7 +45,8 @@ MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError)
 # The largest enumeration a run may start (``enumeration_size`` of its
 # model); a run beyond it is refused before any work.  It admits curves
 # to GF(2^8) and covers to GF(2^17), GF(3^10) and GF(4^8); the slowest of
-# these, ``places --curve iii --max-place-degree 17``, takes about 3.1 s.
+# these, ``places --curve iii --max-place-degree 17``, takes about 0.7 s
+# on a 2-core VM.
 ENUMERATION_BUDGET = 131_072
 
 

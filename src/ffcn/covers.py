@@ -1,12 +1,18 @@
 """Degree-2 covers of the rational function field: Artin-Schreier
 (y^2 + y = f, characteristic 2) and Kummer (y^2 = f, characteristic 3).
 
-Everything is computed place by place over the base field: ramification
-data from the valuations of f, genus from the Hurwitz formula, and the
-place-degree census from the split/inert/ramified trichotomy (absolute
-trace for Artin-Schreier, quadratic character for Kummer).  The support
+Ramification data come from the valuations of f on its support, found
+by trial division, and the genus from the Hurwitz formula.  The support
 of f and the genus are cached by value, so each cover's support is
 walked once however often its model is rebuilt.
+
+The place-degree census follows the split/inert/ramified trichotomy
+(absolute trace for Artin-Schreier, quadratic character for Kummer)
+without building the places: each finite place of degree d is its
+canonical root, one least member per Frobenius orbit of size d in
+GF(q^d), and f's numerator and denominator are evaluated at all of those
+roots at once.  Only the infinite place and the places of the support
+are decided one by one, by ``splitting_type``.
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ import enum
 from functools import lru_cache
 from types import MappingProxyType
 
-from .gf import MAX_K, GF
+from .gf import MAX_K, GF, make_field, orbit_representatives
 from .polyring import (Place, RationalFunction, monic_irreducibles,
-                       place_valuation, places_of_degree, residue,
-                       residue_field, unit_residue)
+                       place_valuation, residue, residue_field, unit_residue)
 from .records import record
 from .zeta import PlaceCensus, census_to_counts
 
@@ -194,24 +199,56 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
     Ramified base places give one place of the same degree; split give
     two; inert give one of twice the degree (recorded when 2d <= d_max).
     Base places are scanned through degree d_max so that every cover
-    place of degree <= d_max is seen.  Raises InvalidCoverError unless
-    the cover is in standard form, and when N_1 breaks the Weil bound
-    (a cover that secretly extends the constant field splits every place).
+    place of degree <= d_max is seen.
+
+    A finite place of degree d is visited as its canonical root, the
+    least member of an orbit of size d of x -> x^q on GF(q^d)
+    (``gf.orbit_representatives``).  The numerator and denominator of f
+    are evaluated at all of these roots at once.  Where neither vanishes
+    the place is unramified and f(root) is its residue: it splits iff the
+    residue has trace 0 (Artin-Schreier) or is a square (Kummer, where
+    num/den is a square iff num*den is).  The infinite place and the
+    roots of f's finite support go through ``splitting_type``.
+
+    Raises InvalidCoverError unless the cover is in standard form, and
+    when N_1 breaks the Weil bound (a cover that secretly extends the
+    constant field splits every place).
     """
     if d_max < 1:
         raise ValueError("census degree bound must be >= 1")
     g = cover.genus
+    F, f = cover.field, cover.f
+    artin_schreier = cover.kind is CoverKind.ARTIN_SCHREIER
+    support = [place for place in support_places(f) if not place.is_infinite]
     B = [0] * d_max
+
+    def tally(d: int, kind: str, n: int = 1):
+        if kind == "ramified":
+            B[d - 1] += n
+        elif kind == "split":
+            B[d - 1] += 2 * n
+        elif 2 * d <= d_max:
+            B[2 * d - 1] += n
+
+    tally(1, splitting_type(cover, Place.infinite(F)))
     for d in range(1, d_max + 1):
-        for place in places_of_degree(cover.field, d):
-            kind = splitting_type(cover, place)
-            if kind == "ramified":
-                B[d - 1] += 1
-            elif kind == "split":
-                B[d - 1] += 2
-            elif 2 * d <= d_max:
-                B[2 * d - 1] += 1
-    q, n1 = cover.field.order, B[0]
+        R = make_field(F.p, F.k * d)
+        roots = [a for a, size in orbit_representatives(R, F.order) if size == d]
+        at_support = {residue_field(place)[1]: place
+                      for place in support if place.degree == d}
+        split = inert = 0
+        for root, a, b in zip(roots, f.num.values_in(roots, R),
+                              f.den.values_in(roots, R)):
+            if not (a and b):
+                tally(d, splitting_type(cover, at_support[root]))
+            elif (R.trace(R.mul(a, R.inv(b))) == 0 if artin_schreier
+                  else R.quadratic_character(R.mul(a, b)) == 1):
+                split += 1
+            else:
+                inert += 1
+        tally(d, "split", split)
+        tally(d, "inert", inert)
+    q, n1 = F.order, B[0]
     if (n1 - (q + 1)) ** 2 > 4 * g * g * q:
         raise InvalidCoverError(
             f"N_1 = {n1} violates the Weil bound: constant field extension?")

@@ -23,10 +23,12 @@ logarithm ``zech[n] = log(1 + g^n)``: a + b = a*(1 + b/a) is
 Where 1 + g^n = 0, ``zech[n]`` is ``log[0]`` and lands in the zeros.
 
 Above ``_TABLE_MAX`` there are no tables.  A p = 2 product is a shift/xor
-product of ints, reduced as it goes by the modulus held as a bitmask, and
-``inv`` and ``pow`` square and multiply with it.  For p = 3 the product,
-sum, difference and negative go through base-3 digit lists.  These table-
-free ring operations also test candidate moduli and find the generator.
+product of ints, reduced as it goes by the modulus held as a bitmask;
+``pow`` squares and multiplies with it, and ``inv`` runs the extended
+Euclidean algorithm on bitmasks.  For p = 3 the product, sum, difference
+and negative go through base-3 digit lists, and ``inv`` is a power.
+These table-free ring operations also test candidate moduli and find the
+generator.
 
 The tables are built by stepping e -> e*g through the powers of g.  The
 step uses that e -> e*g is GF(p)-linear: with e split into its low and
@@ -207,6 +209,20 @@ class GF:
                 a = self._raw_mul(a, a)
         return r
 
+    def _raw_inv(self, a: int) -> int:
+        """1/a for p = 2 by the extended Euclidean algorithm on bitmasks:
+        g1*a = u and g2*a = v modulo the modulus throughout, and u and v
+        lose their leading terms until u = 1 (Hankerson, Menezes and
+        Vanstone, Guide to Elliptic Curve Cryptography, alg. 2.48)."""
+        u, v, g1, g2 = a, self._mask, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
     def _find_generator(self) -> int:
         q = self.order
         if q == 2:
@@ -363,7 +379,7 @@ class GF:
         if a == 0:
             raise FieldError("inversion of zero")
         if self._log is None:
-            return self._raw_pow(a, self.order - 2)
+            return self._raw_inv(a) if self.p == 2 else self._raw_pow(a, self.order - 2)
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:

@@ -162,6 +162,11 @@ class Poly:
         image = embedding(self.field, ext)
         return ext.horner([image[c] for c in self.coeffs], x)
 
+    def values_in(self, xs, ext: GF) -> list[int]:
+        """Evaluate at each of the points xs of an extension field."""
+        image = embedding(self.field, ext)
+        return ext.values([image[c] for c in self.coeffs], xs)
+
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field is other.field
                 and self.coeffs == other.coeffs)

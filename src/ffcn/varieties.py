@@ -29,18 +29,20 @@ head is put into each fibered form once, leaving polynomials in y; one
 ``GF.values`` call per polynomial gives the form's coefficients in z at
 every y of the head.  The solved form's roots are checked against the
 other forms by ``GF.values`` too, and the points over the conjugate
-prefixes come from the x^q table (``gf.frobenius_table``).  The list is
-then sorted: normalized tuples in ascending order are exactly
-``projective_points`` order, (0:...:0:1) first, so witnesses and reports
-do not depend on the walk.
+prefixes come from the x^q table (``gf.frobenius_table``).
 
-The smoothness probe evaluates the partial derivatives at each point
-from their terms, embedded in the extension field once per field, with
-``GF.evaluate``.
+The walk is computed once per (model, extension field) and keeps each
+point over a least prefix with the size of the prefix's orbit.
+``points_on_model`` expands those into their conjugates and sorts them:
+normalized tuples in ascending order are exactly ``projective_points``
+order, (0:...:0:1) first, so witnesses and reports do not depend on the
+walk.  ``curve_point_counts`` and ``min_point_degree`` read that list.
 
-The point list is computed once per (model, extension field) and shared
-by ``smoothness_probe``, ``curve_point_counts`` and ``min_point_degree``;
-``points_on_model`` hands each caller its own copy.
+The smoothness probe needs no expansion: the partial derivatives have
+coefficients in GF(q), so the Jacobian drops rank at a point iff it does
+at the point's conjugates.  It evaluates them once per point of the walk,
+from their terms embedded in the extension field once per field, with
+``GF.evaluate``, and expands only the singular points.
 """
 
 from __future__ import annotations
@@ -344,6 +346,9 @@ def _quadratic_solver(ext: GF):
 
 @lru_cache(maxsize=None)
 def _model_points(model, ext: GF) -> tuple:
+    """(point, n) for every point over the least prefix of each orbit of
+    prefixes, n the size of that prefix orbit: the point and its first
+    n - 1 images under x -> x^q are the points over the whole orbit."""
     n, q = model.dim, model.field.order
     fibs = [_fibered(p, ext) for p in model.polys]
     # solve the form of least degree in z, check the others at its roots
@@ -352,12 +357,10 @@ def _model_points(model, ext: GF) -> tuple:
     if len(fibs[key]) <= 3:
         fibs[key] += [[]] * (3 - len(fibs[key]))  # coefficients c, b, a
         solve = _quadratic_solver(ext)
-    # x -> x^q fixes the embedded coefficients, so it permutes the fibers
-    frob = frobenius_table(ext, q)
     values, line = ext.values, ext.elements()
     # a form vanishes at (0:...:0:1) iff it has no z^d term
     on_origin = all(all(any(e[:-1]) for e, _ in p.terms) for p in model.polys)
-    out = [(0,) * n + (1,)] if on_origin else []
+    out = [((0,) * n + (1,), 1)] if on_origin else []
     # heads in P^(n-2) and the zero head, whose only prefix is (0:...:0:1)
     heads = [((0,) * (n - 1), 1, ((1, 1),))]
     heads += [(head, s, orbit_representatives(ext, q ** s))
@@ -378,24 +381,30 @@ def _model_points(model, ext: GF) -> tuple:
             for f in others:
                 if roots:
                     roots = [z for z, v in zip(roots, values(f[i], roots)) if not v]
-            if not roots:
-                continue
-            # the fiber over a conjugate prefix holds the conjugate roots
-            prefix = head + (y,)
-            for _ in range(s * t):
-                out.extend(prefix + (z,) for z in roots)
-                prefix = tuple([frob[x] for x in prefix])
-                roots = [frob[z] for z in roots]
-    # normalized tuples sort in projective_points order
-    out.sort()
+            out.extend((head + (y, z), s * t) for z in roots)
     return tuple(out)
+
+
+def _conjugates(point, n: int, frob) -> list:
+    """The point and its images under the first n - 1 powers of x -> x^q."""
+    out = [point]
+    for _ in range(n - 1):
+        point = tuple([frob[x] for x in point])
+        out.append(point)
+    return out
 
 
 def points_on_model(model, ext: GF) -> list:
     """Normalized points of the common zero locus over the given field,
     in projective_points order.  Each call returns a fresh list; the
-    enumeration itself runs once per (model, field)."""
-    return list(_model_points(model, ext))
+    orbit walk itself runs once per (model, field)."""
+    # the fiber over a conjugate prefix holds the conjugate points
+    frob = frobenius_table(ext, model.field.order)
+    out = [c for point, n in _model_points(model, ext)
+           for c in _conjugates(point, n, frob)]
+    # normalized tuples sort in projective_points order
+    out.sort()
+    return out
 
 
 def _embedded_terms(poly: MultiPoly, ext: GF) -> tuple:
@@ -418,9 +427,12 @@ def _jacobian(model, ext: GF) -> list:
 def smoothness_probe(model, m_probe: int = 6):
     """Points over GF(q^m), m <= m_probe, where the Jacobian drops rank.
 
-    Empty tuple means the probe passed.  Results are (m, point) pairs.
-    The partial derivatives are embedded in each GF(q^m) once and then
-    evaluated at its points.
+    Empty tuple means the probe passed.  Results are (m, point) pairs,
+    in projective_points order for each m.  The partial derivatives are
+    embedded in each GF(q^m) once and evaluated at one point per orbit
+    of the walk (``_model_points``): they are defined over GF(q), so a
+    point is singular iff its conjugates are, and only the singular
+    points are expanded into their conjugates.
     """
     if m_probe < 1:
         raise ValueError("probe depth must be >= 1")
@@ -428,10 +440,13 @@ def smoothness_probe(model, m_probe: int = 6):
     for m in range(1, m_probe + 1):
         ext = _extension(model.field, m)
         jac = _jacobian(model, ext)
-        for pt in points_on_model(model, ext):
+        frob = frobenius_table(ext, model.field.order)
+        singular = []
+        for pt, n in _model_points(model, ext):
             rows = [[ext.evaluate(d, pt) for d in row] for row in jac]
             if _rank_lt_codim(rows, ext, len(model.polys)):
-                bad.append((m, pt))
+                singular += _conjugates(pt, n, frob)
+        bad += [(m, pt) for pt in sorted(singular)]
     return tuple(bad)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ffcn import covers
-from ffcn.catalog import build_model, get_entry
+from ffcn.catalog import build_model, count_depth, get_entry
 from ffcn.covers import (CoverKind, CoverModel, InvalidCoverError,
                          cover_genus, place_census, ramification_data,
                          splitting_type, support_places, validate_standard_form)
@@ -126,7 +126,8 @@ def test_each_cover_support_is_walked_once(monkeypatch):
 # division and from the y-roots in each residue field
 
 MAX_SUPPORT_DEGREE = 6  # the support walk visits GF(q^6) at most
-ORACLE_DEGREE = 4
+# census depth per family: the oracle scans each residue field for y
+ORACLE_DEGREE = {"as-gf2": 10, "as-gf4": 5, "kummer-gf3": 7}
 
 
 def _low_places(F):
@@ -237,6 +238,17 @@ def _oracle(cover, d_max):
 @pytest.mark.parametrize("name", sorted(RANDOM_COVERS))
 def test_census_and_genus_match_the_oracle(name):
     cover = RANDOM_COVERS[name]
-    genus, census = _oracle(cover, ORACLE_DEGREE)
+    depth = ORACLE_DEGREE[name.rsplit("-", 1)[0]]
+    genus, census = _oracle(cover, depth)
     assert cover_genus(cover) == genus
-    assert place_census(cover, ORACLE_DEGREE).counts == census
+    assert place_census(cover, depth).counts == census
+
+
+@pytest.mark.parametrize("curve_id", ["i", "ii", "iii", "vi", "vii"])
+def test_catalog_census_matches_the_oracle(curve_id):
+    # each catalog cover to the depth ``ffc verify`` counts it
+    cover = build_model(get_entry(curve_id))
+    depth = count_depth(cover, 5)
+    genus, census = _oracle(cover, depth)
+    assert cover_genus(cover) == genus
+    assert place_census(cover, depth).counts == census

@@ -311,3 +311,77 @@ def test_viii_counts_to_gf256_match_the_l_extension():
     counts = curve_point_counts(model, 8)
     L = l_polynomial(PointCounts(2, 4, tuple(counts[:4])))
     assert extend_counts(L, 8).counts == tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# the probe, which evaluates the Jacobian once per orbit of the walk,
+# against a scan of every point with MultiPoly evaluation
+
+F3 = make_field(3, 1)
+
+SINGULAR_PLANE_FORMS = ("y^2z+x^3", "y^4+x^3z", "x^2y^2+y^2z^2+z^2x^2+xyz^2",
+                        # singular at (1:a:0), a^2 + a + 1 = 0, in characteristic
+                        # 2: the prefix (1:a) has an orbit of size 2
+                        "x^4+x^2y^2+y^4+xz^3")
+# cubic and quadric meet on the vertex line x3 = x4 = 0 of a quadric cone,
+# where the cubic restricts to an irreducible cubic: three conjugate
+# singular points of degree 3, over prefixes (1:t:0) with orbits of size 3
+SINGULAR_SPACE_CURVES = {F2: ("x1^3+x1^2x2+x2^3+x3^3+x1x4^2+x4^3", "x3^2+x3x4+x4^2"),
+                         F3: ("x1^3+2x1^2x2+x2^3+x3^3+x1x4^2+x4^3", "x3^2+x4^2")}
+
+
+def _singular_cases():
+    cases = {f"{s}-{F}": PlaneCurve(parse_multipoly(s, F, XYZ))
+             for s in SINGULAR_PLANE_FORMS for F in (F2, F3)}
+    cases.update((f"space-{F}", SpaceCurve(parse_multipoly(c, F, X4),
+                                           parse_multipoly(q, F, X4)))
+                 for F, (c, q) in SINGULAR_SPACE_CURVES.items())
+    return cases
+
+
+SINGULAR_CASES = _singular_cases()
+
+
+def _scan_probe(model, m_probe):
+    """Every point of the model over GF(q^m), m <= m_probe, where the
+    partial derivatives, evaluated as MultiPolys, have rank below the
+    codimension: all vanish for a plane curve, all 2x2 minors for a
+    space curve."""
+    F, bad = model.field, []
+    partials = [[f.partial(v) for v in range(f.nvars)] for f in model.polys]
+    for m in range(1, m_probe + 1):
+        ext = make_field(F.p, F.k * m)
+        for pt in points_on_model(model, ext):
+            rows = [[d(pt, ext) for d in row] for row in partials]
+            if len(rows) == 1:
+                singular = not any(rows[0])
+            else:
+                r1, r2 = rows
+                singular = all(ext.mul(r1[i], r2[j]) == ext.mul(r1[j], r2[i])
+                               for i, j in itertools.combinations(range(len(r1)), 2))
+            if singular:
+                bad.append((m, pt))
+    return tuple(bad)
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_CASES))
+def test_probe_matches_the_scan_of_every_point(name):
+    model = SINGULAR_CASES[name]
+    depth = 6 if model.field.p == 2 else 4
+    bad = _scan_probe(model, depth)
+    assert bad and smoothness_probe(model, depth) == bad
+    with pytest.raises(SingularModelError) as err:
+        curve_point_counts(model, 1, depth)
+    assert str(err.value) == (f"model failed the smoothness probe at {bad[0]} "
+                              f"({len(bad)} singular point(s) up to depth {depth})")
+
+
+def test_probe_expands_singular_points_of_higher_degree():
+    # the conjugate expansion is exercised: singular points of degree 2 and
+    # 3 over prefixes that are not fixed by x -> x^q
+    degrees = set()
+    for name in ("x^4+x^2y^2+y^4+xz^3-GF(2)", "space-GF(2)", "space-GF(3)"):
+        model = SINGULAR_CASES[name]
+        for m, pt in smoothness_probe(model, 6 if model.field.p == 2 else 4):
+            degrees.add(point_degree(pt, make_field(model.field.p, m), model.field))
+    assert degrees == {2, 3}
