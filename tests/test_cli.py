@@ -84,6 +84,7 @@ def test_tampered_catalog_exits_one(tmp_path):
     path.write_text(json.dumps(items))
     proc = run_cli("verify", "--catalog", str(path), "--curve", "i")
     assert proc.returncode == 1
+    assert proc.stdout.endswith("\noverall: fail\n")
 
 
 @pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
