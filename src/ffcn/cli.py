@@ -37,9 +37,11 @@ from .gf import FieldError, make_field
 from .polyring import (Place, irreducible_count, is_irreducible,
                        monic_irreducibles, place_valuation, places_of_degree,
                        residue, residue_field, unit_residue)
-from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, build_family,
-                      find_survivors, survivor_analysis, verify_row)
-from .varieties import SingularModelError, format_multipoly
+from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, WitnessMismatchError,
+                      build_family, find_survivors, survivor_analysis,
+                      verify_row)
+from .varieties import (BudgetError, SingularModelError, check_budget,
+                        format_multipoly)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, PointCounts,
                    census_from_counts, census_to_counts, class_number,
                    extend_counts, l_polynomial)
@@ -51,14 +53,8 @@ EXIT_FLUSH_FAILED = 120  # the interpreter's status when its flush at exit fails
 
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError,
                 json.JSONDecodeError, FieldError)
-MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError)
-
-# The largest enumeration a run may start (``enumeration_size`` of its
-# model); a run beyond it is refused before any work.  It admits curves
-# to GF(2^8) and covers to GF(2^17), GF(3^10) and GF(4^8); the slowest of
-# these, ``places --curve iii --max-place-degree 17``, takes about 0.7 s
-# on a 2-core VM.
-ENUMERATION_BUDGET = 131_072
+MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError,
+               WitnessMismatchError)
 
 
 def _check_cost(model, n: int, probe_depth: int):
@@ -66,10 +62,7 @@ def _check_cost(model, n: int, probe_depth: int):
     enumeration it starts exceeds ENUMERATION_BUDGET.  Reading a cover's
     genus walks its support, so a run is first checked at a depth that
     needs no genus."""
-    size = model.enumeration_size(n, probe_depth)
-    if size > ENUMERATION_BUDGET:
-        raise ValueError(f"the run would enumerate {size} candidates in one "
-                         f"field, beyond the budget of {ENUMERATION_BUDGET}")
+    check_budget(model.enumeration_size(n, probe_depth))
 
 
 def _input_error(exc) -> int:
@@ -206,7 +199,11 @@ def cmd_table64(ns) -> int:
         _check_cost(build_family()[0].model, n, probe_depth)
     except ValueError as exc:
         return _input_error(exc)
-    records = [_table_one(i, ns.dmax) for i in range(64)]
+    try:
+        # the pencils refuse a surface walk beyond the budget
+        records = [_table_one(i, ns.dmax) for i in range(64)]
+    except BudgetError as exc:
+        return _input_error(exc)
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
     summary = {"rows": 64,
@@ -214,8 +211,11 @@ def cmd_table64(ns) -> int:
                "survivor_undetermined": survivor_undetermined}
     survivor_ok = True
     if not survivor_undetermined:
-        rows = build_family()
-        survivors = find_survivors(rows)
+        try:
+            survivors = find_survivors(build_family())
+        except MATH_ERRORS as exc:
+            sys.stderr.write(f"survivor search error: {exc}\n")
+            return EXIT_MISMATCH
         summary["survivors"] = [
             {"family": r.family, "mask": r.mask_str} for r in survivors]
         survivor_ok = (len(survivors) == 1

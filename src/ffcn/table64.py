@@ -6,17 +6,41 @@ and the full zeta pipeline on the unique survivor.
 The published table is embedded below as ground-truth test data.  In the
 witness strings, ``a`` is the GF(4) generator with a^2+a+1 = 0 and ``b``
 the GF(8) generator with b^3+b+1 = 0, matching the table's notation.
+
+Each row's least point comes from one walk per family, not one per row.
+In characteristic 2 a quadric over GF(2) is its cross terms plus a
+square: Q = Q_x + (k.x)^2, with k the mask of its square terms.  The 16
+rows of a family share the cubic C and Q_x, so a point P of the surface
+C = 0 lies on row k iff k.P = sqrt(Q_x(P)), and one walk of that surface
+over GF(2^d) (``varieties._model_points``, on the one-form model
+``_CubicSurface``) decides every mask at once.  sqrt on GF(2^d) is
+x -> x^(2^(d-1)), one ``frobenius_table``.  The pencil walks d = 1, 2, ...
+in turn and only while a mask asked for is still open.  It is exact:
+
+- a row's points are closed under x -> x^2, so its least point over
+  GF(2^d) lies over a prefix that is least in its Frobenius orbit, and
+  the walk keeps every point over each such prefix;
+- a mask still open at degree d has no point over a smaller field, so
+  every point over GF(2^d) on it has degree exactly d.
+
+For the embedded table every mask closes by d = 4.  The surfaces of
+families 1, 3 and 4 are scanned in x4 (they contain x4^3), which costs
+2^d times a curve walk, so no surface walk beyond ENUMERATION_BUDGET
+starts.  ``find_survivors`` confirms each row the pencil leaves open with
+``min_point_degree`` on the row's own curve, an independent walk; a
+disagreement is a mathematical failure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import make_field
+from .gf import frobenius_table, make_field
 from .records import record
-from .varieties import (MultiPoly, SpaceCurve, curve_point_counts,
-                        format_point, min_point_degree, parse_multipoly,
-                        parse_point, point_degree)
+from .varieties import (MultiPoly, SpaceCurve, _embedded_terms, _model_points,
+                        check_budget, curve_point_counts, format_point,
+                        min_point_degree, parse_multipoly, parse_point,
+                        point_degree, walk_size)
 from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
                    class_number, cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)
@@ -118,6 +142,13 @@ PUBLISHED_TABLE = {
 SURVIVOR_FAMILY = 2
 SURVIVOR_MASK = (1, 0, 1, 1)
 
+# (k1, k2, k3, k4) in mask order: k1 is the high bit of the 4-bit integer
+MASKS = tuple(tuple((code >> (3 - j)) & 1 for j in range(4)) for code in range(16))
+
+
+class WitnessMismatchError(ValueError):
+    """The pencil and the row's own curve walk disagree on a row."""
+
 
 class TableRow(record("TableRow", "family mask model paper_quadric paper_witness")):
     """One published row: ``mask`` is (k1, k2, k3, k4), ``model`` the
@@ -175,16 +206,92 @@ def build_family() -> tuple[TableRow, ...]:
     rows = []
     for family in (1, 2, 3, 4):
         cubic = parse_multipoly(CUBICS[family], F2, VARS)
-        for code in range(16):
-            mask = tuple((code >> (3 - j)) & 1 for j in range(4))
-            paper_q, witness = PUBLISHED_TABLE[family][code]
+        for mask, (paper_q, witness) in zip(MASKS, PUBLISHED_TABLE[family]):
             model = SpaceCurve(cubic, expanded_quadric(family, mask))
             rows.append(TableRow(family, mask, model, paper_q, witness))
     return tuple(rows)
 
 
+class _CubicSurface:
+    """The surface C = 0 in P^3: a one-form model for the orbit walk,
+    one per pencil, so the walk's cache keys it by identity."""
+
+    __slots__ = ("field", "polys")
+    dim = 3
+
+    def __init__(self, cubic: MultiPoly):
+        self.field, self.polys = cubic.field, (cubic,)
+
+
+class _Pencil:
+    """The 16 curves C = 0, Q_x + (k.x)^2 = 0 over GF(2), k a mask, that
+    share the cubic C and the cross part Q_x of their quadrics.  A point P
+    of the surface C = 0 lies on row k iff k.P = sqrt(Q_x(P)), so one walk
+    of the surface over GF(2^d) decides every mask at once (see the
+    module docstring for why it is exact).  ``least`` maps each closed
+    mask to (degree, least point, field); degrees are walked in turn, and
+    only while the mask asked for is open."""
+
+    def __init__(self, cubic: MultiPoly, cross: MultiPoly):
+        self.surface = _CubicSurface(cubic)
+        self.cross = cross
+        self.walked = 0
+        self.least = {}
+
+    def witness(self, mask, d_max: int):
+        while mask not in self.least and self.walked < d_max:
+            self._walk(self.walked + 1)
+        found = self.least.get(mask)
+        return found if found is not None and found[0] <= d_max else None
+
+    def _walk(self, d: int):
+        check_budget(walk_size(self.surface, d))
+        ext = make_field(2, d)
+        sqrt = frobenius_table(ext, 2 ** (d - 1))
+        cross = _embedded_terms(self.cross, ext)
+        # each open mask as the coordinates it sums
+        open_masks = [(m, [j for j, k in enumerate(m) if k])
+                      for m in MASKS if m not in self.least]
+        best = {}
+        for point, _ in _model_points(self.surface, ext):
+            root = sqrt[ext.evaluate(cross, point)]
+            for mask, coords in open_masks:
+                s = 0
+                for j in coords:
+                    s ^= point[j]  # char 2: sums are xors
+                if s == root and (mask not in best or point < best[mask]):
+                    best[mask] = point
+        self.least.update((m, (d, p, ext)) for m, p in best.items())
+        self.walked = d
+
+
+@lru_cache(maxsize=None)
+def _pencil(cubic: MultiPoly, cross: MultiPoly) -> _Pencil:
+    """One pencil per family, extended in place by every caller."""
+    return _Pencil(cubic, cross)
+
+
+def pencil_witness(model: SpaceCurve, d_max: int):
+    """``min_point_degree(model, d_max)`` for a model over GF(2), read
+    from the pencil of its cubic and the cross part of its quadric; the
+    quadric's square terms x_j^2 give the mask."""
+    cross, mask = {}, [0] * 4
+    for exps, c in model.quadric.terms:
+        if 2 in exps:
+            mask[exps.index(2)] = c
+        else:
+            cross[exps] = c
+    return _pencil(model.cubic, MultiPoly.build(model.field, 4, cross)).witness(
+        tuple(mask), d_max)
+
+
 def _witness_fields():
     return {"a": make_field(2, 2), "b": make_field(2, 3)}
+
+
+def _format_witness(found) -> str:
+    """A (degree, point, field) witness in the table's notation."""
+    return format_point(found[1], found[2], "b" if found[2].k == 3 else "a")
 
 
 def verify_row(row: TableRow, d_max: int = 4) -> RowResult:
@@ -193,7 +300,10 @@ def verify_row(row: TableRow, d_max: int = 4) -> RowResult:
     Pass requires: the expanded quadric equals the published monomial set;
     the published witness (when given) lies on cubic and quadric with
     Frobenius-orbit degree matching its field of definition; and the
-    computed minimal point degree does not exceed the claimed one.
+    computed minimal point degree does not exceed the claimed one.  The
+    computed witness is read from the pencil of the row's own model
+    (``pencil_witness``), so a row with another cubic or quadric is
+    searched as given.
     """
     problems = []
     F2 = make_field(2, 1)
@@ -218,12 +328,9 @@ def verify_row(row: TableRow, d_max: int = 4) -> RowResult:
     else:
         claimed = 4
 
-    found = min_point_degree(row.model, d_max)
+    found = pencil_witness(row.model, d_max)
     computed_min = found[0] if found else None
-    computed_witness = None
-    if found:
-        symbol = "b" if found[2].k == 3 else "a"
-        computed_witness = format_point(found[1], found[2], symbol)
+    computed_witness = _format_witness(found) if found else None
     if d_max >= claimed:
         if computed_min is None or computed_min > claimed:
             problems.append(
@@ -233,8 +340,21 @@ def verify_row(row: TableRow, d_max: int = 4) -> RowResult:
 
 
 def find_survivors(rows) -> list[TableRow]:
-    """Rows with no point of degree <= 3."""
-    return [row for row in rows if min_point_degree(row.model, 3) is None]
+    """Rows with no point of degree <= 3.  The pencil decides every row;
+    each row it leaves open is confirmed by ``min_point_degree`` on the
+    row's own curve, and a point found there raises
+    WitnessMismatchError."""
+    survivors = []
+    for row in rows:
+        if pencil_witness(row.model, 3) is None:
+            found = min_point_degree(row.model, 3)
+            if found is not None:
+                raise WitnessMismatchError(
+                    f"family {row.family} mask {row.mask_str}: the pencil found no "
+                    f"point of degree <= 3, the curve has "
+                    f"{_format_witness(found)} of degree {found[0]}")
+            survivors.append(row)
+    return survivors
 
 
 def survivor_analysis(row: TableRow, probe_depth: int = 6) -> SurvivorReport:

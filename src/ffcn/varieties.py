@@ -133,14 +133,9 @@ class _ProjectiveCurve:
 
     def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
         """Candidates of the largest enumeration ``counts(n, probe_depth)``
-        starts: the prefixes of P^{dim-1}, times the field order when the
-        fiber is scanned rather than solved (degree > 2 in the last
-        variable).  Fields beyond GF(p^MAX_K) stop the run before that."""
-        m = min(max(n, probe_depth), MAX_K // self.field.k)
-        order = self.field.order ** m
-        prefixes = projective_point_count(self.dim - 1, order)
-        fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in self.polys)
-        return prefixes if fiber <= 2 else prefixes * order
+        starts, the ``walk_size`` of its deepest field.  Fields beyond
+        GF(p^MAX_K) stop the run before that."""
+        return walk_size(self, min(max(n, probe_depth), MAX_K // self.field.k))
 
 
 class PlaneCurve(_ProjectiveCurve, record("PlaneCurve", "poly")):
@@ -228,6 +223,34 @@ def projective_points(dim: int, field: GF):
 
 def projective_point_count(dim: int, q: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
+
+
+# The largest walk a run may start (``walk_size``); a run beyond it is
+# refused before the walk.  It admits curves to GF(2^8) and covers to
+# GF(2^17), GF(3^10) and GF(4^8); the slowest of these, ``places --curve
+# iii --max-place-degree 17``, takes about 0.7 s on a 2-core VM.
+ENUMERATION_BUDGET = 131_072
+
+
+def walk_size(model, m: int) -> int:
+    """Candidates the walk of the model over GF(q^m) tries: the prefixes
+    of P^(dim-1), times the field order when the fiber is scanned rather
+    than solved (degree > 2 in the last variable)."""
+    order = model.field.order ** m
+    prefixes = projective_point_count(model.dim - 1, order)
+    fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in model.polys)
+    return prefixes if fiber <= 2 else prefixes * order
+
+
+class BudgetError(ValueError):
+    """A walk would enumerate more candidates than ENUMERATION_BUDGET."""
+
+
+def check_budget(size: int):
+    """Refuse a walk of ``size`` candidates beyond ENUMERATION_BUDGET."""
+    if size > ENUMERATION_BUDGET:
+        raise BudgetError(f"the run would enumerate {size} candidates in one "
+                         f"field, beyond the budget of {ENUMERATION_BUDGET}")
 
 
 def normalize_point(coords, field: GF):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import types
 
 import pytest
 
-from ffcn import cli, covers, table64
+from ffcn import cli, covers, table64, varieties
 from ffcn.catalog import (DEFAULT_CATALOG, build_model, count_depth, dump_catalog,
                           get_entry)
 from ffcn.gf import GF, make_field
@@ -235,6 +236,42 @@ def test_table64_survivor_mismatch_exits_one(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("survivor analysis error: N_5 mismatch")
     assert "Traceback" not in err
+
+
+def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
+    # the pencil reports no point for family 3 mask 1100, which has one
+    # of degree 1: the survivor confirmation must catch it
+    row = table64.build_family()[32 + 12]
+    real = table64.pencil_witness
+    monkeypatch.setattr(table64, "pencil_witness",
+                        lambda model, d_max: (None if model == row.model and d_max == 3
+                                              else real(model, d_max)))
+    assert cli.main(["table64", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("survivor search error: family 3 mask 1100: the pencil found "
+                   "no point of degree <= 3, the curve has (0:1:1:0) of degree 1\n")
+
+
+# sha256 of reports the benchmark's digests do not cover, at the commit
+# before the pencil search gave every witness
+TABLE64_DIGESTS = {
+    ("--format", "csv"): "110df98d6785e83355f2a39dd94f32f317383bebb4d0a7b6f759c838c1d5dbd0",
+    ("--format", "text"): "f5d8fe7774112a2ede2f45ccdfde70b9cf3851a3f0632cfaa9a4dec1eb2372b3",
+    ("--format", "json", "--dmax", "1"):
+        "5569843e466340ca7ad44c6c377226310b37be1f1689834889d0fedb407e249f",
+    ("--format", "json", "--dmax", "2"):
+        "3a9a6d0d110edad2ba5294e22ab73a25fe2d736053b7e7b522188686aca9e8f7",
+    ("--format", "json", "--dmax", "3"):
+        "f02aa5c2c7f3e5b2f43e61ee3dec1c72617c99e6c55214718febdef84261c7c1",
+}
+
+
+@pytest.mark.parametrize("args", list(TABLE64_DIGESTS), ids=" ".join)
+def test_table64_reports_are_pinned(args):
+    proc = subprocess.run(CMD + ["table64", *args], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == TABLE64_DIGESTS[args]
 
 
 def test_table64_truncated_dmax():
@@ -474,7 +511,7 @@ def test_costly_runs_are_refused_before_any_work(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error: the run would enumerate ")
-    assert proc.stderr.endswith(f"beyond the budget of {cli.ENUMERATION_BUDGET}\n")
+    assert proc.stderr.endswith(f"beyond the budget of {varieties.ENUMERATION_BUDGET}\n")
 
 
 def test_costly_table64_is_refused(capsys):
@@ -483,6 +520,21 @@ def test_costly_table64_is_refused(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("input error: the run would enumerate 262657 candidates") == 2
+
+
+def test_table64_pencil_walks_no_surface_beyond_the_budget(monkeypatch, capsys):
+    # family 4 closes at degree 3, where its surface is scanned in x4:
+    # 73 prefixes of P^2(GF(8)) times 8; the rows' own curves need 73
+    monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 583)
+    table64._pencil.cache_clear()
+    assert cli.main(["table64", "--dmax", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: the run would enumerate 584 candidates in one "
+                   "field, beyond the budget of 583\n")
+    monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 584)
+    assert cli.main(["table64", "--dmax", "3"]) == 0
+    table64._pencil.cache_clear()
 
 
 def test_budget_admits_the_largest_runs_in_use():
@@ -495,7 +547,7 @@ def test_budget_admits_the_largest_runs_in_use():
     assert sizes == {"i": 2 ** 8, "ii": 2 ** 8, "iii": 2 ** 8, "iv": 257 * 256,
                      "v": 257 * 256, "vi": 3 ** 8, "vii": 4 ** 8,
                      "viii": 2 ** 16 + 2 ** 8 + 1}
-    assert max(sizes.values()) <= cli.ENUMERATION_BUDGET
+    assert max(sizes.values()) <= varieties.ENUMERATION_BUDGET
 
 
 def test_budget_admits_curve_i_to_degree_17_only():

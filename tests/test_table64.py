@@ -1,9 +1,15 @@
-from ffcn import table64
+import random
+
+import pytest
+
+from ffcn import table64, varieties
 from ffcn.gf import make_field
-from ffcn.table64 import (CUBICS, PUBLISHED_TABLE, QUADRICS, SURVIVOR_FAMILY,
-                          SURVIVOR_MASK, build_family, expanded_quadric,
-                          find_survivors, survivor_analysis, verify_row)
-from ffcn.varieties import parse_multipoly
+from ffcn.table64 import (CUBICS, MASKS, PUBLISHED_TABLE, QUADRICS,
+                          SURVIVOR_FAMILY, SURVIVOR_MASK,
+                          build_family, expanded_quadric, find_survivors,
+                          pencil_witness, survivor_analysis, verify_row)
+from ffcn.varieties import (MultiPoly, SpaceCurve, min_point_degree,
+                            parse_multipoly)
 
 F2 = make_field(2, 1)
 VARS = ("x1", "x2", "x3", "x4")
@@ -104,3 +110,84 @@ def test_tampered_witness_fails():
     res = verify_row(bad)
     assert res.status == "fail"
     assert any("not on the curve" in p for p in res.problems)
+
+
+@pytest.mark.parametrize("order", ["walked", "reversed"])
+def test_pencil_matches_the_curve_walk_on_every_row(monkeypatch, order):
+    # the least point must not depend on the order of the walk
+    if order == "reversed":
+        real = table64._model_points
+        monkeypatch.setattr(table64, "_model_points", lambda *args: real(*args)[::-1])
+    table64._pencil.cache_clear()
+    for row in build_family():
+        for d in range(1, 5):
+            assert pencil_witness(row.model, d) == min_point_degree(row.model, d), \
+                (row.family, row.mask, d)
+    table64._pencil.cache_clear()
+
+
+def test_every_mask_closes_by_degree_four():
+    # so --dmax 8 walks no surface past the default's degrees; the
+    # surfaces of families 1, 3 and 4 are scanned in x4
+    table64._pencil.cache_clear()
+    for row in build_family():
+        verify_row(row, d_max=8)
+    walked = {family: table64._pencil(parse_multipoly(CUBICS[family], F2, VARS),
+                                      table64._base_quadric(family)).walked
+              for family in (1, 2, 3, 4)}
+    assert walked == {1: 1, 2: 4, 3: 1, 4: 3}
+
+
+def _monomials(degree):
+    return [(a, b, c, degree - a - b - c)
+            for a in range(degree + 1) for b in range(degree + 1 - a)
+            for c in range(degree + 1 - a - b)]
+
+
+def _random_family(rng, x4_cubed, x4_free):
+    """A random cubic (with or without x4^3, or free of x4) and a random
+    nonzero cross-term quadric over GF(2)."""
+    cubes = [e for e in _monomials(3) if e != (0, 0, 0, 3) and not (x4_free and e[3])]
+    terms = {e: 1 for e in cubes if rng.random() < 0.5}
+    terms[rng.choice(cubes)] = 1
+    if x4_cubed:
+        terms[(0, 0, 0, 3)] = 1
+    cross = [e for e in _monomials(2) if 2 not in e]
+    quadric = {e: 1 for e in cross if rng.random() < 0.5}
+    quadric[rng.choice(cross)] = 1
+    return MultiPoly.build(F2, 4, terms), quadric
+
+
+@pytest.mark.parametrize("seed, x4_cubed, x4_free, fibers", [
+    (1, True, False, {3}), (2, True, False, {3}),  # scanned in x4
+    # solved in closed form, through (0:0:0:1)
+    (3, False, False, {1, 2}), (4, False, False, {1, 2}),
+    (5, False, True, {0}),  # a cone: every z over a prefix on it
+])
+def test_pencil_matches_the_curve_walk_on_synthetic_families(seed, x4_cubed, x4_free,
+                                                              fibers):
+    cubic, cross = _random_family(random.Random(seed), x4_cubed, x4_free)
+    assert max(e[3] for e, _ in cubic.terms) in fibers
+    for mask in MASKS:
+        quadric = dict(cross)
+        for j, k in enumerate(mask):
+            if k:
+                quadric[tuple(2 if v == j else 0 for v in range(4))] = 1
+        model = SpaceCurve(cubic, MultiPoly.build(F2, 4, quadric))
+        for d in range(1, 4):
+            assert pencil_witness(model, d) == min_point_degree(model, d), (mask, d)
+
+
+def test_pencil_reads_the_rows_own_model():
+    rows = build_family()
+    other_cubic = rows[16 * 3].model.cubic  # family 4
+    for row in (rows[0], rows[16 + 11]):
+        extra_square = MultiPoly.build(F2, 4, {**dict(row.quadric.terms), (0, 2, 0, 0): 1})
+        for model in (SpaceCurve(other_cubic, row.quadric),
+                      SpaceCurve(row.model.cubic, extra_square)):
+            expected = min_point_degree(model, 4)
+            res = verify_row(row._replace(model=model))
+            assert res.computed_min_degree == expected[0]
+            assert res.computed_witness == varieties.format_point(
+                expected[1], expected[2], "b" if expected[2].k == 3 else "a")
+
