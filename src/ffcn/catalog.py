@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 
 from .covers import CoverKind, CoverModel
-from .gf import make_field
+from .gf import extension_order, make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
 from .records import record
-from .varieties import PlaneCurve, SpaceCurve, parse_multipoly
+from .varieties import PlaneCurve, SpaceCurve, check_budget, parse_multipoly
 from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
                    class_number, cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)
@@ -54,21 +54,35 @@ class Rational(record("Rational", "field")):
 def model_from_spec(spec: dict):
     """The model a spec describes.  A spec holds ``p``, ``k``, ``kind`` and
     the kind's fields: ``f`` for the covers, ``poly`` and ``vars`` for a
-    plane quartic, ``cubic``, ``quadric`` and ``vars`` for a space curve."""
+    plane quartic, ``cubic``, ``quadric`` and ``vars`` for a space curve.
+
+    A cover's support walk visits GF(q^d) for f of degree d, so a d beyond
+    the budget is refused while f is parsed, before its d + 1 coefficients
+    are laid out."""
     try:
         kind = spec["kind"]
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
+        for key in ("p", "k"):
+            if type(spec[key]) is not int:  # bool is an int subclass
+                raise ValueError(f"model spec key {key!r} must be an integer, "
+                                 f"not {spec[key]!r}")
         F = make_field(spec["p"], spec["k"])
         if kind == "rational":
             return Rational(F)
         if kind == "plane_quartic":
-            return PlaneCurve(parse_multipoly(spec["poly"], F, tuple(spec["vars"])))
+            poly = parse_multipoly(spec["poly"], F, tuple(spec["vars"]))
+            if poly.degree != 4:
+                raise ValueError(f"a plane quartic needs a form of degree 4, "
+                                 f"not of degree {poly.degree}")
+            return PlaneCurve(poly)
         if kind == "space_curve":
             names = tuple(spec["vars"])
             return SpaceCurve(parse_multipoly(spec["cubic"], F, names),
                               parse_multipoly(spec["quadric"], F, names))
-        return CoverModel(CoverKind(kind), parse_rational(spec["f"], F))
+        f = parse_rational(spec["f"], F,
+                           check_degree=lambda d: check_budget(extension_order(F, d)))
+        return CoverModel(CoverKind(kind), f)
     except KeyError as exc:
         raise ValueError(f"model spec lacks the field {exc}") from None
 

@@ -132,7 +132,7 @@ def cmd_verify(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"verification error: {exc}\n")
         return EXIT_MISMATCH
-    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
         return _input_error(exc)
     overall = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     report = {
@@ -299,7 +299,7 @@ def cmd_zeta(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"zeta pipeline error: {exc}\n")
         return EXIT_MISMATCH
-    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
         return _input_error(exc)
     report = {"q": q, "genus": g, "counts": list(counts),
               "l_coeffs": list(L.coeffs), "h": h,
@@ -333,7 +333,7 @@ def cmd_places(ns) -> int:
     except MATH_ERRORS as exc:
         sys.stderr.write(f"census error: {exc}\n")
         return EXIT_MISMATCH
-    except FieldError as exc:  # a residue or extension field beyond GF(p^20)
+    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
         return _input_error(exc)
     report = {"q": q, "genus": g, "max_degree": d, "census": census.as_dict()}
     if ns.format == "json":

@@ -21,7 +21,7 @@ import enum
 from functools import lru_cache
 from types import MappingProxyType
 
-from .gf import MAX_K, GF, make_field, orbit_representatives
+from .gf import GF, extension_order, make_field, orbit_representatives
 from .polyring import (Place, RationalFunction, monic_irreducibles,
                        place_valuation, residue, residue_field, unit_residue)
 from .records import record
@@ -80,10 +80,9 @@ class CoverModel(record("CoverModel", "kind f")):
 
     def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
         """Elements of GF(q^m), the largest field the census to degree n or
-        the support walk (m = max(deg num, deg den)) visits.  Fields beyond
-        GF(p^MAX_K) stop the run before that."""
-        m = max(n, self.f.num.degree, self.f.den.degree)
-        return self.field.order ** min(m, MAX_K // self.field.k)
+        the support walk (m = max(deg num, deg den)) visits; past the field
+        limit, m is capped as ``extension_order`` says."""
+        return extension_order(self.field, max(n, self.f.num.degree, self.f.den.degree))
 
 
 RamificationDatum = record("RamificationDatum",

@@ -11,24 +11,24 @@ external tables.  It is found by running Rabin's irreducibility test in
 the quotient ring of each candidate in turn, skipping the candidates
 with a root in GF(p).
 
-Once the modulus is found, :func:`make_field` picks the smallest
-generator g of the multiplicative group and, for fields of order up to
-``_TABLE_MAX``, builds the tables ``exp[i] = g^i`` and ``log[g^i] = i``.
-Then ``mul``, ``inv`` and ``pow`` are table lookups: a*b is
-``exp[log[a] + log[b]]``.  ``log[0]`` points into a run of zeros after
-two periods of ``exp``, so a product with zero needs no test.  For p = 2,
-``add``, ``sub`` and ``neg`` are xor.  For p = 3 they use the Zech
-logarithm ``zech[n] = log(1 + g^n)``: a + b = a*(1 + b/a) is
-``exp[log[a] + zech[log[b] - log[a]]]``, and -a = ``exp[log[a] + (q-1)/2]``.
-Where 1 + g^n = 0, ``zech[n]`` is ``log[0]`` and lands in the zeros.
+:func:`make_field` builds fields of order up to ``FIELD_MAX`` = 2^17,
+the enumeration budget, and refuses larger ones: GF(2^17), GF(3^10) and
+GF(4^8) are the largest.  Once the modulus is found, it picks the
+smallest generator g of the multiplicative group and builds the tables
+``exp[i] = g^i`` and ``log[g^i] = i``.  Then ``mul``, ``inv`` and
+``pow`` are table lookups: a*b is ``exp[log[a] + log[b]]``.  ``log[0]``
+points into a run of zeros after two periods of ``exp``, so a product
+with zero needs no test.  For p = 2, ``add``, ``sub`` and ``neg`` are
+xor.  For p = 3 they use the Zech logarithm ``zech[n] = log(1 + g^n)``:
+a + b = a*(1 + b/a) is ``exp[log[a] + zech[log[b] - log[a]]]``, and -a =
+``exp[log[a] + (q-1)/2]``.  Where 1 + g^n = 0, ``zech[n]`` is ``log[0]``
+and lands in the zeros.
 
-Above ``_TABLE_MAX`` there are no tables.  A p = 2 product is a shift/xor
-product of ints, reduced as it goes by the modulus held as a bitmask;
-``pow`` squares and multiplies with it, and ``inv`` runs the extended
-Euclidean algorithm on bitmasks.  For p = 3 the product, sum, difference
-and negative go through base-3 digit lists, and ``inv`` is a power.
-These table-free ring operations also test candidate moduli and find the
-generator.
+Only the candidate rings of the modulus search have no tables.  Their
+product is ``_raw_mul``: a shift/xor product of ints for p = 2, reduced
+as it goes by the modulus held as a bitmask, and a product of base-3
+digit lists for p = 3.  With ``_raw_pow`` it tests the candidates,
+finds the generator and builds the tables.
 
 The tables are built by stepping e -> e*g through the powers of g.  The
 step uses that e -> e*g is GF(p)-linear: with e split into its low and
@@ -47,11 +47,10 @@ p = 2 is GF(2)-linear: the parity of ``a & mask``, where bit i of the
 mask is the trace of t^i.
 
 The Frobenius map a -> a^q (q a power of p) is one cached table per
-field and q, ``frobenius_table``: the log of a^q is q times the log of a,
-and without tables the map is built from its GF(p)-linear images of the
-basis.  ``orbit_representatives`` walks that table once and returns the
-least member of each orbit with the orbit's size.  Places of GF(q)(x) and
-points of curves are enumerated from these least members.
+field and q, ``frobenius_table``.  ``orbit_representatives`` walks that
+table once and returns the least member of each orbit with the orbit's
+size.  Places of GF(q)(x) and points of curves are enumerated from these
+least members.
 """
 
 from __future__ import annotations
@@ -59,12 +58,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 SUPPORTED_P = (2, 3)
-MAX_K = 20
-
-# exp/log tables are built with the field for fields up to this order
-_TABLE_MAX = 1 << 16
+# the largest field order make_field builds; it equals the enumeration
+# budget, so that no run the budget admits needs a larger field
+FIELD_MAX = 1 << 17
 # a log for zero in GF.evaluate: past any sum of logs of nonzero elements,
-# which are below 2^16 each
+# which are below FIELD_MAX each
 _FAR = 1 << 40
 
 
@@ -85,11 +83,6 @@ def _undigits(ds, p: int) -> int:
     for d in reversed(ds):
         n = n * p + d
     return n
-
-
-def _digitwise(a: int, b: int, sign: int, k: int) -> int:
-    """a + sign*b in GF(3^k), digit by digit: the sum without tables."""
-    return _undigits([(x + sign * y) % 3 for x, y in zip(_digits(a, 3, k), _digits(b, 3, k))], 3)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -141,16 +134,12 @@ class GF:
         if b == 0:
             return a
         log = self._log
-        if log is None:
-            return _digitwise(a, b, 1, self.k)
         la = log[a]
         return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        if self._log is None:
-            return _digitwise(0, a, -1, self.k)
         return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
@@ -159,8 +148,6 @@ class GF:
         if b == 0:
             return a
         log = self._log
-        if log is None:
-            return _digitwise(a, b, -1, self.k)
         lb = log[b] + (self.order - 1) // 2  # the log of -b
         if a == 0:
             return self._exp[lb]
@@ -208,20 +195,6 @@ class GF:
             if n:
                 a = self._raw_mul(a, a)
         return r
-
-    def _raw_inv(self, a: int) -> int:
-        """1/a for p = 2 by the extended Euclidean algorithm on bitmasks:
-        g1*a = u and g2*a = v modulo the modulus throughout, and u and v
-        lose their leading terms until u = 1 (Hankerson, Menezes and
-        Vanstone, Guide to Elliptic Curve Cryptography, alg. 2.48)."""
-        u, v, g1, g2 = a, self._mask, 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v, g1, g2, j = v, u, g2, g1, -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return g1
 
     def _find_generator(self) -> int:
         q = self.order
@@ -289,17 +262,11 @@ class GF:
     def horner(self, coeffs, x: int) -> int:
         """coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ..., by Horner's rule.
 
-        With tables, acc*x is ``exp[log[acc] + log[x]]``; for p = 2 the
-        sum is xor, for p = 3 it is a Zech sum.  A product with zero lands
-        in the zeros of ``exp`` (p = 2) or at or past ``log[0]`` (p = 3)."""
-        log = self._log
-        acc = 0
-        if log is None:
-            mul, add = self._raw_mul, self.add
-            for c in reversed(coeffs):
-                acc = add(mul(acc, x), c)
-            return acc
-        exp, lx = self._exp, log[x]
+        acc*x is ``exp[log[acc] + log[x]]``; for p = 2 the sum is xor, for
+        p = 3 it is a Zech sum.  A product with zero lands in the zeros of
+        ``exp`` (p = 2) or at or past ``log[0]`` (p = 3)."""
+        exp, log = self._exp, self._log
+        lx, acc = log[x], 0
         if self.p == 2:
             for c in reversed(coeffs):
                 acc = exp[log[acc] + lx] ^ c
@@ -316,13 +283,13 @@ class GF:
         return acc
 
     def values(self, coeffs, xs) -> list[int]:
-        """[horner(coeffs, x) for x in xs]; for p = 2 with tables, one
-        pass of lookups over all of xs per coefficient.  Below four
-        points, Horner per point is the cheaper of the two."""
-        log = self._log
-        if log is None or self.p == 3 or len(xs) < 4:
+        """[horner(coeffs, x) for x in xs]; for p = 2, one pass of
+        lookups over all of xs per coefficient.  Below four points, Horner
+        per point is the cheaper of the two."""
+        if self.p == 3 or len(xs) < 4:
             return [self.horner(coeffs, x) for x in xs]
-        exp, lxs = self._exp, [log[x] for x in xs]
+        exp, log = self._exp, self._log
+        lxs = [log[x] for x in xs]
         vals = [0] * len(lxs)
         for c in reversed(coeffs):
             vals = [exp[log[v] + lx] ^ c for v, lx in zip(vals, lxs)]
@@ -330,18 +297,10 @@ class GF:
 
     def evaluate(self, terms, coords) -> int:
         """The sum over terms (c, factors) of c times the product of
-        coords[v] for v in factors, by sums of logs with tables: a zero
-        coordinate's log is pushed past any sum of logs of nonzero ones."""
-        log = self._log
+        coords[v] for v in factors, by sums of logs: a zero coordinate's
+        log is pushed past any sum of logs of nonzero ones."""
+        exp, log, n, p = self._exp, self._log, self.order - 1, self.p
         acc = 0
-        if log is None:
-            mul, add = self._raw_mul, self.add
-            for c, factors in terms:
-                for v in factors:
-                    c = mul(c, coords[v])
-                acc = add(acc, c)
-            return acc
-        exp, n, p = self._exp, self.order - 1, self.p
         lx = [log[x] if x else _FAR for x in coords]
         for c, factors in terms:
             s = log[c] if c else _FAR
@@ -355,15 +314,15 @@ class GF:
         """The coefficients of the product of (x - r) over the roots,
         little-endian: each root multiplies in place, from the top."""
         prod = [1]
-        log = self._log if self.p == 2 else None
+        exp, log = self._exp, self._log
         for r in roots:
             r = self.neg(r)
             prod.append(0)
-            if log is None:
+            if self.p == 3:
                 for i in range(len(prod) - 1, 0, -1):
                     prod[i] = self.horner((prod[i - 1], prod[i]), r)
             else:
-                exp, lr = self._exp, log[r]
+                lr = log[r]
                 for i in range(len(prod) - 1, 0, -1):
                     prod[i] = prod[i - 1] ^ exp[lr + log[prod[i]]]
             prod[0] = self.mul(prod[0], r)
@@ -371,15 +330,11 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         log = self._log
-        if log is None:
-            return self._raw_mul(a, b)
         return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inversion of zero")
-        if self._log is None:
-            return self._raw_inv(a) if self.p == 2 else self._raw_pow(a, self.order - 2)
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
@@ -387,8 +342,6 @@ class GF:
             return self.pow(self.inv(a), -n)
         if a == 0:
             return 0 if n else 1
-        if self._log is None:
-            return self._raw_pow(a, n % (self.order - 1))
         return self._exp[(self._log[a] * n) % (self.order - 1)]
 
     # -- Galois structure ---------------------------------------------------
@@ -433,12 +386,25 @@ def _is_field(ring: GF) -> bool:
     """Rabin's test, run in the quotient ring Z_p[t]/(m) of a candidate
     modulus m: m is irreducible iff t^(p^k) = t and t^(p^(k/r)) - t is a
     unit for every prime r | k, and an element whose (p^k - 1)-th power is
-    1 is a unit.  Ring operations only: ``pow`` presumes a field."""
+    1 is a unit.  Ring operations only: the ring has no tables."""
     p, k, t = ring.p, ring.k, ring.p
     if ring._raw_pow(t, ring.order) != t:
         return False
-    return all(ring._raw_pow(ring.sub(ring._raw_pow(t, p ** (k // r)), t),
-                             ring.order - 1) == 1 for r in _prime_factors(k))
+    for r in _prime_factors(k):
+        x = ring._raw_pow(t, p ** (k // r))
+        # x - t: t = p is the digit 1 in place 1, which wraps from 0 to p - 1
+        x = x - p if x // p % p else x + p * (p - 1)
+        if ring._raw_pow(x, ring.order - 1) != 1:
+            return False
+    return True
+
+
+def extension_order(field: GF, m: int) -> int:
+    """The order of GF(q^m), q the order of the field, for m up to the bit
+    length of FIELD_MAX.  Past it every such field is beyond FIELD_MAX, so
+    m is capped there: the result stays beyond it, and no huge power is
+    computed."""
+    return field.order ** min(m, FIELD_MAX.bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -446,8 +412,11 @@ def make_field(p: int, k: int) -> GF:
     """Canonical GF(p^k); instances are cached, so identity comparisons work."""
     if p not in SUPPORTED_P:
         raise FieldError(f"unsupported characteristic {p}")
-    if not 1 <= k <= MAX_K:
-        raise FieldError(f"extension degree {k} out of range 1..{MAX_K}")
+    if k < 1:
+        raise FieldError(f"extension degree {k} is below 1")
+    # p^k > FIELD_MAX once k passes its bit length, as p >= 2
+    if k >= FIELD_MAX.bit_length() or p ** k > FIELD_MAX:
+        raise FieldError(f"GF({p}^{k}) has more than FIELD_MAX = {FIELD_MAX} elements")
     if k == 1:
         F = GF(p, 1, (0, 1))
     else:
@@ -457,8 +426,7 @@ def make_field(p: int, k: int) -> GF:
                       if all(_undigits(m, a) % p for a in range(p)))
         F = next(R for R in candidates if _is_field(R))
     F._generator = F._find_generator()
-    if F.order <= _TABLE_MAX:
-        F._build_tables()
+    F._build_tables()
     if p == 2:
         F._trace_mask = sum(F._trace_sum(1 << i) << i for i in range(k))
     return F
@@ -504,18 +472,17 @@ def embedding(src: GF, dst: GF) -> tuple[int, ...]:
 def frobenius_table(field: GF, q: int) -> tuple[int, ...]:
     """frob[a] = a^q for every element a of the field, q a power of p.
 
-    With tables, the log of a^q is q times the log of a.  Without them,
-    a -> a^q is GF(p)-linear, so the table is built from the images of
-    the basis t^i alone, one digit at a time, as ``embedding`` is."""
-    if field._log is not None:
-        exp, log, n = field._exp, field._log, field.order - 1
-        return (0,) + tuple([exp[log[a] * q % n] for a in range(1, field.order)])
-    table = [0]
-    for i in range(field.k):
-        image = field.pow(field.p ** i, q)
-        multiples = [field.mul(c, image) for c in range(field.p)]
-        table = [field.add(t, s) for s in multiples for t in table]
-    return tuple(table)
+    For p = 2, a -> a^q is GF(2)-linear: the image of a is the xor of the
+    images of the bits t^i of a, built one bit at a time.  For p = 3 the
+    log of a^q is q times the log of a."""
+    if field.p == 2:
+        table = [0]
+        for i in range(field.k):
+            image = field.pow(1 << i, q)
+            table += [t ^ image for t in table]
+        return tuple(table)
+    exp, log, n = field._exp, field._log, field.order - 1
+    return (0,) + tuple([exp[log[a] * q % n] for a in range(1, field.order)])
 
 
 @lru_cache(maxsize=None)

@@ -514,7 +514,11 @@ def format_poly(f: Poly, var: str = "x", symbol: str = "a") -> str:
     return "+".join(parts)
 
 
-def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a") -> Poly:
+def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a",
+               check_degree=None) -> Poly:
+    """The polynomial a string of terms c*x^e describes.  ``check_degree``,
+    if given, is called with the degree before the coefficient list is
+    built, and raises to refuse it."""
     s = s.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
@@ -536,6 +540,8 @@ def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a") -> Poly:
         if sign < 0:
             c = field.neg(c)
         coeffs[exp] = field.add(coeffs.get(exp, 0), c)
+    if check_degree is not None:
+        check_degree(max(coeffs))
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
@@ -572,17 +578,24 @@ def format_rational(f: RationalFunction, var: str = "x", symbol: str = "a") -> s
     return f"({num})/({format_poly(f.den, var, symbol)})"
 
 
-def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a") -> RationalFunction:
+def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a",
+                   check_degree=None) -> RationalFunction:
+    """num or num/den, where den may be a power (poly)^n.  ``check_degree``
+    is called as in ``parse_poly``, also on the degree of the power."""
     text, s = s, s.replace(" ", "")
     parts = _split_fraction(s)
     if len(parts) == 1:
-        return RationalFunction(parse_poly(_strip_parens(parts[0]), field, var, symbol))
+        return RationalFunction(parse_poly(_strip_parens(parts[0]), field, var, symbol,
+                                           check_degree))
     num, den = parts
-    dpoly, dexp = _parse_power(den, field, var, symbol)
+    dpoly, dexp = _parse_power(den, field, var, symbol, check_degree)
+    if check_degree is not None:
+        check_degree(dpoly.degree * dexp)
     dpoly = dpoly ** dexp
     if dpoly.is_zero:
         raise ValueError(f"zero denominator in rational function {text!r}")
-    return RationalFunction(parse_poly(_strip_parens(num), field, var, symbol), dpoly)
+    return RationalFunction(parse_poly(_strip_parens(num), field, var, symbol,
+                                       check_degree), dpoly)
 
 
 def _split_fraction(s: str):
@@ -615,11 +628,11 @@ def _strip_parens(s: str) -> str:
     return s
 
 
-def _parse_power(s: str, field: GF, var: str, symbol: str):
+def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree):
     """Parse '(poly)^n' or 'poly' denominators."""
     if s.startswith("(") and ")^" in s:
         body, _, exp = s.rpartition(")^")
         if not exp.isdigit():
             raise ValueError(f"bad exponent {exp!r} in denominator {s!r}")
-        return parse_poly(_strip_parens(body + ")"), field, var, symbol), int(exp)
-    return parse_poly(_strip_parens(s), field, var, symbol), 1
+        return parse_poly(_strip_parens(body + ")"), field, var, symbol, check_degree), int(exp)
+    return parse_poly(_strip_parens(s), field, var, symbol, check_degree), 1

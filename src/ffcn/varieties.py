@@ -50,9 +50,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .gf import (MAX_K, GF, FieldError, element_str, embed,
-                 frobenius_table, make_field, orbit_representatives,
-                 parse_element)
+from .gf import (FIELD_MAX, GF, FieldError, element_str, embed,
+                 extension_order, frobenius_table, make_field,
+                 orbit_representatives, parse_element)
 from .records import record
 
 
@@ -133,9 +133,8 @@ class _ProjectiveCurve:
 
     def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
         """Candidates of the largest enumeration ``counts(n, probe_depth)``
-        starts, the ``walk_size`` of its deepest field.  Fields beyond
-        GF(p^MAX_K) stop the run before that."""
-        return walk_size(self, min(max(n, probe_depth), MAX_K // self.field.k))
+        starts, the ``walk_size`` of its deepest field."""
+        return walk_size(self, max(n, probe_depth))
 
 
 class PlaneCurve(_ProjectiveCurve, record("PlaneCurve", "poly")):
@@ -226,17 +225,20 @@ def projective_point_count(dim: int, q: int) -> int:
 
 
 # The largest walk a run may start (``walk_size``); a run beyond it is
-# refused before the walk.  It admits curves to GF(2^8) and covers to
-# GF(2^17), GF(3^10) and GF(4^8); the slowest of these, ``places --curve
-# iii --max-place-degree 17``, takes about 0.7 s on a 2-core VM.
-ENUMERATION_BUDGET = 131_072
+# refused before the walk.  It is the largest field order, so a cover's
+# walk of GF(q^m) fits exactly when make_field builds GF(q^m).  It admits
+# curves to GF(2^8) and covers to GF(2^17), GF(3^10) and GF(4^8); the
+# slowest of these, ``places --curve i`` and ``--curve iii`` at
+# ``--max-place-degree 17``, take about 0.4 s each on a 2-core VM.
+ENUMERATION_BUDGET = FIELD_MAX
 
 
 def walk_size(model, m: int) -> int:
     """Candidates the walk of the model over GF(q^m) tries: the prefixes
     of P^(dim-1), times the field order when the fiber is scanned rather
-    than solved (degree > 2 in the last variable)."""
-    order = model.field.order ** m
+    than solved (degree > 2 in the last variable).  Past the field limit,
+    m is capped as ``extension_order`` says."""
+    order = extension_order(model.field, m)
     prefixes = projective_point_count(model.dim - 1, order)
     fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in model.polys)
     return prefixes if fiber <= 2 else prefixes * order

@@ -166,6 +166,12 @@ def test_enumeration_size():
     # covers walk GF(q^n); nothing is probed
     assert vii.enumeration_size(5, 20) == 4 ** 5
     assert Rational(F2).enumeration_size(30, 30) == 0
-    # fields beyond GF(p^20) stop the run: GF(2^11) reaches only degree 1
+    # the census of y^2 + y = x over GF(2^11) to degree 5 walks GF(2^55),
+    # far beyond the budget, which refuses it before any field is built
     wide = model_from_spec({"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"})
-    assert wide.enumeration_size(5) == 2 ** 11
+    assert wide.enumeration_size(5) == 2 ** 55
+    # past the bit length of FIELD_MAX (18) every field is beyond the
+    # budget: the degree is capped there, so a huge one costs nothing
+    assert wide.enumeration_size(10 ** 9) == 2 ** (11 * 18)
+    assert viii.enumeration_size(10 ** 9, 6) == 2 ** 36 + 2 ** 18 + 1
+    assert iv.enumeration_size(6, 10 ** 9) == (2 ** 18 + 1) * 2 ** 18

@@ -339,19 +339,25 @@ def test_bad_model_spec_exits_two(tmp_path, capsys, command, spec):
     assert err.startswith("input error: ")
 
 
-# y^2 + y = x over GF(2^11): its degree-2 places need GF(2^22), beyond GF(2^20)
+# y^2 + y = x over GF(2^11): its degree-2 places need GF(2^22), beyond the
+# budget and the field limit, so the run is refused before any field is built
 WIDE_MODEL = {"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"}
 
 
-@pytest.mark.parametrize("command", [
-    ["places", "--max-place-degree", "2"], ["zeta"]], ids=["places", "zeta"])
-def test_residue_field_out_of_range_exits_two(tmp_path, capsys, command):
+def _beyond_budget(size):
+    return (f"input error: the run would enumerate {size} candidates in one field, "
+            f"beyond the budget of {varieties.ENUMERATION_BUDGET}\n")
+
+
+@pytest.mark.parametrize("command,degree", [
+    (["places", "--max-place-degree", "2"], 2), (["zeta"], 5)], ids=["places", "zeta"])
+def test_residue_field_out_of_range_exits_two(tmp_path, capsys, command, degree):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(WIDE_MODEL))
     assert cli.main(command + ["--model", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "input error: extension degree 22 out of range 1..20\n"
+    assert err == _beyond_budget(2 ** (11 * degree))
 
 
 @pytest.mark.parametrize("select", [[], ["--curve", "i"]], ids=["catalog", "curve-i"])
@@ -363,7 +369,7 @@ def test_catalog_field_out_of_range_exits_two(tmp_path, select):
     proc = run_cli("verify", "--catalog", str(path), *select)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "input error: extension degree 22 out of range 1..20\n"
+    assert proc.stderr == _beyond_budget(2 ** 55)  # GF(2^55) at the default degree 5
 
 
 BAD_TERM = "input error: bad term 'q' in polynomial 'x^4+q': "
@@ -499,6 +505,9 @@ def _write_costly_covers(tmp_path) -> dict:
     ["places", "--curve", "i", "--max-place-degree", "30"],
     ["verify", "--max-place-degree", "17"],
     ["verify", "--curve", "viii", "--probe-depth", "10"],
+    # the size of a huge degree is computed at the cap, not as a power
+    ["places", "--curve", "i", "--max-place-degree", "1000000000"],
+    ["zeta", "--curve", "vii", "--counts-up-to", "1000000000"],
 ] + [[command, option, f"{name}.{suffix}.json"]
      for name in COSTLY_COVERS
      for command, option, suffix in (("zeta", "--model", "model"),
@@ -512,6 +521,64 @@ def test_costly_runs_are_refused_before_any_work(tmp_path, args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error: the run would enumerate ")
     assert proc.stderr.endswith(f"beyond the budget of {varieties.ENUMERATION_BUDGET}\n")
+
+
+def _run_capped(*args):
+    """run_cli with the child's address space capped at 512 MB and a
+    timeout: a malformed input that the program lays out densely fails
+    fast instead of loading the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          timeout=20, preexec_fn=cap)
+
+
+def _as_catalog(spec) -> list:
+    return [{"curve_id": "bad", "p": spec["p"], "k": spec["k"], "genus": 1,
+             "class_number": 1, "kind": spec["kind"],
+             "data": {key: spec[key] for key in spec if key not in ("p", "k", "kind")},
+             "equation": ""}]
+
+
+HUGE_DEGREE = "the run would enumerate 262144 candidates in one field, beyond the budget of 131072"
+MALFORMED = {
+    # a cover's f of huge degree, or a huge power in its denominator, must
+    # be refused before its coefficients are laid out densely
+    "as-x1e7": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^10000000+x+1"}, HUGE_DEGREE),
+    "as-x1e8": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^100000000+x+1"}, HUGE_DEGREE),
+    "kummer-den-power": ({"kind": "kummer", "p": 3, "k": 1, "f": "x/(x^2+1)^100000000"},
+                         "the run would enumerate 387420489 candidates in one field, "
+                         "beyond the budget of 131072"),
+    # a plane quartic of any other degree
+    "quartic-x1e7": ({"kind": "plane_quartic", "p": 2, "k": 1,
+                      "poly": "x^10000000+y^10000000+z^10000000", "vars": ["x", "y", "z"]},
+                     "a plane quartic needs a form of degree 4, not of degree 10000000"),
+    "quartic-cubic": ({"kind": "plane_quartic", "p": 2, "k": 1, "poly": "x^3+y^3+z^3",
+                       "vars": ["x", "y", "z"]},
+                      "a plane quartic needs a form of degree 4, not of degree 3"),
+    # p and k must be ints, and a bool is not one
+    "k-true": ({"kind": "artin_schreier", "p": 2, "k": True, "f": "x^3+x+1"},
+               "model spec key 'k' must be an integer, not True"),
+    "p-string": ({"kind": "artin_schreier", "p": "2", "k": 1, "f": "x^3+x+1"},
+                 "model spec key 'p' must be an integer, not '2'"),
+    "k-float": ({"kind": "rational", "p": 2, "k": 1.0},
+                "model spec key 'k' must be an integer, not 1.0"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+@pytest.mark.parametrize("args", [
+    ["zeta", "--model"], ["places", "--max-place-degree", "1", "--probe-depth", "1", "--model"],
+    ["verify", "--catalog"]], ids=["zeta", "places", "verify"])
+def test_malformed_model_exits_two_before_any_work(tmp_path, name, args):
+    spec, message = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_as_catalog(spec) if args[0] == "verify" else spec))
+    proc = _run_capped(*args, str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"input error: {message}\n")
 
 
 def test_costly_table64_is_refused(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ffcn.gf import (_TABLE_MAX, GF, MAX_K, SUPPORTED_P, FieldError, _is_field,
+from ffcn.gf import (FIELD_MAX, GF, SUPPORTED_P, FieldError, _is_field,
                      element_str, embed, embedding, frobenius_table, make_field,
                      orbit_representatives, parse_element)
 from ffcn.polyring import Poly, is_irreducible
@@ -52,11 +52,18 @@ def _clmul_mod(a, b, modulus):
     return prod
 
 
-@pytest.mark.parametrize("k", range(1, 21))
+def _has_tables(F):
+    """Every field make_field returns has exp/log tables (and Zech logs
+    for p = 3) covering all of its elements."""
+    return (len(F._log) == F.order and len(F._exp) > 2 * F.order - 2
+            and (F._zech is None) == (F.p == 2))
+
+
+@pytest.mark.parametrize("k", range(1, 18))
 def test_binary_mul_and_inv_match_carry_less_products(k):
-    # k <= 6 exhaustively; k >= 17 is the path without tables
+    # k <= 6 exhaustively; GF(2^17) is the largest field
     F = make_field(2, k)
-    assert (F._log is None) == (F.order > _TABLE_MAX)
+    assert _has_tables(F)
     modulus = sum(c << i for i, c in enumerate(F.modulus))
     for a, b in _pairs(F.order, k <= 6, k):
         assert F.mul(a, b) == _clmul_mod(a, b, modulus), (a, b)
@@ -87,11 +94,11 @@ def _ternary_mul_mod(a, b, modulus):
     return sum(d * 3 ** i for i, d in enumerate(prod[:k]))
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 11))
 def test_ternary_mul_and_inv_match_digitwise_products(k):
-    # k <= 4 exhaustively; k >= 11 is the path without tables
+    # k <= 4 exhaustively; GF(3^10) is the largest field
     F = make_field(3, k)
-    assert (F._log is None) == (F.order > _TABLE_MAX)
+    assert _has_tables(F)
     for a, b in _pairs(F.order, k <= 4, k):
         assert F.mul(a, b) == _ternary_mul_mod(a, b, F.modulus), (a, b)
         if a:
@@ -107,11 +114,11 @@ def _ternary_digitwise(a, b, sign):
     return out
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 11))
 def test_ternary_add_sub_neg_match_digitwise_arithmetic(k):
-    # k <= 4 exhaustively (Zech tables); k >= 11 is the path without tables
+    # k <= 4 exhaustively; GF(3^10) is the largest field
     F = make_field(3, k)
-    assert (F._zech is None) == (F.order > _TABLE_MAX)
+    assert _has_tables(F)
     for a, b in _pairs(F.order, k <= 4, k):
         assert F.add(a, b) == _ternary_digitwise(a, b, 1), (a, b)
         assert F.sub(a, b) == _ternary_digitwise(a, b, -1), (a, b)
@@ -138,7 +145,7 @@ def test_canonical_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)          # t^2+t+1
     assert make_field(2, 3).modulus == (1, 1, 0, 1)       # t^3+t+1
     assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)    # t^4+t+1
-    assert make_field(2, 20).modulus[:5] == (1, 0, 0, 1, 0)  # t^20+t^3+1
+    assert make_field(2, 17).modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)  # t^17+t^3+1
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
@@ -146,7 +153,7 @@ def test_moduli_are_the_first_irreducible_candidates(p):
     # make_field tests candidates by powers in their quotient rings;
     # polyring tests them independently, by a q-power matrix and gcds
     Fp = make_field(p, 1)
-    for k in range(1, MAX_K + 1):
+    for k in range(1, 18 if p == 2 else 11):
         modulus = make_field(p, k).modulus
         assert is_irreducible(Poly(Fp, modulus))
         index = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
@@ -158,9 +165,17 @@ def test_moduli_are_the_first_irreducible_candidates(p):
 def test_field_size_limits():
     with pytest.raises(FieldError):
         make_field(5, 1)
-    with pytest.raises(FieldError):
-        make_field(2, 21)
-    make_field(2, 20)  # top of the supported range
+    with pytest.raises(FieldError, match="extension degree 0 is below 1"):
+        make_field(2, 0)
+    # the largest field of each characteristic, and the first one past it
+    for p, k in ((2, 17), (3, 10)):
+        assert make_field(p, k).order <= FIELD_MAX < p ** (k + 1)
+        with pytest.raises(FieldError, match=rf"GF\({p}\^{k + 1}\) has more than "
+                                             rf"FIELD_MAX = {FIELD_MAX} elements"):
+            make_field(p, k + 1)
+    # a huge degree is refused without computing p^k
+    with pytest.raises(FieldError, match=r"GF\(3\^1000000000000\)"):
+        make_field(3, 10 ** 12)
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
@@ -304,27 +319,26 @@ def test_orbit_representatives_match_burnside_and_brute_force(p, k, m, r):
     assert [x for x, _ in reps] == sorted(x for x, _ in reps)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (2, 17), (3, 11)])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (2, 17), (3, 10)])
 def test_frobenius_table_is_the_q_power_map(p, k):
     F = make_field(p, k)
     rng = random.Random(k)
     sample = F.elements() if F.order <= 729 else [rng.randrange(F.order) for _ in range(300)]
-    # without tables, one table is built per step: one step suffices there
-    for step in ((1, 2, k) if F._log is not None else (1,)):
+    for step in (1, 2, k):
         q = p ** step
         table = frobenius_table(F, q)
         assert len(table) == F.order
         assert all(table[a] == F.pow(a, q) for a in sample)
 
 
-# p = 2 and 3, with tables and (GF(2^17), GF(3^11)) without them
-KERNEL_FIELDS = [(2, 1), (2, 4), (2, 10), (2, 16), (2, 17), (3, 1), (3, 3), (3, 7), (3, 11)]
+# p = 2 and 3, up to the largest fields, GF(2^17) and GF(3^10)
+KERNEL_FIELDS = [(2, 1), (2, 4), (2, 10), (2, 16), (2, 17), (3, 1), (3, 3), (3, 7), (3, 10)]
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_horner_and_values_match_naive_evaluation(p, k):
     F = make_field(p, k)
-    assert (F._log is None) == (F.order > _TABLE_MAX)
+    assert _has_tables(F)
     rng = random.Random(f"horner {p}^{k}")
     for _ in range(200):
         coeffs = [rng.randrange(F.order) if rng.random() < 0.8 else 0
@@ -357,7 +371,7 @@ def test_evaluate_and_from_roots_match_naive_products(p, k):
         assert tuple(F.from_roots(roots)) == prod.coeffs, roots
 
 
-@pytest.mark.parametrize("k", range(1, 21))
+@pytest.mark.parametrize("k", range(1, 18))
 def test_trace_mask_matches_the_sum_of_conjugates(k):
     # every element for k <= 10, a seeded sample above
     F = make_field(2, k)
