@@ -32,8 +32,9 @@ from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
                    class_number, cyclic_extension_count, extend_counts,
                    hurwitz_different_degree, l_polynomial)
 
-MODEL_KINDS = ("rational", "artin_schreier", "kummer", "plane_quartic",
-               "space_curve")
+# each kind's keys besides p, k and kind
+MODEL_KEYS = {"rational": (), "artin_schreier": ("f",), "kummer": ("f",),
+              "plane_quartic": ("poly", "vars"), "space_curve": ("cubic", "quadric", "vars")}
 
 
 class Rational(record("Rational", "field")):
@@ -52,17 +53,23 @@ class Rational(record("Rational", "field")):
 
 
 def model_from_spec(spec: dict):
-    """The model a spec describes.  A spec holds ``p``, ``k``, ``kind`` and
-    the kind's fields: ``f`` for the covers, ``poly`` and ``vars`` for a
-    plane quartic, ``cubic``, ``quadric`` and ``vars`` for a space curve.
+    """The model a spec describes.  A spec holds exactly ``p``, ``k``,
+    ``kind`` and the kind's keys (``MODEL_KEYS``): ``f`` for the covers,
+    ``poly`` and ``vars`` for a plane quartic, ``cubic``, ``quadric`` and
+    ``vars`` for a space curve.
 
     A cover's support walk visits GF(q^d) for f of degree d, so a d beyond
     the budget is refused while f is parsed, before its d + 1 coefficients
     are laid out."""
+    if type(spec) is not dict:
+        raise ValueError(f"model spec {spec!r} is not a JSON object")
     try:
         kind = spec["kind"]
-        if kind not in MODEL_KINDS:
+        if type(kind) is not str or kind not in MODEL_KEYS:
             raise ValueError(f"unknown model kind {kind!r}")
+        unknown = sorted(set(spec) - {"p", "k", "kind", *MODEL_KEYS[kind]})
+        if unknown:
+            raise ValueError("model spec has the unknown keys " + ", ".join(map(repr, unknown)))
         for key in ("p", "k"):
             if type(spec[key]) is not int:  # bool is an int subclass
                 raise ValueError(f"model spec key {key!r} must be an integer, "
@@ -71,13 +78,13 @@ def model_from_spec(spec: dict):
         if kind == "rational":
             return Rational(F)
         if kind == "plane_quartic":
-            poly = parse_multipoly(spec["poly"], F, tuple(spec["vars"]))
+            poly = parse_multipoly(spec["poly"], F, _variables(spec["vars"], 3))
             if poly.degree != 4:
                 raise ValueError(f"a plane quartic needs a form of degree 4, "
                                  f"not of degree {poly.degree}")
             return PlaneCurve(poly)
         if kind == "space_curve":
-            names = tuple(spec["vars"])
+            names = _variables(spec["vars"], 4)
             return SpaceCurve(parse_multipoly(spec["cubic"], F, names),
                               parse_multipoly(spec["quadric"], F, names))
         f = parse_rational(spec["f"], F,
@@ -87,17 +94,38 @@ def model_from_spec(spec: dict):
         raise ValueError(f"model spec lacks the field {exc}") from None
 
 
+def _variables(names, count: int) -> tuple[str, ...]:
+    if not (type(names) is list and all(type(v) is str and v for v in names)
+            and len(set(names)) == len(names) == count):
+        raise ValueError(f"model spec key 'vars' must be a list of {count} distinct "
+                         f"variable names, not {names!r}")
+    return tuple(names)
+
+
+_NOUNS = {str: "text", int: "an integer", dict: "a JSON object"}
+
+
 class CatalogEntry(record("CatalogEntry",
                           "curve_id p k genus class_number kind data equation")):
     """A curve's claimed invariants next to its model: ``data`` holds the
-    model fields of its ``kind`` (see ``model_from_spec``)."""
+    model keys of its ``kind`` (see ``model_from_spec``)."""
 
     __slots__ = ()
 
     def __new__(cls, curve_id: str, p: int, k: int, genus: int,
                 class_number: int, kind: str, data: dict, equation: str):
-        if kind not in MODEL_KINDS:
+        if type(kind) is not str or kind not in MODEL_KEYS:
             raise ValueError(f"unknown model kind {kind!r}")
+        for key, value, want in (("curve_id", curve_id, str), ("genus", genus, int),
+                                 ("class_number", class_number, int), ("data", data, dict),
+                                 ("equation", equation, str)):
+            if type(value) is not want:  # bool is an int subclass
+                raise ValueError(f"catalog entry {curve_id!r} key {key!r} must be "
+                                 f"{_NOUNS[want]}, not {value!r}")
+        unknown = sorted(set(data) - set(MODEL_KEYS[kind]))
+        if unknown:
+            raise ValueError(f"catalog entry {curve_id!r} data has the unknown keys "
+                             + ", ".join(map(repr, unknown)))
         return super().__new__(cls, curve_id, p, k, genus, class_number, kind,
                                data, equation)
 
@@ -178,9 +206,13 @@ def _entry_from_json(item) -> CatalogEntry:
 
 def load_catalog(text: str) -> tuple[CatalogEntry, ...]:
     """Parse a catalog and build every entry's model, so that a malformed
-    entry is reported before any verification starts."""
+    entry or a repeated id is reported before any verification starts."""
     catalog = tuple(_entry_from_json(item) for item in json.loads(text))
+    seen = set()
     for entry in catalog:
+        if entry.curve_id in seen:
+            raise ValueError(f"the catalog has two entries with the id {entry.curve_id!r}")
+        seen.add(entry.curve_id)
         build_model(entry)
     return catalog
 

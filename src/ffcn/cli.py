@@ -7,7 +7,8 @@ invariant suite).
 
 Exit codes: 0 = everything verified, 1 = a mathematical mismatch,
 2 = usage or input error.  Reports are deterministic: byte-identical
-across runs.
+across runs.  ``_stage`` maps a failure to its exit, and ``_finish``
+emits a report and chooses 0 or 1.
 
 ``main`` parses and runs one command and returns its exit code; ``run``,
 the ``ffc`` script and ``python -m ffcn.cli``, calls it, flushes the
@@ -22,7 +23,6 @@ peak RSS of ``ffc table64``; ``os._exit`` hands the heap back whole.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
@@ -53,8 +53,32 @@ EXIT_FLUSH_FAILED = 120  # the interpreter's status when its flush at exit fails
 
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError,
                 json.JSONDecodeError, FieldError)
+# input met while counting: a field beyond gf.FIELD_MAX (the budget refuses
+# it first) or a pencil walk beyond the budget; anything else is a fault
+COUNT_ERRORS = (FieldError, BudgetError)
 MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError,
                WitnessMismatchError)
+
+
+class _Exit(Exception):
+    """(exit code, stderr line): ``main`` writes the line, returns the code."""
+
+
+def _stage(label: str, input_errors, fn, *args):
+    """``fn(*args)``, with a failure mapped to its exit.  A cover outside
+    the handled standard form is unusable input (matched first, since
+    ``NonStandardCoverError`` subclasses ``InvalidCoverError``), a
+    mathematical failure exits 1 under ``label``, and ``input_errors``
+    exit 2: ``PARSE_ERRORS`` while loading a catalog or a model,
+    ``COUNT_ERRORS`` while counting."""
+    try:
+        return fn(*args)
+    except NonStandardCoverError as exc:
+        raise _Exit(EXIT_USAGE, f"input error: {exc}") from None
+    except MATH_ERRORS as exc:
+        raise _Exit(EXIT_MISMATCH, f"{label}: {exc}") from None
+    except input_errors as exc:
+        raise _Exit(EXIT_USAGE, f"input error: {exc}") from None
 
 
 def _check_cost(model, n: int, probe_depth: int):
@@ -65,26 +89,21 @@ def _check_cost(model, n: int, probe_depth: int):
     check_budget(model.enumeration_size(n, probe_depth))
 
 
-def _input_error(exc) -> int:
-    sys.stderr.write(f"input error: {exc}\n")
-    return EXIT_USAGE
-
-
-def _emit(text: str, out_path: str | None) -> int:
-    if out_path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write {out_path}: {exc}\n")
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _finish(ns, report, text, ok: bool = True) -> int:
+    """Render ``report`` as JSON if ``--format json`` asks, else as
+    ``text()``; write it to stdout or ``--out``; and exit 0 if ``ok``,
+    else 1."""
+    out = (json.dumps(report, indent=2, sort_keys=True) + "\n" if ns.format == "json"
+           else text())
+    if ns.out is None:
+        sys.stdout.write(out)
+    else:
+        try:
+            with open(ns.out, "w", newline="") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise _Exit(EXIT_USAGE, f"cannot write {ns.out}: {exc}") from None
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +127,24 @@ def _verify_one(entry, max_place_degree: int, probe_depth: int):
     }
 
 
+def _verify_entries(ns):
+    """The entries to verify, once each one's counts are within the budget."""
+    catalog = DEFAULT_CATALOG
+    if ns.catalog:
+        with open(ns.catalog) as fh:
+            catalog = load_catalog(fh.read())
+    entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
+    for entry in entries:
+        model = build_model(entry)
+        _check_cost(model, ns.max_place_degree, ns.probe_depth)
+        _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
+    return entries
+
+
 def cmd_verify(ns) -> int:
-    try:
-        catalog = DEFAULT_CATALOG
-        if ns.catalog:
-            with open(ns.catalog) as fh:
-                catalog = load_catalog(fh.read())
-        entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
-        for entry in entries:
-            model = build_model(entry)
-            _check_cost(model, ns.max_place_degree, ns.probe_depth)
-            _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
-    except NonStandardCoverError as exc:  # unusable input, not a failure
-        return _input_error(exc)
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"verification error: {exc}\n")
-        return EXIT_MISMATCH
-    except PARSE_ERRORS as exc:
-        return _input_error(exc)
-    try:
-        records = [_verify_one(e, ns.max_place_degree, ns.probe_depth)
-                   for e in entries]
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"verification error: {exc}\n")
-        return EXIT_MISMATCH
-    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
-        return _input_error(exc)
+    entries = _stage("verification error", PARSE_ERRORS, _verify_entries, ns)
+    records = _stage("verification error", COUNT_ERRORS, lambda: [
+        _verify_one(e, ns.max_place_degree, ns.probe_depth) for e in entries])
     overall = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     report = {
         "tool_version": __version__,
@@ -144,9 +155,8 @@ def cmd_verify(ns) -> int:
         "auxiliary_facts": section_facts(),
         "status": overall,
     }
-    if ns.format == "json":
-        text = _render_json(report)
-    else:
+
+    def text():
         lines = [f"verification report (tool {__version__})"]
         for r in records:
             lines.append(
@@ -157,11 +167,9 @@ def cmd_verify(ns) -> int:
             for p in r["problems"]:
                 lines.append(f"      problem: {p}")
         lines.append(f"overall: {overall}")
-        text = "\n".join(lines) + "\n"
-    rc = _emit(text, ns.out)
-    if rc:
-        return rc
-    return EXIT_OK if overall == "pass" else EXIT_MISMATCH
+        return "\n".join(lines) + "\n"
+
+    return _finish(ns, report, text, overall == "pass")
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +199,18 @@ CSV_COLUMNS = ("family", "mask", "quadric", "paper_witness", "paper_degree",
                "status")
 
 
+def _table_rows(dmax: int, probe_depth: int):
+    """The 64 row records, once the search is within the budget: rows
+    search points to dmax; from dmax 4 on, the survivor is counted to N_5
+    and probed.  The pencils refuse a surface walk beyond the budget."""
+    n, depth = (dmax, 1) if dmax < 4 else (max(dmax, 5), probe_depth)
+    _check_cost(build_family()[0].model, n, depth)
+    return [_table_one(i, dmax) for i in range(64)]
+
+
 def cmd_table64(ns) -> int:
-    # rows search points to dmax; from dmax 4 on, the survivor is counted
-    # to N_5 and probed
-    n, probe_depth = (ns.dmax, 1) if ns.dmax < 4 else (max(ns.dmax, 5), ns.probe_depth)
-    try:
-        _check_cost(build_family()[0].model, n, probe_depth)
-    except ValueError as exc:
-        return _input_error(exc)
-    try:
-        # the pencils refuse a surface walk beyond the budget
-        records = [_table_one(i, ns.dmax) for i in range(64)]
-    except BudgetError as exc:
-        return _input_error(exc)
+    records = _stage("survivor search error", COUNT_ERRORS, _table_rows,
+                     ns.dmax, ns.probe_depth)
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
     summary = {"rows": 64,
@@ -211,22 +218,16 @@ def cmd_table64(ns) -> int:
                "survivor_undetermined": survivor_undetermined}
     survivor_ok = True
     if not survivor_undetermined:
-        try:
-            survivors = find_survivors(build_family())
-        except MATH_ERRORS as exc:
-            sys.stderr.write(f"survivor search error: {exc}\n")
-            return EXIT_MISMATCH
+        survivors = _stage("survivor search error", COUNT_ERRORS,
+                           find_survivors, build_family())
         summary["survivors"] = [
             {"family": r.family, "mask": r.mask_str} for r in survivors]
         survivor_ok = (len(survivors) == 1
                        and survivors[0].family == SURVIVOR_FAMILY
                        and survivors[0].mask == SURVIVOR_MASK)
         if survivor_ok:
-            try:
-                rep = survivor_analysis(survivors[0], ns.probe_depth)
-            except MATH_ERRORS as exc:
-                sys.stderr.write(f"survivor analysis error: {exc}\n")
-                return EXIT_MISMATCH
+            rep = _stage("survivor analysis error", COUNT_ERRORS,
+                         survivor_analysis, survivors[0], ns.probe_depth)
             summary["survivor_analysis"] = {
                 "counts": list(rep.counts),
                 "l_coeffs": list(rep.l_coeffs),
@@ -237,20 +238,18 @@ def cmd_table64(ns) -> int:
             }
     ok = all_pass and survivor_ok
 
-    if ns.format == "csv":
-        # imported here: csv costs every other run about 65 KB of memory
-        import csv
+    def text():
+        if ns.format == "csv":
+            # imported here: csv costs every other run about 65 KB of memory
+            import csv
+            import io
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r[c] for c in CSV_COLUMNS])
-        text = buf.getvalue()
-    elif ns.format == "json":
-        text = _render_json({"rows": records, "summary": summary,
-                             "status": "pass" if ok else "fail"})
-    else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for r in records:
+                writer.writerow([r[c] for c in CSV_COLUMNS])
+            return buf.getvalue()
         lines = []
         for r in records:
             lines.append(
@@ -259,90 +258,60 @@ def cmd_table64(ns) -> int:
                 f"min degree {r['computed_min_degree']} [{r['status']}]")
         lines.append(f"summary: {summary}")
         lines.append(f"overall: {'pass' if ok else 'fail'}")
-        text = "\n".join(lines) + "\n"
-    rc = _emit(text, ns.out)
-    if rc:
-        return rc
-    return EXIT_OK if ok else EXIT_MISMATCH
+        return "\n".join(lines) + "\n"
+
+    return _finish(ns, {"rows": records, "summary": summary,
+                        "status": "pass" if ok else "fail"}, text, ok)
 
 
 # ---------------------------------------------------------------------------
 # zeta / places: one model from the catalog or a JSON model file
 
-def _open_model(ns):
-    """The model of --curve or of the --model file."""
+def _open_model(ns, n: int):
+    """The model of --curve or of the --model file and its genus, read
+    once counting N_1..N_n is within the budget: reading a cover's genus
+    walks its support."""
     if ns.curve:
-        return build_model(get_entry(ns.curve))
-    with open(ns.model) as fh:
-        return model_from_spec(json.load(fh))
+        model = build_model(get_entry(ns.curve))
+    else:
+        with open(ns.model) as fh:
+            model = model_from_spec(json.load(fh))
+    _check_cost(model, n, ns.probe_depth)
+    return model, model.genus
 
 
 def cmd_zeta(ns) -> int:
-    try:
-        model = _open_model(ns)
-        _check_cost(model, ns.counts_up_to, ns.probe_depth)
-        g = model.genus
-        _check_cost(model, max(ns.counts_up_to, g), ns.probe_depth)
-    except NonStandardCoverError as exc:  # unusable input, not a failure
-        return _input_error(exc)
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"model error: {exc}\n")
-        return EXIT_MISMATCH
-    except PARSE_ERRORS as exc:
-        return _input_error(exc)
+    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns, ns.counts_up_to)
+    n = max(ns.counts_up_to, g)
+    _stage("model error", PARSE_ERRORS, _check_cost, model, n, ns.probe_depth)
     q = model.field.order
-    try:
-        counts = model.counts(max(ns.counts_up_to, g), ns.probe_depth)
+
+    def pipeline():
+        counts = model.counts(n, ns.probe_depth)
         L = l_polynomial(PointCounts(q, g, tuple(counts[:g])))
-        h = class_number(L)
-        census = census_from_counts(counts)
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"zeta pipeline error: {exc}\n")
-        return EXIT_MISMATCH
-    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
-        return _input_error(exc)
+        return counts, L, class_number(L), census_from_counts(counts)
+
+    counts, L, h, census = _stage("zeta pipeline error", COUNT_ERRORS, pipeline)
     report = {"q": q, "genus": g, "counts": list(counts),
               "l_coeffs": list(L.coeffs), "h": h,
               "census": census.as_dict()}
-    if ns.format == "json":
-        text = _render_json(report)
-    else:
-        text = (f"q = {q}, genus = {g}\n"
-                f"N = {list(counts)}\n"
-                f"L = {list(L.coeffs)}\n"
-                f"h = L(1) = {h}\n"
-                f"census B_d = {census.as_dict()}\n")
-    return _emit(text, ns.out)
+    return _finish(ns, report, lambda: (f"q = {q}, genus = {g}\n"
+                                        f"N = {list(counts)}\n"
+                                        f"L = {list(L.coeffs)}\n"
+                                        f"h = L(1) = {h}\n"
+                                        f"census B_d = {census.as_dict()}\n"))
 
 
 def cmd_places(ns) -> int:
-    try:
-        model = _open_model(ns)
-        _check_cost(model, ns.max_place_degree, ns.probe_depth)
-        g = model.genus
-    except NonStandardCoverError as exc:  # unusable input, not a failure
-        return _input_error(exc)
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"model error: {exc}\n")
-        return EXIT_MISMATCH
-    except PARSE_ERRORS as exc:
-        return _input_error(exc)
-    q, d = model.field.order, ns.max_place_degree
-    try:
-        census = census_from_counts(model.counts(d, ns.probe_depth))
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"census error: {exc}\n")
-        return EXIT_MISMATCH
-    except FieldError as exc:  # beyond gf.FIELD_MAX; the budget refuses it first
-        return _input_error(exc)
+    d = ns.max_place_degree
+    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns, d)
+    census = _stage("census error", COUNT_ERRORS,
+                    lambda: census_from_counts(model.counts(d, ns.probe_depth)))
+    q = model.field.order
     report = {"q": q, "genus": g, "max_degree": d, "census": census.as_dict()}
-    if ns.format == "json":
-        text = _render_json(report)
-    else:
-        lines = [f"q = {q}, genus = {g}"]
-        lines += [f"  B_{deg} = {b}" for deg, b in census.as_dict().items()]
-        text = "\n".join(lines) + "\n"
-    return _emit(text, ns.out)
+    return _finish(ns, report, lambda: "\n".join(
+        [f"q = {q}, genus = {g}"]
+        + [f"  B_{deg} = {b}" for deg, b in census.as_dict().items()]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +411,11 @@ def _selftest_checks():
 
 def cmd_selftest(ns) -> int:
     results = _selftest_checks()
-    lines = []
-    for name, ok, msg in results:
-        lines.append(f"[{'pass' if ok else 'FAIL'}] {name}" + (f": {msg}" if msg else ""))
     ok_all = all(ok for _, ok, _ in results)
+    lines = [f"[{'pass' if ok else 'FAIL'}] {name}" + (f": {msg}" if msg else "")
+             for name, ok, msg in results]
     lines.append(f"selftest: {'pass' if ok_all else 'fail'}")
-    rc = _emit("\n".join(lines) + "\n", ns.out)
-    if rc:
-        return rc
-    return EXIT_OK if ok_all else EXIT_MISMATCH
+    return _finish(ns, None, lambda: "\n".join(lines) + "\n", ok_all)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +477,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if "selftest" in names:
         p = sub.add_parser("selftest", help="run the embedded invariant suite")
-        common(p)
-        p.set_defaults(func=cmd_selftest)
+        p.add_argument("--out", default=None, help="write the report here")
+        p.set_defaults(func=cmd_selftest, format="text")
     return top
 
 
@@ -530,7 +495,12 @@ def main(argv=None) -> int:
         if getattr(ns, bound, 1) < 1:
             sys.stderr.write(f"--{bound.replace('_', '-')} must be >= 1\n")
             return EXIT_USAGE
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except _Exit as exc:
+        code, line = exc.args
+        sys.stderr.write(line + "\n")
+        return code
 
 
 def run():

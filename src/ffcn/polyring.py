@@ -10,14 +10,16 @@ orbits of x -> x^q on GF(q^d) (``gf.orbit_representatives``) yields every
 place of degree d together with its root, and the x^q table gives the
 rest of each orbit (Lidl & Niederreiter, Finite Fields, ch. 2-3).
 
-Polynomial text format: sums of monomials like ``x^4+x+1``; coefficients
-outside the prime field are written in the modulus-root symbol ``a``
-(e.g. ``x^3+a``, ``(a+1)x^2``).  Parsing is exact and serialization
-round-trips.
+Polynomial text has one grammar, read by ``read_terms``: terms joined
+by ``+`` and ``-``, each an optional coefficient, in the modulus root
+``a`` and parenthesised when a sum, then only factors ``v`` or ``v^n``
+(``x^3+a``, ``(a+1)x^2``, ``2x1x2^2``); spaces and ``*`` are ignored.
+Parsing is exact and serialization round-trips.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .gf import (GF, FieldError, _prime_factors, element_str, embedding,
@@ -514,61 +516,80 @@ def format_poly(f: Poly, var: str = "x", symbol: str = "a") -> str:
     return "+".join(parts)
 
 
-def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a",
-               check_degree=None) -> Poly:
-    """The polynomial a string of terms c*x^e describes.  ``check_degree``,
-    if given, is called with the degree before the coefficient list is
-    built, and raises to refuse it."""
-    s = s.replace(" ", "")
-    if not s:
+def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
+    """{exponents: coefficient} of polynomial text in ``varnames`` (see the
+    module docstring), like terms summed.  A term that does not read
+    raises ValueError naming it and the text."""
+    text = _text(s).replace(" ", "").replace("*", "")
+    if not text:
         raise ValueError("empty polynomial string")
-    coeffs: dict[int, int] = {}
-    for sign, term in _split_terms(s):
+    factor, term_form, index = _term_patterns(tuple(varnames))
+    terms: dict[tuple[int, ...], int] = {}
+    for sign, term in _split_terms(text):
+        m = term_form.match(term)
         try:
             if not term:
                 raise ValueError("empty term")
-            head, has_var, tail = term.partition(var)
-            if tail and not tail.startswith("^"):
-                raise ValueError(f"unexpected {tail!r} after {var!r}")
-            exp = int(tail[1:]) if tail else (1 if has_var else 0)
-            head = head.rstrip("*")
-            if head.startswith("(") and head.endswith(")"):
-                head = head[1:-1]
-            c = parse_element(head, field, symbol) if head else 1
+            if m.end() < len(term):
+                raise ValueError(f"unexpected {term[m.end():]!r}"
+                                 + (f" after {m[0]!r}" if m[0] else ""))
+            c = parse_element(m[1].strip("()"), field, symbol) if m[1] else 1
         except ValueError as exc:
             raise ValueError(f"bad term {term!r} in polynomial {s!r}: {exc}") from None
-        if sign < 0:
-            c = field.neg(c)
-        coeffs[exp] = field.add(coeffs.get(exp, 0), c)
+        exps = [0] * len(varnames)
+        for v, n in factor.findall(m[2]):
+            exps[index[v]] += int(n or 1)
+        key = tuple(exps)
+        terms[key] = field.add(terms.get(key, 0), field.neg(c) if sign < 0 else c)
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _term_patterns(varnames: tuple[str, ...]):
+    """For ``read_terms``: the pattern of a factor v or v^n, the pattern of
+    a term (a coefficient, in parentheses or up to the first name, then
+    factors), and each name's index.  Names match longest first; with no
+    names, no factor matches."""
+    names = sorted(filter(None, varnames), key=len, reverse=True)
+    name = "(?:" + ("|".join(map(re.escape, names)) or "(?!)") + ")"
+    return (re.compile(rf"({name})(?:\^(\d+))?"),
+            re.compile(rf"(\([^()]*\)|(?:(?!{name})[^()])*)((?:{name}(?:\^\d+)?)*)"),
+            {v: i for i, v in enumerate(varnames)})
+
+
+def _text(s) -> str:
+    if not isinstance(s, str):
+        raise ValueError(f"a polynomial must be text, not {s!r}")
+    return s
+
+
+def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a",
+               check_degree=None) -> Poly:
+    """The polynomial in ``var`` that the text describes.  ``check_degree``,
+    if given, is called with the degree before the coefficient list is
+    built, and raises to refuse it."""
+    terms = read_terms(s, field, (var,), symbol)
+    degree = max(e for (e,) in terms)
     if check_degree is not None:
-        check_degree(max(coeffs))
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
+        check_degree(degree)
+    out = [0] * (degree + 1)
+    for (e,), c in terms.items():
         out[e] = c
     return Poly(field, out)
 
 
 def _split_terms(s: str):
-    """Yield (sign, term) splitting on top-level + and -."""
+    """Yield (sign, term) for the terms of s, split at + and - outside
+    parentheses; a leading + or - is the sign of the first term."""
+    sign, start = {"-": (-1, 1), "+": (1, 1)}.get(s[:1], (1, 0))
     depth = 0
-    sign, cur = 1, []
-    first = True
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not first:
-            yield sign, "".join(cur)
-            sign, cur = (1 if ch == "+" else -1), []
-            continue
-        if first and ch == "-":
-            sign = -1
-            first = False
-            continue
-        cur.append(ch)
-        first = False
-    yield sign, "".join(cur)
+    for m in re.finditer(r"[-+()]", s):
+        ch, i = m[0], m.start()
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and i:
+            yield sign, s[start:i]
+            sign, start = (1 if ch == "+" else -1), i + 1
+    yield sign, s[start:]
 
 
 def format_rational(f: RationalFunction, var: str = "x", symbol: str = "a") -> str:
@@ -582,7 +603,7 @@ def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a",
                    check_degree=None) -> RationalFunction:
     """num or num/den, where den may be a power (poly)^n.  ``check_degree``
     is called as in ``parse_poly``, also on the degree of the power."""
-    text, s = s, s.replace(" ", "")
+    text, s = s, _text(s).replace(" ", "")
     parts = _split_fraction(s)
     if len(parts) == 1:
         return RationalFunction(parse_poly(_strip_parens(parts[0]), field, var, symbol,
@@ -601,29 +622,20 @@ def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a",
 def _split_fraction(s: str):
     depth = 0
     for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
+        depth += (ch == "(") - (ch == ")")
+        if ch == "/" and depth == 0:
             return [s[:i], s[i + 1:]]
     return [s]
 
 
 def _strip_parens(s: str) -> str:
+    """s without the parentheses that enclose all of it."""
     while s.startswith("(") and s.endswith(")"):
         depth = 0
-        ok = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i < len(s) - 1:
-                    ok = False
-                    break
-        if not ok:
-            break
+        for ch in s[:-1]:
+            depth += (ch == "(") - (ch == ")")
+            if not depth:
+                return s
         s = s[1:-1]
     return s
 

@@ -43,16 +43,20 @@ coefficients in GF(q), so the Jacobian drops rank at a point iff it does
 at the point's conjugates.  It evaluates them once per point of the walk,
 from their terms embedded in the extension field once per field, with
 ``GF.evaluate``, and expands only the singular points.
+
+Forms are read from text by ``parse_multipoly``, a wrapper over the one
+polynomial grammar, ``polyring.read_terms``; ``format_multipoly`` output
+reads back.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 from .gf import (FIELD_MAX, GF, FieldError, element_str, embed,
                  extension_order, frobenius_table, make_field,
                  orbit_representatives, parse_element)
+from .polyring import read_terms
 from .records import record
 
 
@@ -537,37 +541,8 @@ def format_multipoly(poly: MultiPoly, varnames: tuple[str, ...] | None = None,
 
 def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...],
                     symbol: str = "a") -> MultiPoly:
-    """Parse sums of monomials; '*' optional between factors."""
-    text, s = s, s.replace(" ", "").replace("*", "")
-    nvars = len(varnames)
-    var_re = "|".join(re.escape(v) for v in sorted(varnames, key=len, reverse=True))
-    factor_re = re.compile(rf"({var_re})(?:\^(\d+))?")
-    terms: dict[tuple[int, ...], int] = {}
-    for part in s.split("+"):
-        if not part:
-            raise ValueError(f"empty term in polynomial {text!r}")
-        exps = [0] * nvars
-        pos = 0
-        coef_src = []
-        while pos < len(part):
-            m = factor_re.match(part, pos)
-            if m:
-                v = varnames.index(m.group(1))
-                exps[v] += int(m.group(2) or 1)
-                pos = m.end()
-            else:
-                coef_src.append(part[pos])
-                pos += 1
-        head = "".join(coef_src)
-        if head.startswith("(") and head.endswith(")"):
-            head = head[1:-1]
-        try:
-            c = parse_element(head, field, symbol) if head else 1
-        except ValueError as exc:
-            raise ValueError(f"bad term {part!r} in polynomial {text!r}: {exc}") from None
-        key = tuple(exps)
-        terms[key] = field.add(terms.get(key, 0), c)
-    return MultiPoly.build(field, nvars, terms)
+    """The form in ``varnames`` that the text describes (``polyring.read_terms``)."""
+    return MultiPoly.build(field, len(varnames), read_terms(s, field, varnames, symbol))
 
 
 def format_point(coords, field: GF, symbol: str = "a") -> str:

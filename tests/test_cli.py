@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -624,3 +625,116 @@ def test_budget_admits_curve_i_to_degree_17_only():
     cli._check_cost(model, 17, 6)
     with pytest.raises(ValueError, match="enumerate 262144 candidates"):
         cli._check_cost(model, 18, 6)
+
+
+# ---------------------------------------------------------------------------
+# wrong-typed, stray and misspelt input: each exits 2 with one input error
+
+BAD_JSON_VALUES = [None, True, 3.5, [], {}]
+TEXT_KEYS = ("curve_id", "kind", "equation", "f", "poly", "cubic", "quadric")
+
+
+def _wrong_typed_inputs():
+    """pytest params (command, input file content) with one key of a
+    catalog entry or of a model spec replaced by a wrong-typed JSON value;
+    the entry, the spec of each kind and the command are drawn by a
+    seeded generator."""
+    rng = random.Random(20261019)
+    items = json.loads(dump_catalog())
+    cases = []
+    for key in items[0]:
+        for value in BAD_JSON_VALUES + [5] * (key in TEXT_KEYS):
+            catalog = [dict(item) for item in items]
+            entry = rng.choice(catalog)
+            entry[key] = value
+            cases.append(pytest.param(["verify", "--catalog"], catalog,
+                                      id=f"verify-{key}-{json.dumps(value)}"))
+    specs = [{"kind": "rational", "p": 2, "k": 1}]
+    for kind in sorted({item["kind"] for item in items}):
+        item = rng.choice([item for item in items if item["kind"] == kind])
+        specs.append({"kind": kind, "p": item["p"], "k": item["k"], **item["data"]})
+    for spec in specs:
+        for key in spec:
+            for value in BAD_JSON_VALUES + [5] * (key in TEXT_KEYS):
+                command = rng.choice(["zeta", "places"])
+                cases.append(pytest.param([command, "--model"], dict(spec, **{key: value}),
+                                          id=f"{command}-{spec['kind']}-{key}-{json.dumps(value)}"))
+    return cases
+
+
+@pytest.mark.parametrize("args,content", _wrong_typed_inputs())
+def test_wrong_typed_input_exits_two(tmp_path, capsys, args, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert cli.main(args + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("genus", True, "catalog entry 'i' key 'genus' must be an integer, not True"),
+    ("class_number", 1.0, "catalog entry 'i' key 'class_number' must be an integer, not 1.0"),
+    ("curve_id", 3, "catalog entry 3 key 'curve_id' must be text, not 3"),
+    ("equation", None, "catalog entry 'i' key 'equation' must be text, not None"),
+    ("data", [], "catalog entry 'i' key 'data' must be a JSON object, not []"),
+    ("data", {"f": "x^3+x+1", "extra": 1}, "catalog entry 'i' data has the unknown keys 'extra'"),
+    ("data", {"f": "x^3+x+1", "p": 3}, "catalog entry 'i' data has the unknown keys 'p'"),
+    ("data", {"f": 5}, "a polynomial must be text, not 5"),
+], ids=["genus", "class_number", "curve_id", "equation", "data", "data-extra", "data-p", "data-f"])
+def test_catalog_entry_values_are_checked(tmp_path, capsys, key, value, message):
+    items = json.loads(dump_catalog())
+    items[0][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(items))
+    assert cli.main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("select", [[], ["--curve", "i"]], ids=["catalog", "curve-i"])
+def test_duplicate_catalog_ids_exit_two(tmp_path, capsys, select):
+    items = json.loads(dump_catalog())
+    items.append(dict(items[0], genus=7))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(items))
+    assert cli.main(["verify", "--catalog", str(path), *select]) == 2
+    assert capsys.readouterr() == ("", "input error: the catalog has two entries with the id 'i'\n")
+
+
+@pytest.mark.parametrize("command", ["zeta", "places"])
+def test_model_spec_with_an_unknown_key_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^3",
+                                "extra": 1}))
+    assert cli.main([command, "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", "input error: model spec has the unknown keys 'extra'\n")
+
+
+# curve iv's quartic with its last term z^4 misspelt: over GF(2), z4 once
+# read as 4z^0 = 0 and the run failed the smoothness probe; over GF(4),
+# z^4a once read as a*z^4
+@pytest.mark.parametrize("k,typo,message", [
+    (1, "z4", "unexpected '4' after 'z'"), (2, "z^4a", "unexpected 'a' after 'z^4'")],
+    ids=["z4", "z^4a"])
+@pytest.mark.parametrize("command", ["zeta", "places"])
+def test_misspelt_quartic_term_exits_two(tmp_path, capsys, command, k, typo, message):
+    poly = get_entry("iv").data["poly"]
+    assert poly.endswith("+z^4")
+    poly = poly[:-len("z^4")] + typo
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "plane_quartic", "p": 2, "k": k, "poly": poly,
+                                "vars": ["x", "y", "z"]}))
+    assert cli.main([command, "--model", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: bad term {typo!r} in polynomial {poly!r}: {message}\n")
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--probe-depth", "3"]],
+                         ids=["format", "probe-depth"])
+def test_selftest_takes_only_out(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["selftest", *flag])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err

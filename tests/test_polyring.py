@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from ffcn.gf import make_field
+from ffcn.gf import make_field, parse_element
 from ffcn.polyring import (Place, PoleError, Poly, RationalFunction,
                            format_poly, format_rational, irreducible_count,
                            is_irreducible, moebius_mu, moebius_transport,
                            monic_irreducibles, parse_poly, parse_rational,
                            place_valuation, places_of_degree, poly_gcd,
-                           residue, residue_field, unit_residue)
+                           read_terms, residue, residue_field, unit_residue)
+from ffcn.varieties import MultiPoly, parse_multipoly
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -189,6 +190,43 @@ def test_poly_text_round_trip():
             assert parse_poly(format_poly(f), field) == f
     f = parse_rational("(x^3+x^2+1)/(x^3+x+1)", F2)
     assert parse_rational(format_rational(f), F2) == f
+
+
+def test_univariate_text_reads_the_same_in_both_wrappers():
+    # parse_poly and parse_multipoly are one grammar: on univariate text,
+    # with coefficients that are sums and with - terms, they agree
+    rng = random.Random(23)
+    for field in (F3, F4, make_field(3, 2)):
+        texts = [format_poly(_random_poly(rng, field, 6)) for _ in range(40)]
+        texts += ["x^3-x+1", "-x^2-2", "+x^3+x", "2x^2-(a+1)x+a" if field.k > 1 else "2x^2-x+1"]
+        for text in texts:
+            f = parse_poly(text, field)
+            expected = MultiPoly.build(field, 1, {(e,): c for e, c in enumerate(f.coeffs)})
+            assert parse_multipoly(text, field, ("x",)) == expected, (field, text)
+
+
+def test_read_terms_grammar():
+    F9 = make_field(3, 2)
+    # a leading + is a sign, not a coefficient read as 0
+    assert parse_poly("+x^3+x+1", F2) == parse_poly("x^3+x+1", F2)
+    # like terms are summed (2 + 1 = 0 in characteristic 3); - negates
+    assert read_terms("2x1^2 x2 - (a+1)*x3 + x1x1x2", F9, ("x1", "x2", "x3")) == {
+        (2, 1, 0): 0, (0, 0, 1): F9.neg(parse_element("a+1", F9))}
+    for text, message in (("z4", "unexpected '4' after 'z'"),
+                          ("z^4a", "unexpected 'a' after 'z^4'"),
+                          ("x^", "unexpected '^' after 'x'"),
+                          ("x+(a+1", "unexpected '(a+1'"),
+                          ("x(a)", "unexpected '(a)' after 'x'"),
+                          ("x++z", "empty term")):
+        with pytest.raises(ValueError) as info:
+            read_terms(text, F9, ("x", "z"))
+        assert str(info.value).startswith("bad term ") and str(info.value).endswith(message)
+    for value in (None, True, 3.5, [], {}, 5):
+        for reader in (lambda v: read_terms(v, F2, ("x",)), lambda v: parse_poly(v, F2),
+                       lambda v: parse_rational(v, F2)):
+            with pytest.raises(ValueError) as info:
+                reader(value)
+            assert str(info.value) == f"a polynomial must be text, not {value!r}"
 
 
 def test_gcd_is_monic_common_divisor():

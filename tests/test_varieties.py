@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ffcn.catalog import build_model, get_entry
-from ffcn.gf import make_field
+from ffcn.gf import element_str, make_field
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
                             SpaceCurve, _jacobian, _representatives,
@@ -102,6 +102,28 @@ def test_multipoly_text_round_trip():
         names = XYZ if "y" in s else X4
         f = parse_multipoly(s, F2, names)
         assert parse_multipoly(format_multipoly(f, names), F2, names) == f
+
+
+def test_multipoly_text_round_trip_with_sum_coefficients():
+    # format_multipoly writes a sum coefficient in parentheses, as in
+    # x1^2+(a+1)*x2^2; the reader must take it back over GF(4) and GF(9)
+    rng = random.Random(29)
+    for field in (F4, make_field(3, 2)):
+        sums = [c for c in range(field.order) if "+" in element_str(field, c)]
+        for _ in range(30):
+            terms = {tuple(rng.randrange(4) for _ in X4): rng.choice(sums + [rng.randrange(field.order)])
+                     for _ in range(rng.randint(1, 6))}
+            f = MultiPoly.build(field, 4, terms)
+            assert parse_multipoly(format_multipoly(f), field, X4) == f
+        f = parse_multipoly("x1^2+(a+1)*x2^2", field, X4)
+        assert format_multipoly(f) == "x1^2+(a+1)*x2^2"
+
+
+def test_minus_terms_over_gf3():
+    F3 = make_field(3, 1)
+    for minus, plus in (("x^2-y^2+zx", "x^2+2y^2+zx"), ("-x^3-2xyz-z^3", "2x^3+xyz+2z^3"),
+                        ("x-y-z", "x+2y+2z")):
+        assert parse_multipoly(minus, F3, XYZ) == parse_multipoly(plus, F3, XYZ)
 
 
 def test_multipoly_coefficients_in_extension():
