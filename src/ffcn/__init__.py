@@ -11,12 +11,12 @@ from .covers import (CoverKind, CoverModel, InvalidCoverError,
                      NonStandardCoverError, RamificationDatum, cover_genus,
                      place_census, ramification_data, splitting_type,
                      validate_standard_form)
-from .gf import GF, FieldError, element_str, embed, make_field, parse_element
-from .polyring import (Place, PoleError, Poly, RationalFunction,
+from .gf import GF, FieldError, embed, make_field
+from .polyring import (Place, PoleError, Poly, RationalFunction, element_str,
                        irreducible_count, is_irreducible, moebius_mu,
-                       moebius_transport, monic_irreducibles, parse_poly,
-                       parse_rational, place_valuation, places_of_degree,
-                       residue, residue_field)
+                       moebius_transport, monic_irreducibles, parse_element,
+                       parse_poly, parse_rational, place_valuation,
+                       places_of_degree, residue, residue_field)
 from .table64 import (CUBICS, QUADRICS, SURVIVOR_FAMILY, SURVIVOR_MASK,
                       TableRow, build_family, find_survivors,
                       survivor_analysis, verify_row)

@@ -205,9 +205,13 @@ def _entry_from_json(item) -> CatalogEntry:
 
 
 def load_catalog(text: str) -> tuple[CatalogEntry, ...]:
-    """Parse a catalog and build every entry's model, so that a malformed
-    entry or a repeated id is reported before any verification starts."""
-    catalog = tuple(_entry_from_json(item) for item in json.loads(text))
+    """Parse a catalog, a non-empty JSON list of entries, and build every
+    entry's model, so that a malformed entry or a repeated id is reported
+    before any verification starts."""
+    items = json.loads(text)
+    if type(items) is not list or not items:
+        raise ValueError(f"a catalog must be a non-empty JSON list of entries, not {items!r}")
+    catalog = tuple(_entry_from_json(item) for item in items)
     seen = set()
     for entry in catalog:
         if entry.curve_id in seen:

@@ -499,53 +499,3 @@ def orbit_representatives(field: GF, q: int) -> tuple[tuple[int, int], ...]:
         if x == a:
             out.append((a, size))
     return tuple(out)
-
-
-def element_str(field: GF, a: int, symbol: str = "a") -> str:
-    """Render an element as a polynomial in the modulus root."""
-    if a == 0:
-        return "0"
-    parts = []
-    digits = _digits(a, field.p, field.k)
-    for i in reversed(range(field.k)):
-        d = digits[i]
-        if not d:
-            continue
-        coef = "" if d == 1 else str(d)
-        if i == 0:
-            parts.append(str(d))
-        elif i == 1:
-            parts.append(f"{coef}{symbol}")
-        else:
-            parts.append(f"{coef}{symbol}^{i}")
-    return "+".join(parts)
-
-
-def parse_element(s: str, field: GF, symbol: str = "a") -> int:
-    """Parse the output of :func:`element_str` (sums of c*symbol^i terms)."""
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty element string")
-    val = 0
-    root = field.p if field.k > 1 else None
-    for term in s.replace("-", "+-").split("+"):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if symbol in term:
-            head, _, tail = term.partition(symbol)
-            coef = int(head) if head else 1
-            exp = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-            if exp is None:
-                raise ValueError(f"bad element term {term!r}")
-            if root is None:
-                raise ValueError(f"symbol {symbol!r} in a prime-field element")
-            t = field.mul(coef % field.p, field.pow(root, exp))
-        else:
-            t = int(term) % field.p
-        t = field.neg(t) if sign < 0 else t
-        val = field.add(val, t)
-    return val

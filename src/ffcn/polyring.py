@@ -14,7 +14,10 @@ Polynomial text has one grammar, read by ``read_terms``: terms joined
 by ``+`` and ``-``, each an optional coefficient, in the modulus root
 ``a`` and parenthesised when a sum, then only factors ``v`` or ``v^n``
 (``x^3+a``, ``(a+1)x^2``, ``2x1x2^2``); spaces and ``*`` are ignored.
-Parsing is exact and serialization round-trips.
+An element of GF(p^k) is text in the same grammar: a decimal integer in
+the prime field, else its base-p digits as a polynomial in the modulus
+root over GF(p) (``element_str``, ``parse_element``).  Parsing is exact
+and serialization round-trips.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .gf import (GF, FieldError, _prime_factors, element_str, embedding,
-                 frobenius_table, make_field, orbit_representatives,
-                 parse_element)
+from .gf import (GF, FieldError, _digits, _prime_factors, embedding,
+                 frobenius_table, make_field, orbit_representatives)
 
 
 class PoleError(ValueError):
@@ -514,6 +516,30 @@ def format_poly(f: Poly, var: str = "x", symbol: str = "a") -> str:
         xpart = var if i == 1 else f"{var}^{i}"
         parts.append(f"{coef}{xpart}")
     return "+".join(parts)
+
+
+def element_str(field: GF, a: int, symbol: str = "a") -> str:
+    """An element as text: in a prime field its integer, else its base-p
+    digits as a polynomial in the modulus root ``symbol`` over GF(p)."""
+    if field.k == 1:
+        return str(a)
+    return format_poly(Poly(make_field(field.p, 1), _digits(a, field.p, field.k)), symbol)
+
+
+def parse_element(s: str, field: GF, symbol: str = "a") -> int:
+    """The element that the text describes: a decimal integer mod p, or,
+    outside a prime field, a polynomial in the modulus root ``symbol``
+    over GF(p) (``read_terms``), evaluated at that root, which is the
+    int p."""
+    p = field.p
+    if s.isascii() and s.isdigit():
+        return int(s) % p
+    if field.k == 1:
+        raise ValueError(f"{s!r} is not an integer")
+    value = 0
+    for (e,), c in read_terms(s, make_field(p, 1), (symbol,)).items():
+        value = field.add(value, field.mul(c, field.pow(p, e)))
+    return value
 
 
 def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:

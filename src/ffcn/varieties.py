@@ -53,10 +53,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import (FIELD_MAX, GF, FieldError, element_str, embed,
-                 extension_order, frobenius_table, make_field,
-                 orbit_representatives, parse_element)
-from .polyring import read_terms
+from .gf import (FIELD_MAX, GF, FieldError, embed, extension_order,
+                 frobenius_table, make_field, orbit_representatives)
+from .polyring import element_str, parse_element, read_terms
 from .records import record
 
 

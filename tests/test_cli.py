@@ -738,3 +738,95 @@ def test_selftest_takes_only_out(capsys, flag):
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+# ---------------------------------------------------------------------------
+# element text: coefficients and catalogs that do not read exit 2
+
+@pytest.mark.parametrize("value", [[], {}, {"a": 1}, 5, "i", None],
+                         ids=["empty", "object", "object-a", "number", "text", "null"])
+def test_catalog_that_is_not_a_nonempty_list_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(value))
+    assert cli.main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: a catalog must be a non-empty JSON list of entries, not {value!r}\n")
+
+
+@pytest.mark.parametrize("f,coefficient,message", [
+    ("x^3+(a++1)", "(a++1)", "bad term '' in polynomial 'a++1': empty term"),
+    ("x^3+(a+)", "(a+)", "bad term '' in polynomial 'a+': empty term")],
+    ids=["a++1", "a+"])
+def test_catalog_coefficient_with_an_empty_term_exits_two(tmp_path, capsys, f, coefficient,
+                                                          message):
+    # once read as a+1 and a, and the catalog passed with exit 0
+    items = json.loads(dump_catalog())
+    (vii,) = [item for item in items if item["curve_id"] == "vii"]
+    vii["data"] = {"f": f}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(items))
+    assert cli.main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: bad term {coefficient!r} in polynomial {f!r}: {message}\n")
+
+
+@pytest.mark.parametrize("spec,term,message", [
+    ({"kind": "artin_schreier", "p": 2, "k": 2, "f": "x^3+a^"}, "a^",
+     "bad term 'a^' in polynomial 'a^': unexpected '^' after 'a'"),
+    ({"kind": "plane_quartic", "p": 2, "k": 1, "poly": get_entry("iv").data["poly"],
+      "vars": ["x", "w", "z"]}, "y^4", "'y^4' is not an integer")],
+    ids=["a^", "y-not-a-var"])
+@pytest.mark.parametrize("command", ["zeta", "places"])
+def test_model_term_that_does_not_read_is_named(tmp_path, capsys, command, spec, term,
+                                                message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main([command, "--model", str(path)]) == 2
+    text = spec.get("f") or spec["poly"]
+    assert capsys.readouterr() == (
+        "", f"input error: bad term {term!r} in polynomial {text!r}: {message}\n")
+
+
+SWEEP_CHARS = "+-^()a2"
+
+
+def _mistyped_texts():
+    """pytest params (curve id, data key, text): vii's f with each of
+    SWEEP_CHARS inserted at every position and each one it holds deleted,
+    and viii's quadric and iv's quartic with each of SWEEP_CHARS inserted
+    at three seeded positions and four seeded characters of SWEEP_CHARS
+    deleted."""
+    rng = random.Random(20261019)
+    cases = []
+    for curve, key in (("vii", "f"), ("viii", "quadric"), ("iv", "poly")):
+        text = get_entry(curve).data[key]
+        spots = range(len(text) + 1)
+        deletable = [i for i, ch in enumerate(text) if ch in SWEEP_CHARS]
+        if curve != "vii":
+            deletable = rng.sample(deletable, 4)
+        for ch in SWEEP_CHARS:
+            for i in (spots if curve == "vii" else rng.sample(spots, 3)):
+                cases.append(pytest.param(curve, key, text[:i] + ch + text[i:],
+                                          id=f"{curve}-insert-{ch}-at-{i}"))
+        for i in deletable:
+            cases.append(pytest.param(curve, key, text[:i] + text[i + 1:],
+                                      id=f"{curve}-delete-{text[i]}-at-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("curve,key,text", _mistyped_texts())
+def test_mistyped_catalog_text_exits_with_a_plain_message(tmp_path, capsys, curve, key, text):
+    # a seeded sweep of one-character typos through cli.main: none raises,
+    # and every refusal is one input error line; x^3+a^ once answered with
+    # int()'s own message
+    items = json.loads(dump_catalog())
+    (entry,) = [item for item in items if item["curve_id"] == curve]
+    entry["data"][key] = text
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(items))
+    code = cli.main(["verify", "--catalog", str(path), "--curve", curve])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "invalid literal for int()" not in err
+    if code == 2:
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1

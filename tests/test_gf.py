@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from ffcn.gf import (FIELD_MAX, GF, SUPPORTED_P, FieldError, _is_field,
-                     element_str, embed, embedding, frobenius_table, make_field,
-                     orbit_representatives, parse_element)
-from ffcn.polyring import Poly, is_irreducible
+from ffcn.gf import (FIELD_MAX, GF, SUPPORTED_P, FieldError, _is_field, embed,
+                     embedding, frobenius_table, make_field, orbit_representatives)
+from ffcn.polyring import Poly, element_str, is_irreducible, parse_element
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ffcn.gf import make_field, parse_element
+from ffcn.gf import make_field
 from ffcn.polyring import (Place, PoleError, Poly, RationalFunction,
-                           format_poly, format_rational, irreducible_count,
-                           is_irreducible, moebius_mu, moebius_transport,
-                           monic_irreducibles, parse_poly, parse_rational,
+                           element_str, format_poly, format_rational,
+                           irreducible_count, is_irreducible, moebius_mu,
+                           moebius_transport, monic_irreducibles,
+                           parse_element, parse_poly, parse_rational,
                            place_valuation, places_of_degree, poly_gcd,
                            read_terms, residue, residue_field, unit_residue)
 from ffcn.varieties import MultiPoly, parse_multipoly
@@ -227,6 +228,49 @@ def test_read_terms_grammar():
             with pytest.raises(ValueError) as info:
                 reader(value)
             assert str(info.value) == f"a polynomial must be text, not {value!r}"
+
+
+# element text in ascending element order: the base-p digits of the int,
+# least significant first, are the coefficients of 1, a, a^2, ...
+ELEMENT_TEXT = {
+    (2, 2): ["0", "1", "a", "a+1"],
+    (2, 3): ["0", "1", "a", "a+1", "a^2", "a^2+1", "a^2+a", "a^2+a+1"],
+    (3, 2): ["0", "1", "2", "a", "a+1", "a+2", "2a", "2a+1", "2a+2"],
+    (2, 4): ["0", "1", "a", "a+1", "a^2", "a^2+1", "a^2+a", "a^2+a+1",
+             "a^3", "a^3+1", "a^3+a", "a^3+a+1", "a^3+a^2", "a^3+a^2+1",
+             "a^3+a^2+a", "a^3+a^2+a+1"],
+}
+
+
+@pytest.mark.parametrize("pk", list(ELEMENT_TEXT), ids=lambda pk: f"GF({pk[0]}^{pk[1]})")
+def test_element_str_lists(pk):
+    F = make_field(*pk)
+    assert [element_str(F, a) for a in F.elements()] == ELEMENT_TEXT[pk]
+
+
+@pytest.mark.parametrize("pk", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)],
+                         ids=lambda pk: f"GF({pk[0]}^{pk[1]})")
+def test_every_element_text_round_trips(pk):
+    F = make_field(*pk)
+    for symbol in ("a", "b"):
+        assert [parse_element(element_str(F, a, symbol), F, symbol)
+                for a in F.elements()] == list(F.elements())
+
+
+def test_parse_element_refuses_malformed_text():
+    F4 = make_field(2, 2)
+    for text, message in (("+", "empty term"), ("-", "empty term"), ("a+", "empty term"),
+                          ("1++a", "empty term"), ("a^", "unexpected '^' after 'a'"),
+                          ("", "empty polynomial string")):
+        with pytest.raises(ValueError) as info:
+            parse_element(text, F4)
+        assert str(info.value).endswith(message), text
+    # a prime-field element is a decimal integer, read mod p
+    assert [parse_element(s, F3) for s in ("0", "2", "7")] == [0, 2, 1]
+    for text in ("a", "-1", "1+1", "", "²"):
+        with pytest.raises(ValueError) as info:
+            parse_element(text, F3)
+        assert str(info.value) == f"{text!r} is not an integer"
 
 
 def test_gcd_is_monic_common_divisor():

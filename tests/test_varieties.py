@@ -4,7 +4,8 @@ import random
 import pytest
 
 from ffcn.catalog import build_model, get_entry
-from ffcn.gf import element_str, make_field
+from ffcn.gf import make_field
+from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
                             SpaceCurve, _jacobian, _representatives,
