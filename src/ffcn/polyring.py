@@ -10,10 +10,11 @@ orbits of x -> x^q on GF(q^d) (``gf.orbit_representatives``) yields every
 place of degree d together with its root, and the x^q table gives the
 rest of each orbit (Lidl & Niederreiter, Finite Fields, ch. 2-3).
 
-Polynomial text has one grammar, read by ``read_terms``: terms joined
-by ``+`` and ``-``, each an optional coefficient, in the modulus root
-``a`` and parenthesised when a sum, then only factors ``v`` or ``v^n``
-(``x^3+a``, ``(a+1)x^2``, ``2x1x2^2``); spaces and ``*`` are ignored.
+Polynomial text has one grammar, read by ``read_terms`` and written by
+``format_terms``: terms joined by ``+`` and ``-``, each an optional
+coefficient, in the modulus root ``a`` and parenthesised when a sum,
+then only factors ``v`` or ``v^n`` (``x^3+a``, ``(a+1)x^2``,
+``2x1x2^2``); spaces and ``*`` are ignored.
 An element of GF(p^k) is text in the same grammar: a decimal integer in
 the prime field, else its base-p digits as a polynomial in the modulus
 root over GF(p) (``element_str``, ``parse_element``).  Parsing is exact
@@ -31,6 +32,14 @@ from .gf import (GF, FieldError, _digits, _prime_factors, embedding,
 
 class PoleError(ValueError):
     """Evaluation was requested at a pole of the function."""
+
+
+class TermError(ValueError):
+    """A term that does not read, named once with its text; ``reason`` says why."""
+
+    def __init__(self, term: str, text: str, reason):
+        super().__init__(f"bad term {term!r} in polynomial {text!r}: {reason}")
+        self.reason = reason
 
 
 class Poly:
@@ -497,25 +506,27 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
 # text format
 
 def format_poly(f: Poly, var: str = "x", symbol: str = "a") -> str:
-    if f.is_zero:
-        return "0"
-    F = f.field
+    return format_terms(f.field, [((i,), c) for i, c in enumerate(f.coeffs)][::-1],
+                        (var,), symbol)
+
+
+def format_terms(field: GF, terms, names, symbol: str = "a", sep: str = "") -> str:
+    """Text of the (exponents, coefficient) terms, in the order given, in
+    the grammar that ``read_terms`` reads: zero terms are skipped and no
+    term left gives ``0``; a coefficient 1 is omitted before a factor, any
+    other is written by ``element_str``, in parentheses when it is a sum
+    and a factor follows; factors are ``v`` or ``v^e``; ``sep`` joins the
+    coefficient and the factors and ``+`` joins the terms."""
     parts = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
+    for exps, c in terms:
         if not c:
             continue
-        if i == 0:
-            parts.append(element_str(F, c, symbol))
-            continue
-        if c == 1:
-            coef = ""
-        else:
-            s = element_str(F, c, symbol)
-            coef = f"({s})" if "+" in s else s
-        xpart = var if i == 1 else f"{var}^{i}"
-        parts.append(f"{coef}{xpart}")
-    return "+".join(parts)
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
+        if c != 1 or not factors:
+            s = element_str(field, c, symbol)
+            factors.insert(0, f"({s})" if factors and "+" in s else s)
+        parts.append(sep.join(factors))
+    return "+".join(parts) or "0"
 
 
 def element_str(field: GF, a: int, symbol: str = "a") -> str:
@@ -544,8 +555,8 @@ def parse_element(s: str, field: GF, symbol: str = "a") -> int:
 
 def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
     """{exponents: coefficient} of polynomial text in ``varnames`` (see the
-    module docstring), like terms summed.  A term that does not read
-    raises ValueError naming it and the text."""
+    module docstring), like terms summed.  A term that does not read,
+    also in its coefficient, raises ``TermError`` naming it and the text."""
     text = _text(s).replace(" ", "").replace("*", "")
     if not text:
         raise ValueError("empty polynomial string")
@@ -561,7 +572,7 @@ def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
                                  + (f" after {m[0]!r}" if m[0] else ""))
             c = parse_element(m[1].strip("()"), field, symbol) if m[1] else 1
         except ValueError as exc:
-            raise ValueError(f"bad term {term!r} in polynomial {s!r}: {exc}") from None
+            raise TermError(term, s, getattr(exc, "reason", exc)) from None
         exps = [0] * len(varnames)
         for v, n in factor.findall(m[2]):
             exps[index[v]] += int(n or 1)

@@ -44,9 +44,9 @@ at the point's conjugates.  It evaluates them once per point of the walk,
 from their terms embedded in the extension field once per field, with
 ``GF.evaluate``, and expands only the singular points.
 
-Forms are read from text by ``parse_multipoly``, a wrapper over the one
-polynomial grammar, ``polyring.read_terms``; ``format_multipoly`` output
-reads back.
+Forms are read from text by ``parse_multipoly`` and written by
+``format_multipoly``, wrappers over the one polynomial reader and writer,
+``polyring.read_terms`` and ``polyring.format_terms``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 from .gf import (FIELD_MAX, GF, FieldError, embed, extension_order,
                  frobenius_table, make_field, orbit_representatives)
-from .polyring import element_str, parse_element, read_terms
+from .polyring import element_str, format_terms, parse_element, read_terms
 from .records import record
 
 
@@ -520,22 +520,8 @@ def min_point_degree(model, d_max: int):
 
 def format_multipoly(poly: MultiPoly, varnames: tuple[str, ...] | None = None,
                      symbol: str = "a") -> str:
-    names = varnames or tuple(f"x{i + 1}" for i in range(poly.nvars))
-    if not poly.terms:
-        return "0"
-    parts = []
-    for exps, c in poly.terms:
-        factors = []
-        if c != 1 or not any(exps):
-            s = element_str(poly.field, c, symbol)
-            factors.append(f"({s})" if "+" in s else s)
-        for v, e in enumerate(exps):
-            if e == 1:
-                factors.append(names[v])
-            elif e > 1:
-                factors.append(f"{names[v]}^{e}")
-        parts.append("*".join(factors))
-    return "+".join(parts)
+    return format_terms(poly.field, poly.terms,
+                        varnames or [f"x{i + 1}" for i in range(poly.nvars)], symbol, "*")
 
 
 def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...],

@@ -754,8 +754,8 @@ def test_catalog_that_is_not_a_nonempty_list_exits_two(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("f,coefficient,message", [
-    ("x^3+(a++1)", "(a++1)", "bad term '' in polynomial 'a++1': empty term"),
-    ("x^3+(a+)", "(a+)", "bad term '' in polynomial 'a+': empty term")],
+    ("x^3+(a++1)", "(a++1)", "empty term"),
+    ("x^3+(a+)", "(a+)", "empty term")],
     ids=["a++1", "a+"])
 def test_catalog_coefficient_with_an_empty_term_exits_two(tmp_path, capsys, f, coefficient,
                                                           message):
@@ -772,7 +772,7 @@ def test_catalog_coefficient_with_an_empty_term_exits_two(tmp_path, capsys, f, c
 
 @pytest.mark.parametrize("spec,term,message", [
     ({"kind": "artin_schreier", "p": 2, "k": 2, "f": "x^3+a^"}, "a^",
-     "bad term 'a^' in polynomial 'a^': unexpected '^' after 'a'"),
+     "unexpected '^' after 'a'"),
     ({"kind": "plane_quartic", "p": 2, "k": 1, "poly": get_entry("iv").data["poly"],
       "vars": ["x", "w", "z"]}, "y^4", "'y^4' is not an integer")],
     ids=["a^", "y-not-a-var"])

@@ -6,7 +6,7 @@ import pytest
 
 from ffcn.gf import (FIELD_MAX, GF, SUPPORTED_P, FieldError, _is_field, embed,
                      embedding, frobenius_table, make_field, orbit_representatives)
-from ffcn.polyring import Poly, element_str, is_irreducible, parse_element
+from ffcn.polyring import Poly, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -250,14 +250,6 @@ def test_embedding_table_is_the_canonical_field_embedding(p, ks, kd):
 def test_embed_requires_subfield():
     with pytest.raises(FieldError):
         embed(1, make_field(2, 3), make_field(2, 4))
-
-
-def test_element_text_round_trip():
-    F8 = make_field(2, 3)
-    for a in F8.elements():
-        s = element_str(F8, a, "b")
-        assert parse_element(s, F8, "b") == a
-    assert parse_element("b^3", F8, "b") == F8.pow(2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 
 from ffcn.gf import make_field
 from ffcn.polyring import (Place, PoleError, Poly, RationalFunction,
-                           element_str, format_poly, format_rational,
+                           element_str, format_poly, format_rational, format_terms,
                            irreducible_count, is_irreducible, moebius_mu,
                            moebius_transport, monic_irreducibles,
                            parse_element, parse_poly, parse_rational,
                            place_valuation, places_of_degree, poly_gcd,
                            read_terms, residue, residue_field, unit_residue)
-from ffcn.varieties import MultiPoly, parse_multipoly
+from ffcn.varieties import MultiPoly, format_multipoly, parse_multipoly
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -271,6 +271,39 @@ def test_parse_element_refuses_malformed_text():
         with pytest.raises(ValueError) as info:
             parse_element(text, F3)
         assert str(info.value) == f"{text!r} is not an integer"
+
+
+def test_parse_element_reads_non_canonical_text():
+    F8 = make_field(2, 3)
+    assert parse_element("b^3", F8, "b") == F8.pow(2, 3)
+
+
+@pytest.mark.parametrize("pk,symbol", [((2, 1), "a"), ((3, 1), "a"), ((2, 2), "a"),
+                                       ((2, 3), "b"), ((3, 2), "a")],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(8)-b", "GF(9)"])
+@pytest.mark.parametrize("sep", ["", "*"], ids=["sep-none", "sep-star"])
+def test_written_terms_read_back(pk, symbol, sep):
+    F = make_field(*pk)
+    rng = random.Random(31 * pk[0] + pk[1])
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        names = ("x",) if nvars == 1 else tuple(f"x{i + 1}" for i in range(nvars))
+        terms = {tuple(rng.choice((0, 0, 1, 2, 5)) for _ in names): rng.randrange(1, F.order)
+                 for _ in range(rng.randint(1, 5))}
+        text = format_terms(F, terms.items(), names, symbol, sep)
+        assert read_terms(text, F, names, symbol) == terms, text
+
+
+def test_written_text_goldens():
+    F9 = make_field(3, 2)
+    # a+1 is 3 in GF(4); a+2 is 5 and 2a+1 is 7 in GF(9)
+    assert format_poly(Poly(F4, [3, 3])) == "(a+1)x+a+1"
+    assert format_poly(Poly(F9, [5, 7, 1])) == "x^2+(2a+1)x+a+2"
+    assert format_multipoly(MultiPoly.build(F9, 2, {(2, 0): 2, (1, 1): 5})) == "2*x1^2+(a+2)*x1*x2"
+    assert format_poly(Poly.zero(F4)) == "0"
+    assert format_multipoly(MultiPoly.build(F4, 2, {})) == "0"
+    # a constant form's sum coefficient has no factor after it, so no parentheses
+    assert format_multipoly(MultiPoly.build(F4, 2, {(0, 0): 3})) == "a+1"
 
 
 def test_gcd_is_monic_common_divisor():
