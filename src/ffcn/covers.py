@@ -63,10 +63,6 @@ class CoverModel(record("CoverModel", "kind f")):
         return self.f.field
 
     @property
-    def degree(self) -> int:
-        return 2
-
-    @property
     def genus(self) -> int:
         return cover_genus(self)
 

@@ -346,14 +346,6 @@ class GF:
 
     # -- Galois structure ---------------------------------------------------
 
-    def frobenius(self, a: int, iterations: int = 1) -> int:
-        """a ** (p ** iterations)."""
-        if iterations < 0:
-            raise FieldError("negative Frobenius iteration count")
-        for _ in range(iterations % self.k):
-            a = self.pow(a, self.p)
-        return a
-
     def trace(self, a: int) -> int:
         """Absolute trace into GF(p), returned as an int in range(p).
 

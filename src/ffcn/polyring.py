@@ -66,10 +66,6 @@ class Poly:
     def x(cls, field):
         return cls(field, (0, 1))
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -166,9 +162,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def __call__(self, x: int) -> int:
-        return self.field.horner(self.coeffs, x)
 
     def eval_in(self, x: int, ext: GF) -> int:
         """Evaluate at a point of an extension field (coefficients embedded)."""

@@ -37,6 +37,9 @@ point over a least prefix with the size of the prefix's orbit.
 normalized tuples in ascending order are exactly ``projective_points``
 order, (0:...:0:1) first, so witnesses and reports do not depend on the
 walk.  ``curve_point_counts`` and ``min_point_degree`` read that list.
+``min_point_degree`` computes no point's degree: the first GF(q^d),
+d = 1, 2, ..., with any point holds only points of degree d, so its
+first point is the witness.
 
 The smoothness probe needs no expansion: the partial derivatives have
 coefficients in GF(q), so the Jacobian drops rank at a point iff it does
@@ -52,6 +55,7 @@ Forms are read from text by ``parse_multipoly`` and written by
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .gf import (FIELD_MAX, GF, FieldError, embed, extension_order,
                  frobenius_table, make_field, orbit_representatives)
@@ -269,17 +273,18 @@ def normalize_point(coords, field: GF):
 
 
 def point_degree(coords, field: GF, base: GF) -> int:
-    """Size of the Frobenius (x -> x^q_base) orbit of the normalized point."""
+    """Size of the Frobenius (x -> x^q_base) orbit of the normalized point:
+    the lcm of the orbit sizes of its coordinates."""
     if field.p != base.p or field.k % base.k != 0:
         raise FieldError("point field is not an extension of the base")
-    coords = normalize_point(coords, field)
-    m = field.k // base.k
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        if all(field.frobenius(c, base.k * d) == c for c in coords):
-            return d
-    raise AssertionError("orbit size must divide the extension degree")
+    frob = frobenius_table(field, base.order)
+    degree = 1
+    for c in normalize_point(coords, field):
+        x, size = frob[c], 1
+        while x != c:
+            x, size = frob[x], size + 1
+        degree = lcm(degree, size)
+    return degree
 
 
 def _extension(model_field: GF, m: int) -> GF:
@@ -505,13 +510,17 @@ def curve_point_counts(model, m_max: int, probe_depth: int = 6) -> list[int]:
 def min_point_degree(model, d_max: int):
     """(degree, witness, witness field) for the least-degree point with
     degree <= d_max, or None.  The witness is the lexicographically
-    smallest normalized point at that degree."""
-    base = model.field
+    smallest normalized point at that degree.
+
+    The fields are walked for d = 1, 2, ... in turn, so the first with
+    any point holds no point of degree below d, and every point of
+    GF(q^d) has degree dividing d: all of its points have degree d, and
+    the witness is the first."""
     for d in range(1, d_max + 1):
-        ext = _extension(base, d)
-        for pt in points_on_model(model, ext):
-            if point_degree(pt, ext, base) == d:
-                return d, pt, ext
+        ext = _extension(model.field, d)
+        points = points_on_model(model, ext)
+        if points:
+            return d, points[0], ext
     return None
 
 

@@ -58,9 +58,6 @@ class LPoly(record("LPoly", "q g coeffs")):
             raise ValueError("class number L(1) must be positive")
         return self
 
-    def __call__(self, t: int) -> int:
-        return sum(c * t ** i for i, c in enumerate(self.coeffs))
-
 
 class PlaceCensus(record("PlaceCensus", "counts")):
     """B_d = number of places of degree exactly d, for d = 1..max_degree."""
@@ -114,10 +111,8 @@ def l_polynomial(counts: PointCounts) -> LPoly:
 
 
 def class_number(L: LPoly) -> int:
-    h = sum(L.coeffs)
-    if h < 1:
-        raise CountInconsistencyError("nonpositive class number")
-    return h
+    """h = L(1), positive as ``LPoly`` checks."""
+    return sum(L.coeffs)
 
 
 def extend_counts(L: LPoly, up_to: int) -> PointCounts:

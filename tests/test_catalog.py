@@ -8,6 +8,7 @@ from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, Rational,
 from ffcn.covers import CoverKind, CoverModel
 from ffcn.gf import make_field
 from ffcn.varieties import PlaneCurve, SpaceCurve, parse_multipoly
+from ffcn.zeta import CountInconsistencyError
 
 EXPECTED_GENERA = {"i": 1, "ii": 2, "iii": 2, "iv": 3, "v": 3,
                    "vi": 1, "vii": 1, "viii": 4}
@@ -118,6 +119,44 @@ def test_tampered_genus_detected():
     report = verify_curve(entry)
     assert report.status == "fail"
     assert any("genus" in p for p in report.problems)
+
+
+def _viii_with_counts(monkeypatch, change):
+    """verify_curve of viii with its enumerated N_1..N_6 passed through change."""
+    real = SpaceCurve.counts
+    monkeypatch.setattr(SpaceCurve, "counts",
+                        lambda model, *args: change(list(real(model, *args))))
+    return verify_curve(get_entry("viii"))
+
+
+def test_enumeration_disagreeing_with_the_l_extension_fails(monkeypatch):
+    # N_6 + 6 adds one place of degree 6 and leaves N_1..N_4, so L, alone
+    report = _viii_with_counts(monkeypatch, lambda N: N[:5] + [N[5] + 6])
+    assert report.problems == ("N_6: enumeration 96 vs L-extension 90",)
+    assert report.cross_checked == (5,)
+    assert report.h == 1 and report.census[4] == 3
+
+
+def test_counts_with_no_positive_class_number_fail(monkeypatch):
+    # viii without its place of degree 4: the census is integral, L(1) < 1
+    report = _viii_with_counts(monkeypatch, lambda N: [0, 0, 0, 0] + N[4:])
+    assert report.problems == ("class number L(1) must be positive",)
+    assert (report.h, report.l_coeffs, report.cross_checked) == (0, (), ())
+    assert report.census == (0, 0, 0, 0, 3)
+
+
+@pytest.mark.parametrize("n,delta,message", [
+    (6, 1, "census inversion gives B_6 = 91/6"),
+    # Newton's e_2 = (S_1^2 - S_2)/2 turns non-integral, but B_2 does first
+    (1, 1, "census inversion gives B_2 = -1/2"),
+])
+def test_counts_with_a_non_integral_census_raise(monkeypatch, n, delta, message):
+    def change(N):
+        N[n - 1] += delta
+        return N
+
+    with pytest.raises(CountInconsistencyError, match=rf"^{message}$"):
+        _viii_with_counts(monkeypatch, change)
 
 
 def test_section_facts():

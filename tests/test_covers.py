@@ -104,6 +104,45 @@ def test_constant_field_extension_rejected():
         place_census(_as("x^2+x"), 2)
 
 
+@pytest.fixture
+def uncached_genus():
+    """cover_genus is cached by value: no genus computed under a patch
+    may outlive the test."""
+    cover_genus.cache_clear()
+    yield
+    cover_genus.cache_clear()
+
+
+def _with_different_exponents(monkeypatch, cover, exponents):
+    """Patch ramification_data to give the cover one ramified rational
+    place per different exponent."""
+    (datum,) = ramification_data(cover)
+    monkeypatch.setattr(covers, "ramification_data", lambda c: tuple(
+        datum._replace(different_exponent=e) for e in exponents))
+
+
+@pytest.mark.parametrize("exponents,two_g", [((3,), 1), ((), -2)], ids=["odd", "negative"])
+def test_hurwitz_check_refuses_a_non_genus(monkeypatch, uncached_genus, exponents, two_g):
+    cover = _as("x^3+x+1")
+    _with_different_exponents(monkeypatch, cover, exponents)
+    with pytest.raises(InvalidCoverError,
+                       match=rf"^Hurwitz formula gives non-genus 2g = {two_g}$"):
+        cover_genus(cover)
+
+
+def test_weil_check_refuses_n1_beyond_the_genus(monkeypatch, uncached_genus):
+    # curve i has N_1 = 1; with a different of degree 2 its genus reads 0,
+    # and genus 0 over GF(2) forces N_1 = 3
+    cover = build_model(get_entry("i"))
+    assert place_census(cover, 1).counts == (1,)
+    cover_genus.cache_clear()
+    _with_different_exponents(monkeypatch, cover, (2,))
+    assert cover.genus == 0
+    with pytest.raises(InvalidCoverError, match=r"^N_1 = 1 violates the Weil bound: "
+                                                r"constant field extension\?$"):
+        place_census(cover, 1)
+
+
 def test_each_cover_support_is_walked_once(monkeypatch):
     # the support and the genus are cached by value: two copies of a model
     # share them, and the census reads valuations off the cached support
@@ -154,7 +193,7 @@ def _draw_kummer(rng, F, drawn):
     """y^2 = c * prod u^v with v in -3..3 at one to three finite places of
     degree <= 2, an odd valuation somewhere and |v| <= 3 at infinity."""
     while True:
-        num, den = Poly.constant(F, rng.randrange(1, F.order)), Poly.one(F)
+        num, den = Poly(F, (rng.randrange(1, F.order),)), Poly.one(F)
         places = rng.sample(_low_places(F), rng.randint(1, 3))
         vals = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places]
         for u, v in zip(places, vals):

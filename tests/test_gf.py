@@ -180,12 +180,14 @@ def test_field_size_limits():
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_frobenius_is_field_automorphism(p, k):
     F = make_field(p, k)
+    frob = frobenius_table(F, p)
+    # x -> x^(p^k) is the identity
+    assert frobenius_table(F, p ** k) == tuple(F.elements())
     for a in F.elements():
-        assert F.frobenius(a, k) == a  # x -> x^(p^k) is the identity
+        assert frob[a] == F.pow(a, p)
         for b in F.elements():
-            fa, fb = F.frobenius(a, 1), F.frobenius(b, 1)
-            assert F.frobenius(F.add(a, b), 1) == F.add(fa, fb)
-            assert F.frobenius(F.mul(a, b), 1) == F.mul(fa, fb)
+            assert frob[F.add(a, b)] == F.add(frob[a], frob[b])
+            assert frob[F.mul(a, b)] == F.mul(frob[a], frob[b])
 
 
 def test_trace_surjective_and_additive():

@@ -165,6 +165,34 @@ def test_residue_at_infinity():
     assert residue(g, Place.infinite(F2)) == 0
 
 
+def test_unit_residue_at_infinity():
+    # 2x^3 + 1 has a pole of order 3 at infinity: f / x^3 there is 2
+    f = parse_rational("2x^3+1", F3)
+    assert place_valuation(f, Place.infinite(F3)) == -3
+    assert unit_residue(f, Place.infinite(F3)) == 2
+    # 1/(2x^2 + 1) has a zero of order 2: f * x^2 there is 1/2 = 2
+    g = parse_rational("1/(2x^2+1)", F3)
+    assert place_valuation(g, Place.infinite(F3)) == 2
+    assert unit_residue(g, Place.infinite(F3)) == 2
+
+
+def test_rational_with_a_power_denominator():
+    f = parse_rational("x/(x^2+x+1)^2", F2)
+    assert f == RationalFunction(Poly.x(F2), parse_poly("x^4+x^2+1", F2))
+    degrees = []
+    parse_rational("x/(x^2+x+1)^2", F2, check_degree=degrees.append)
+    assert 4 in degrees  # the degree of the power is checked, not only its base
+    with pytest.raises(ValueError, match=r"bad exponent 'a' in denominator"):
+        parse_rational("x/(x^2+x+1)^a", F2)
+
+
+def test_moebius_transport_of_the_infinite_place():
+    # x -> (2x + 1)/1 fixes infinity; x -> 1/(x + 1) sends it to x = -1
+    infinity = Place.infinite(F3)
+    assert moebius_transport(infinity, (2, 1, 0, 1)) == infinity
+    assert moebius_transport(infinity, (0, 1, 1, 1)) == Place(F3, parse_poly("x+1", F3))
+
+
 def test_moebius_transport_bijection_with_inverse():
     # x -> 1/(x+1) has matrix (0,1,1,1); its inverse is (1,1,1,0) over GF(2)
     for d in (1, 2, 3, 4):

@@ -112,6 +112,29 @@ def test_tampered_witness_fails():
     assert any("not on the curve" in p for p in res.problems)
 
 
+def test_claimed_degree_below_the_computed_minimum_fails():
+    # the survivor's least point has degree 4; a claimed rational witness
+    # is refused, and so is one the search to degree 3 cannot reach
+    (survivor,) = [row for row in build_family()
+                   if (row.family, row.mask) == (SURVIVOR_FAMILY, SURVIVOR_MASK)]
+    bad = survivor._replace(paper_witness="(1:0:0:0)")
+    assert verify_row(bad).problems == ("published witness is not on the curve",
+                                        "computed minimal degree 4 exceeds claimed 1")
+    assert verify_row(bad, d_max=3).problems == (
+        "published witness is not on the curve",
+        "computed minimal degree None exceeds claimed 1")
+
+
+def test_witness_of_another_degree_than_its_field_fails():
+    # a^3 + 1 = 0 in GF(4): the witness is row 0's rational (1:0:0:0),
+    # written over GF(4)
+    row = build_family()[0]
+    res = verify_row(row._replace(paper_witness="(1:0:0:a^3+1)"))
+    assert res.witness_on_curve is True
+    assert res.problems == ("witness degree 1 != claimed 2",)
+    assert res.status == "fail"
+
+
 @pytest.mark.parametrize("order", ["walked", "reversed"])
 def test_pencil_matches_the_curve_walk_on_every_row(monkeypatch, order):
     # the least point must not depend on the order of the walk

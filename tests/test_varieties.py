@@ -4,7 +4,8 @@ import random
 import pytest
 
 from ffcn.catalog import build_model, get_entry
-from ffcn.gf import make_field
+from ffcn import varieties
+from ffcn.gf import embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
@@ -48,6 +49,92 @@ def test_point_degree():
     assert point_degree((1, a, 0), F4, F4) == 1
 
 
+def _degree_by_pow(coords, field, q):
+    """The least d such that raising every coordinate to the q-th power
+    d times gives a multiple of the point: its degree over GF(q)."""
+    image, d = tuple(coords), 0
+    while True:
+        image, d = tuple(field.pow(c, q) for c in image), d + 1
+        if all(field.mul(image[i], coords[j]) == field.mul(image[j], coords[i])
+               for i in range(len(coords)) for j in range(i + 1, len(coords))):
+            return d
+
+
+@pytest.mark.parametrize("p,k,base_k", [(2, m, b) for m in range(1, 7) for b in (1, 2, 3)
+                                        if m % b == 0]
+                         + [(3, m, b) for m in range(1, 5) for b in (1, 2) if m % b == 0])
+def test_point_degree_matches_repeated_powers(p, k, base_k):
+    field, base = make_field(p, k), make_field(p, base_k)
+    rng = random.Random(f"point degree {p}^{k} over {p}^{base_k}")
+    subfields = [make_field(p, e) for e in range(base_k, k + 1, base_k) if k % e == 0]
+    # each subfield's elements of exact degree over the base, by the definition
+    exact = {sub: [x for x in (embed(a, sub, field) for a in sub.elements())
+                   if _degree_by_pow((1, x), field, base.order) == sub.k // base_k]
+             for sub in subfields}
+    for i in range(60):
+        if i % 2:
+            # (0 : 1 : x_1 : ...) with x_j of exact degree e_j: the lcm of the e_j
+            coords = [0] * rng.randint(0, 1) + [1] + [
+                rng.choice(exact[sub]) for sub in rng.choices(subfields, k=rng.randint(1, 3))]
+        else:
+            coords = [embed(rng.randrange(sub.order), sub, field)
+                      for sub in rng.choices(subfields, k=rng.randint(2, 4))]
+            if not any(coords):
+                continue
+        expected = _degree_by_pow(coords, field, base.order)
+        assert point_degree(coords, field, base) == expected, coords
+        # an unnormalized multiple is the same point
+        scale = rng.randrange(1, field.order)
+        scaled = [field.mul(scale, c) for c in coords]
+        assert point_degree(scaled, field, base) == expected, (coords, scale)
+
+
+def _min_degree_by_brute_force(poly, d_max):
+    """(degree, least point, field) of the least-degree point of the plane
+    curve with degree <= d_max, or None, by evaluating the form at every
+    point of P^2 over GF(q^d)."""
+    F = poly.field
+    for d in range(1, d_max + 1):
+        ext = make_field(F.p, F.k * d)
+        for pt in projective_points(2, ext):
+            if poly(pt, ext) == 0 and _degree_by_pow(pt, ext, F.order) == d:
+                return d, pt, ext
+    return None
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
+def test_min_point_degree_matches_brute_force(monkeypatch, p, k):
+    def refuse(*args):
+        raise AssertionError("min_point_degree computed the degree of a point")
+
+    monkeypatch.setattr(varieties, "point_degree", refuse)
+    F = make_field(p, k)
+    rng = random.Random(f"min point degree {p}^{k}")
+
+    def draw(degree):
+        while True:
+            form = MultiPoly.build(F, 3, {e: rng.randrange(F.order)
+                                          for e in _monomials(3, degree)})
+            if form.terms:
+                return form
+
+    forms = [draw(degree) for degree in (1, 2, 3, 4) for _ in range(2)]
+    # cubics and quartics with no rational point, whose least points have
+    # degree 2 or 3
+    pointless = []
+    while len(pointless) < 4:
+        form = draw(rng.choice((3, 4)))
+        if all(form(pt, F) for pt in projective_points(2, F)):
+            pointless.append(form)
+    seen = set()
+    for form in forms + pointless:
+        for d_max in (1, 2, 3):
+            expected = _min_degree_by_brute_force(form, d_max)
+            # unwrapped, so the walk runs here and not in an earlier test
+            assert min_point_degree.__wrapped__(PlaneCurve(form), d_max) == expected, \
+                (str(form), d_max)
+            seen.add(expected and expected[0])
+    assert seen == {None, 1, 2, 3}
 def test_plane_conic_counts():
     # x*z = y^2: a smooth conic, isomorphic to P^1, so N_m = q^m + 1
     conic = parse_multipoly("xz+y^2", F2, XYZ)

@@ -44,10 +44,31 @@ def test_weil_bound_enforced():
 
 
 def test_non_curve_counts_detected():
-    # N = (0, 0) for genus 2 would need e_1 = -3, e_2 integral: S_2 = 5
-    # and S_1 = 3 give e_2 = (e_1*S_1 - S_2)/2 = (-9-5)/2, non-integral
-    with pytest.raises(CountInconsistencyError):
+    # N = (0, 0) for genus 2: S_1 = 3 and S_2 = 5 give e_1 = 3 and
+    # e_2 = (S_1^2 - S_2)/2 = 2, so L = 1 - 3t + 2t^2 - 6t^3 + 4t^4 and L(1) = -2
+    with pytest.raises(CountInconsistencyError, match=r"^class number L\(1\) must be positive$"):
         l_polynomial(PointCounts(2, 2, (0, 0)))
+    # N = (0, 1): e_2 = (9 - 4)/2
+    with pytest.raises(CountInconsistencyError,
+                       match=r"^Newton identity gives non-integer e_2 = 5/2$"):
+        l_polynomial(PointCounts(2, 2, (0, 1)))
+
+
+def test_negative_counts_detected():
+    with pytest.raises(CountInconsistencyError, match=r"^negative count N_2$"):
+        PointCounts(2, 1, (1, -1))
+    with pytest.raises(CountInconsistencyError, match=r"^negative place count$"):
+        PlaceCensus((0, -1))
+
+
+def test_non_census_counts_detected():
+    # B_2 = (N_2 - N_1)/2
+    with pytest.raises(CountInconsistencyError,
+                       match=r"^census inversion gives B_2 = 1/2$"):
+        census_from_counts((0, 1))
+    with pytest.raises(CountInconsistencyError,
+                       match=r"^census inversion gives B_2 = -2/2$"):
+        census_from_counts((3, 1))
 
 
 def test_census_inversion_known_values():
