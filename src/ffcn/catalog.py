@@ -16,7 +16,8 @@ code that reads the kind:
 Every model exposes ``field``, ``genus``, ``cross_check_depth``,
 ``counts(n, probe_depth)`` (N_1..N_n) and ``enumeration_size(n,
 probe_depth)``, the size of the largest enumeration those counts start;
-the place census is always ``census_from_counts`` of the counts.
+the L-polynomial, class number, cross-check and place census always come
+from ``zeta.analyse_counts`` of the counts, the one zeta pipeline.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from .gf import extension_order, make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
 from .records import record
 from .varieties import PlaneCurve, SpaceCurve, check_budget, parse_multipoly
-from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
-                   class_number, cyclic_extension_count, extend_counts,
-                   hurwitz_different_degree, l_polynomial)
+from .zeta import analyse_counts, cyclic_extension_count, hurwitz_different_degree
 
 # each kind's keys besides p, k and kind
 MODEL_KEYS = {"rational": (), "artin_schreier": ("f",), "kummer": ("f",),
@@ -241,45 +240,26 @@ def count_depth(model, max_place_degree: int) -> int:
 def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
                  probe_depth: int = 6) -> CurveReport:
     """Recompute genus, L-polynomial, class number, and place census from
-    the model, and compare against the entry's claims.
-
-    Counts beyond N_g are computed independently of the L-polynomial and
-    cross-checked against its power-sum extension, at least through the
-    model's ``cross_check_depth`` and otherwise through min(2g, depth);
-    the degrees where the two agree are reported.
+    the model with ``analyse_counts``, and compare against the entry's
+    claims; a miscount is a problem line.  Counts beyond N_g are
+    cross-checked at least through the model's ``cross_check_depth`` and
+    otherwise through min(2g, depth).
     """
     model = build_model(entry)
     genus = model.genus
-    check = model.cross_check_depth
     depth = count_depth(model, max_place_degree)
-    q = model.field.order
     counts = tuple(model.counts(depth, probe_depth))
-    census = census_from_counts(PointCounts(q, genus, counts)).counts[:max_place_degree]
+    l_coeffs, h, census, checked, found = analyse_counts(
+        model.field.order, genus, counts,
+        max(model.cross_check_depth, min(2 * genus, depth)))
 
     problems = []
     if genus != entry.genus:
         problems.append(f"computed genus {genus} != claimed {entry.genus}")
-
-    try:
-        L = l_polynomial(PointCounts(q, genus, counts[:genus]))
-        h = class_number(L)
-    except CountInconsistencyError as exc:
-        return CurveReport(entry, genus, 0, (), counts, census, (),
-                           tuple(problems) + (str(exc),))
-    if h != entry.class_number:
+    if l_coeffs and h != entry.class_number:
         problems.append(f"computed class number {h} != claimed {entry.class_number}")
-
-    extended = extend_counts(L, depth).counts
-    checked = []
-    for m in range(genus + 1, max(check, min(2 * genus, depth)) + 1):
-        if extended[m - 1] != counts[m - 1]:
-            problems.append(
-                f"N_{m}: enumeration {counts[m - 1]} vs L-extension {extended[m - 1]}")
-        else:
-            checked.append(m)
-
-    return CurveReport(entry, genus, h, L.coeffs, counts, census,
-                       tuple(checked), tuple(problems))
+    return CurveReport(entry, genus, h, l_coeffs, counts, census[:max_place_degree],
+                       checked, tuple(problems) + found)
 
 
 def section_facts() -> dict:

@@ -42,9 +42,9 @@ from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, WitnessMismatchError,
                       verify_row)
 from .varieties import (BudgetError, SingularModelError, check_budget,
                         format_multipoly)
-from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, PointCounts,
+from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, analyse_counts,
                    census_from_counts, census_to_counts, class_number,
-                   extend_counts, l_polynomial)
+                   extend_counts)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -287,19 +287,20 @@ def cmd_zeta(ns) -> int:
     q = model.field.order
 
     def pipeline():
-        counts = model.counts(n, ns.probe_depth)
-        L = l_polynomial(PointCounts(q, g, tuple(counts[:g])))
-        return counts, L, class_number(L), census_from_counts(counts)
+        counts = tuple(model.counts(n, ns.probe_depth))
+        l_coeffs, h, census, _, problems = analyse_counts(q, g, counts, n)
+        if problems:
+            raise CountInconsistencyError(problems[0])
+        return counts, l_coeffs, h, dict(enumerate(census, start=1))
 
-    counts, L, h, census = _stage("zeta pipeline error", COUNT_ERRORS, pipeline)
+    counts, l_coeffs, h, census = _stage("zeta pipeline error", COUNT_ERRORS, pipeline)
     report = {"q": q, "genus": g, "counts": list(counts),
-              "l_coeffs": list(L.coeffs), "h": h,
-              "census": census.as_dict()}
+              "l_coeffs": list(l_coeffs), "h": h, "census": census}
     return _finish(ns, report, lambda: (f"q = {q}, genus = {g}\n"
                                         f"N = {list(counts)}\n"
-                                        f"L = {list(L.coeffs)}\n"
+                                        f"L = {list(l_coeffs)}\n"
                                         f"h = L(1) = {h}\n"
-                                        f"census B_d = {census.as_dict()}\n"))
+                                        f"census B_d = {census}\n"))
 
 
 def cmd_places(ns) -> int:

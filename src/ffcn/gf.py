@@ -201,10 +201,9 @@ class GF:
         if q == 2:
             return 1
         cofactors = [(q - 1) // f for f in _prime_factors(q - 1)]
-        for g in range(2, q):
-            if all(self._raw_pow(g, c) != 1 for c in cofactors):
-                return g
-        raise AssertionError("no generator found")  # pragma: no cover
+        # the multiplicative group of a field is cyclic, so a generator exists
+        return next(g for g in range(2, q)
+                    if all(self._raw_pow(g, c) != 1 for c in cofactors))
 
     def _build_tables(self):
         """exp and log, and for p = 3 zech, from the field's generator.
@@ -361,9 +360,7 @@ class GF:
         for _ in range(self.k):
             s = self.add(s, x)
             x = self.pow(x, self.p)
-        if s >= self.p:
-            raise FieldError(f"trace {s} landed outside the prime field")
-        return s
+        return s  # a trace lies in GF(p)
 
     def quadratic_character(self, a: int) -> int:
         """1 for a nonzero square, -1 for a nonsquare, 0 for zero."""

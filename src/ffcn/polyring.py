@@ -487,10 +487,8 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
     for i, coef in enumerate(u.coeffs):
         if coef:
             acc = acc + ((num ** i) * (den ** (n - i))).scale(coef)
+    # only if n = 1: the lead c^n*u(a/c), or a^n if c = 0, is not 0 as det != 0 and u has no root
     if acc.degree < n:
-        if n != 1:
-            raise ArithmeticError(f"transport dropped the degree of {place}, "
-                                  "which is not rational")
         return Place.infinite(F)
     return Place(F, acc.monic(), _checked=True)
 

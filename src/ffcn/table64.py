@@ -1,7 +1,7 @@
 """The 64 cubic-quadric pairs in P^3 over GF(2): generation of the full
 family, row-by-row verification against the published table (quadric
 expansion, witness membership, witness degree), survivor identification,
-and the full zeta pipeline on the unique survivor.
+and the one zeta pipeline, ``zeta.analyse_counts``, on the unique survivor.
 
 The published table is embedded below as ground-truth test data.  In the
 witness strings, ``a`` is the GF(4) generator with a^2+a+1 = 0 and ``b``
@@ -41,9 +41,8 @@ from .varieties import (MultiPoly, SpaceCurve, _embedded_terms, _model_points,
                         check_budget, curve_point_counts, format_point,
                         min_point_degree, parse_multipoly, parse_point,
                         point_degree, walk_size)
-from .zeta import (CountInconsistencyError, PointCounts, census_from_counts,
-                   class_number, cyclic_extension_count, extend_counts,
-                   hurwitz_different_degree, l_polynomial)
+from .zeta import (CountInconsistencyError, analyse_counts, cyclic_extension_count,
+                   hurwitz_different_degree)
 
 VARS = ("x1", "x2", "x3", "x4")
 
@@ -175,10 +174,10 @@ class RowResult(record("RowResult", "row quadric_matches_published witness_on_cu
         return "pass" if not self.problems else "fail"
 
 
-# counts: N_1..N_5 by direct enumeration; n5_extended: N_5 from the
-# L-polynomial; census: B_1..B_5; different_degree: the Hurwitz check for
+# counts: N_1..N_5 by direct enumeration; cross_checked: (5,), N_5 met the
+# L-extension; census: B_1..B_5; different_degree: the Hurwitz check for
 # the degree-5 cover; cyclic_count: the ray-class cyclic extension count
-SurvivorReport = record("SurvivorReport", "row probe_depth counts n5_extended l_coeffs "
+SurvivorReport = record("SurvivorReport", "row probe_depth counts cross_checked l_coeffs "
                                           "h census different_degree cyclic_count")
 
 
@@ -358,29 +357,15 @@ def find_survivors(rows) -> list[TableRow]:
 
 
 def survivor_analysis(row: TableRow, probe_depth: int = 6) -> SurvivorReport:
-    """Full zeta pipeline on the surviving genus-4 model.
-
-    N_5 is computed twice (direct GF(32) enumeration and L-polynomial
-    extension) and must agree; the census must be nonnegative integers.
-    """
-    counts = curve_point_counts(row.model, 5, probe_depth)
+    """The zeta pipeline ``analyse_counts`` on the surviving genus-4
+    model: N_5 is enumerated over GF(32) and cross-checked against the
+    L-extension, and the census must be nonnegative integers.  The first
+    problem raises CountInconsistencyError."""
+    counts = tuple(curve_point_counts(row.model, 5, probe_depth))
     g = row.model.genus
-    pc = PointCounts(2, g, tuple(counts[:g]))
-    L = l_polynomial(pc)
-    h = class_number(L)
-    n5_ext = extend_counts(L, 5).counts[4]
-    if n5_ext != counts[4]:
-        raise CountInconsistencyError(
-            f"N_5 mismatch: enumeration {counts[4]} vs L-extension {n5_ext}")
-    census = census_from_counts(PointCounts(2, g, tuple(counts)))
-    return SurvivorReport(
-        row=row,
-        probe_depth=probe_depth,
-        counts=tuple(counts),
-        n5_extended=n5_ext,
-        l_coeffs=L.coeffs,
-        h=h,
-        census=census.counts,
-        different_degree=hurwitz_different_degree(g, 0, 5),
-        cyclic_count=cyclic_extension_count(h, 2, 4, 5),
-    )
+    l_coeffs, h, census, checked, problems = analyse_counts(2, g, counts, 5)
+    if problems:
+        raise CountInconsistencyError(problems[0])
+    return SurvivorReport(row, probe_depth, counts, checked, l_coeffs, h, census,
+                          hurwitz_different_degree(g, 0, 5),
+                          cyclic_extension_count(h, 2, 4, 5))

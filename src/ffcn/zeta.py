@@ -1,10 +1,11 @@
 """Zeta L-polynomials from point counts, class numbers, census/count
 conversions, and the small arithmetic identities used by the genus-4
-uniqueness argument.
+uniqueness argument.  ``analyse_counts`` is the one zeta pipeline of
+``ffc verify``, ``ffc zeta`` and the table64 survivor.
 
 Everything here is exact integer arithmetic; a non-integral intermediate
 is a hard error by design, since it is the detector for singular models
-and miscounted points.
+and miscounted points, and ``analyse_counts`` reports it as a problem line.
 """
 
 from __future__ import annotations
@@ -132,11 +133,8 @@ def extend_counts(L: LPoly, up_to: int) -> PointCounts:
 
 
 def census_from_counts(counts) -> PlaceCensus:
-    """Moebius inversion B_n = (1/n) * sum_{d|n} mu(n/d) N_d.
-
-    Accepts a PointCounts or any sequence of N_1..N_m.
-    """
-    N = counts.counts if isinstance(counts, PointCounts) else tuple(counts)
+    """Moebius inversion B_n = (1/n) * sum_{d|n} mu(n/d) N_d of N_1..N_m."""
+    N = tuple(counts)
     B = []
     for n in range(1, len(N) + 1):
         tot = sum(moebius_mu(n // d) * N[d - 1] for d in range(1, n + 1) if n % d == 0)
@@ -145,6 +143,35 @@ def census_from_counts(counts) -> PlaceCensus:
                 f"census inversion gives B_{n} = {tot}/{n}")
         B.append(tot // n)
     return PlaceCensus(tuple(B))
+
+
+def analyse_counts(q: int, g: int, counts, through: int):
+    """(l_coeffs, h, census, cross_checked, problems) of N_1..N_m (m >= g)
+    for a curve of genus g over GF(q): L from N_1..N_g, h = L(1), the
+    degrees g < d <= through where N_d meets the L-extension, and the
+    Moebius-inverted census.  Each failure is a problem line: the Weil
+    bound, Newton integrality or L(1) < 1 (L is then (), h 0, nothing is
+    cross-checked), a cross-check mismatch, a non-integral census (then ()).
+    """
+    problems, l_coeffs, h, checked, census = [], (), 0, [], ()
+    try:
+        L = l_polynomial(PointCounts(q, g, counts))
+    except CountInconsistencyError as exc:
+        problems.append(str(exc))
+    else:
+        l_coeffs, h = L.coeffs, class_number(L)
+        extended = extend_counts(L, len(counts)).counts
+        for m in range(g + 1, through + 1):
+            if extended[m - 1] != counts[m - 1]:
+                problems.append(
+                    f"N_{m}: enumeration {counts[m - 1]} vs L-extension {extended[m - 1]}")
+            else:
+                checked.append(m)
+    try:
+        census = census_from_counts(counts).counts
+    except CountInconsistencyError as exc:
+        problems.append(str(exc))
+    return l_coeffs, h, census, tuple(checked), tuple(problems)
 
 
 def census_to_counts(census: PlaceCensus, up_to: int) -> list[int]:

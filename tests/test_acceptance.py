@@ -5,11 +5,13 @@ Each test prints a single machine-greppable pass/fail line of the form
 reports which criteria held.  All checks are integer-exact.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 
+import ffcn
 from ffcn.catalog import DEFAULT_CATALOG, get_entry, verify_curve
 from ffcn.covers import CoverKind, place_census, splitting_type
 from ffcn.gf import make_field
@@ -46,7 +48,7 @@ def test_criterion_2_genus4_census():
     (survivor,) = find_survivors(build_family())
     rep = survivor_analysis(survivor)
     census_ok = rep.census == (0, 0, 0, 1, 3)
-    n5_ok = rep.counts[4] == rep.n5_extended == 15
+    n5_ok = rep.counts[4] == 15 and rep.cross_checked == (5,)
     _report(2, "survivor census B = (0,0,0,1,3) with N_5 enumerated = extended",
             census_ok and n5_ok)
 
@@ -131,10 +133,11 @@ def test_criterion_5_property_suites():
                 ef_ok &= splitting_type(cover, place) == expected
 
     out = []
+    src = os.path.dirname(os.path.dirname(ffcn.__file__))
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "ffcn.cli", "verify", "--format", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         out.append((proc.returncode, proc.stdout))
     deterministic = out[0] == out[1] and out[0][0] == 0
 

@@ -8,17 +8,20 @@ import types
 
 import pytest
 
-from ffcn import cli, covers, table64, varieties
+from ffcn import cli, covers, table64, varieties, zeta
 from ffcn.catalog import (DEFAULT_CATALOG, build_model, count_depth, dump_catalog,
                           get_entry)
 from ffcn.gf import GF, make_field
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
+# every child imports ffcn from this checkout, whatever PYTHONPATH says
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 
 def run_cli(*args, check=False, timeout=None):
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, env=ENV)
     if check and proc.returncode != 0:
         raise AssertionError(proc.stderr or proc.stdout)
     return proc
@@ -35,10 +38,9 @@ def test_unknown_curve_exits_two_with_the_plain_message(command):
 def test_cli_loads_only_the_standard_library():
     # no runtime math dependencies: with site-packages switched off (-S),
     # importing the CLI loads ffcn and standard-library modules only
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, ffcn.cli; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+                          text=True, env=ENV, check=True)
     roots = {name.partition(".")[0] for name in proc.stdout.split()}
     assert roots - sys.stdlib_module_names - {"__main__"} == {"ffcn"}
 
@@ -46,11 +48,10 @@ def test_cli_loads_only_the_standard_library():
 def test_cli_import_stays_light():
     # the records are plain classes: importing the CLI must not pull in
     # dataclasses (and with it inspect, ast and dis) or typing
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
     code = f"import sys, ffcn.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+                          text=True, env=ENV, check=True)
     assert proc.stdout.split() == []
 
 
@@ -224,19 +225,54 @@ def test_table64_survivor_summary():
 
 
 def test_table64_survivor_mismatch_exits_one(monkeypatch, capsys):
-    real = table64.extend_counts
+    real = zeta.extend_counts
 
     def wrong_n5(L, up_to):
         counts = list(real(L, up_to).counts)
         counts[4] += 1
         return types.SimpleNamespace(counts=tuple(counts))
 
-    monkeypatch.setattr(table64, "extend_counts", wrong_n5)
+    monkeypatch.setattr(zeta, "extend_counts", wrong_n5)
     assert cli.main(["table64", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("survivor analysis error: N_5 mismatch")
-    assert "Traceback" not in err
+    assert err == "survivor analysis error: N_5: enumeration 15 vs L-extension 16\n"
+
+
+def _viii_counts_changed(monkeypatch, n, delta):
+    """Add delta to N_n of every space curve counted in this process (viii's)."""
+    real = varieties.SpaceCurve.counts
+
+    def counts(model, *args):
+        N = list(real(model, *args))
+        N[n - 1] += delta
+        return N
+
+    monkeypatch.setattr(varieties.SpaceCurve, "counts", counts)
+
+
+def test_verify_miscount_is_a_problem_line_in_a_full_report(monkeypatch, capsys):
+    # N_1 + 1 leaves Newton's e_2 non-integral: a failing record, not a bare exit
+    _viii_counts_changed(monkeypatch, 1, 1)
+    assert cli.main(["verify", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    records = {r["id"]: r for r in report["curves"]}
+    assert list(records) == [e.curve_id for e in DEFAULT_CATALOG]
+    assert [r["status"] for r in records.values()].count("pass") == 7
+    assert records["viii"]["status"] == "fail"
+    assert "Newton identity gives non-integer e_2 = -1/2" in records["viii"]["problems"]
+    assert report["status"] == "fail"
+
+
+def test_zeta_cross_check_mismatch_exits_one(monkeypatch, capsys):
+    # N_5 + 5 keeps the census integral (one more place of degree 5), but
+    # the L of N_1..N_4 extends to N_5 = 15
+    _viii_counts_changed(monkeypatch, 5, 5)
+    assert cli.main(["zeta", "--curve", "viii"]) == 1
+    assert capsys.readouterr() == (
+        "", "zeta pipeline error: N_5: enumeration 20 vs L-extension 15\n")
 
 
 def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
@@ -270,7 +306,8 @@ TABLE64_DIGESTS = {
 
 @pytest.mark.parametrize("args", list(TABLE64_DIGESTS), ids=" ".join)
 def test_table64_reports_are_pinned(args):
-    proc = subprocess.run(CMD + ["table64", *args], capture_output=True, timeout=60)
+    proc = subprocess.run(CMD + ["table64", *args], capture_output=True, timeout=60,
+                          env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == TABLE64_DIGESTS[args]
 
@@ -330,14 +367,15 @@ def test_zeta_requires_exactly_one_source(tmp_path):
     {"kind": "space_curve", "p": 2, "k": 1, "cubic": "x1^3",
      "vars": ["x1", "x2", "x3", "x4"]},
     {"p": 2, "k": 1, "f": "x^3+x+1"},
-], ids=["unknown-kind", "no-f", "no-quadric", "no-kind"])
+    [{"kind": "rational", "p": 2, "k": 1}],
+], ids=["unknown-kind", "no-f", "no-quadric", "no-kind", "list"])
 def test_bad_model_spec_exits_two(tmp_path, capsys, command, spec):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
     assert cli.main([command, "--model", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("input error: ")
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 # y^2 + y = x over GF(2^11): its degree-2 places need GF(2^22), beyond the
@@ -429,7 +467,7 @@ def test_selftest_fails_under_optimize_when_a_check_breaks():
             "pr.irreducible_count = lambda q, d: real(q, d) + 1; "
             "from ffcn.cli import main; sys.exit(main(['selftest']))")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 1
     assert "[FAIL] irreducible counts match the divisor-sum formula" in proc.stdout
     assert proc.stdout.endswith("selftest: fail\n")
@@ -534,7 +572,7 @@ def _run_capped(*args):
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          timeout=20, preexec_fn=cap)
+                          timeout=20, preexec_fn=cap, env=ENV)
 
 
 def _as_catalog(spec) -> list:
@@ -751,6 +789,13 @@ def test_catalog_that_is_not_a_nonempty_list_exits_two(tmp_path, capsys, value):
     assert cli.main(["verify", "--catalog", str(path)]) == 2
     assert capsys.readouterr() == (
         "", f"input error: a catalog must be a non-empty JSON list of entries, not {value!r}\n")
+
+
+def test_catalog_entry_that_is_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[5]")
+    assert cli.main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == ("", "input error: catalog entry 5 is not a JSON object\n")
 
 
 @pytest.mark.parametrize("f,coefficient,message", [

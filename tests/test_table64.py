@@ -86,7 +86,7 @@ def test_survivor_analysis():
     (survivor,) = find_survivors(build_family())
     rep = survivor_analysis(survivor)
     assert rep.counts == (0, 0, 0, 4, 15)
-    assert rep.n5_extended == 15
+    assert rep.cross_checked == (5,)
     assert rep.l_coeffs == (1, -3, 2, 0, 1, 0, 8, -24, 16)
     assert rep.h == 1
     assert rep.census == (0, 0, 0, 1, 3)
