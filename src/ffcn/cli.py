@@ -83,9 +83,9 @@ def _stage(label: str, input_errors, fn, *args):
 
 def _check_cost(model, n: int, probe_depth: int):
     """Refuse counting N_1..N_n with this probe depth if the largest
-    enumeration it starts exceeds ENUMERATION_BUDGET.  Reading a cover's
-    genus walks its support, so a run is first checked at a depth that
-    needs no genus."""
+    enumeration it starts exceeds ENUMERATION_BUDGET.  The depth may
+    depend on the genus: reading a cover's genus walks only f's support,
+    which ``model_from_spec`` has already kept within the budget."""
     check_budget(model.enumeration_size(n, probe_depth))
 
 
@@ -136,7 +136,6 @@ def _verify_entries(ns):
     entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
     for entry in entries:
         model = build_model(entry)
-        _check_cost(model, ns.max_place_degree, ns.probe_depth)
         _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
     return entries
 
@@ -267,21 +266,18 @@ def cmd_table64(ns) -> int:
 # ---------------------------------------------------------------------------
 # zeta / places: one model from the catalog or a JSON model file
 
-def _open_model(ns, n: int):
-    """The model of --curve or of the --model file and its genus, read
-    once counting N_1..N_n is within the budget: reading a cover's genus
-    walks its support."""
+def _open_model(ns):
+    """The model of --curve or of the --model file, and its genus."""
     if ns.curve:
         model = build_model(get_entry(ns.curve))
     else:
         with open(ns.model) as fh:
             model = model_from_spec(json.load(fh))
-    _check_cost(model, n, ns.probe_depth)
     return model, model.genus
 
 
 def cmd_zeta(ns) -> int:
-    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns, ns.counts_up_to)
+    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns)
     n = max(ns.counts_up_to, g)
     _stage("model error", PARSE_ERRORS, _check_cost, model, n, ns.probe_depth)
     q = model.field.order
@@ -305,7 +301,8 @@ def cmd_zeta(ns) -> int:
 
 def cmd_places(ns) -> int:
     d = ns.max_place_degree
-    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns, d)
+    model, g = _stage("model error", PARSE_ERRORS, _open_model, ns)
+    _stage("model error", PARSE_ERRORS, _check_cost, model, d, ns.probe_depth)
     census = _stage("census error", COUNT_ERRORS,
                     lambda: census_from_counts(model.counts(d, ns.probe_depth)))
     q = model.field.order

@@ -1,18 +1,22 @@
 """Degree-2 covers of the rational function field: Artin-Schreier
-(y^2 + y = f, characteristic 2) and Kummer (y^2 = f, characteristic 3).
+(y^2 + y = f, characteristic 2) and Kummer (y^2 = f, odd characteristic).
 
-Ramification data come from the valuations of f on its support, found
-by trial division, and the genus from the Hurwitz formula.  The support
-of f and the genus are cached by value, so each cover's support is
-walked once however often its model is rebuilt.
+Each kind has one rule (Stichtenoth, Algebraic Function Fields and
+Codes, 3.7).  Artin-Schreier: a pole of odd order m ramifies with
+different exponent m + 1, and any other place splits iff the residue of
+f has absolute trace 0.  Kummer: a place of odd valuation ramifies with
+different exponent 1, and any other place splits iff the unit residue
+of f is a square.  Valuations come from f's support, found by trial
+division, and the genus from the Hurwitz formula.  The support of f and
+the genus are cached by value, so each cover's support is walked once
+however often its model is rebuilt.
 
-The place-degree census follows the split/inert/ramified trichotomy
-(absolute trace for Artin-Schreier, quadratic character for Kummer)
-without building the places: each finite place of degree d is its
-canonical root, one least member per Frobenius orbit of size d in
-GF(q^d), and f's numerator and denominator are evaluated at all of those
-roots at once.  Only the infinite place and the places of the support
-are decided one by one, by ``splitting_type``.
+The place-degree census applies the split test without building the
+places: each finite place of degree d is its canonical root, one least
+member per Frobenius orbit of size d in GF(q^d), and f's numerator and
+denominator are evaluated at all of those roots at once.  Only the
+infinite place and the places of the support are decided one by one,
+by ``splitting_type``.
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ class CoverKind(enum.Enum):
 
 class InvalidCoverError(ValueError):
     """The cover fails a check: it is not in the handled standard form
-    (``NonStandardCoverError``), the Hurwitz formula gives no genus, or
-    N_1 breaks the Weil bound."""
+    (``NonStandardCoverError``), or N_1 breaks the Weil bound."""
 
 
 class NonStandardCoverError(InvalidCoverError):
     """The cover is not in the standard form this module handles: its
-    kind does not fit the characteristic, or f is zero or outside the
-    handled form.  Such a cover is unusable input, not a counterexample."""
+    kind does not fit the characteristic, f is zero, an Artin-Schreier f
+    has no pole or a pole of even order, or a Kummer f has no place of
+    odd valuation.  Such a cover is unusable input, not a counterexample."""
 
 
 class CoverModel(record("CoverModel", "kind f")):
@@ -128,22 +132,18 @@ def validate_standard_form(cover: CoverModel) -> list[str]:
         for pl, v in poles:
             if (-v) % 2 == 0:
                 problems.append(f"even pole order {-v} at {pl}: not in standard form")
-    else:
-        odd = [pl for pl, v in support if v % 2]
-        if not odd:
-            problems.append("f is a square times a constant: no ramification")
-        for pl, v in support:
-            if not -3 <= v <= 3:
-                problems.append(f"valuation {v} at {pl} outside the handled range")
+    elif not any(v % 2 for _, v in support):
+        problems.append("f is a square times a constant: no ramification")
     return problems
 
 
 def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
-    """One datum per ramified place.
+    """One datum per ramified place, in ``support_places`` order.
 
     Artin-Schreier: e = 2 at each pole, d_P = (p-1)(m_P+1) with m_P the
     pole order.  Kummer degree 2: e = 2 and d_P = 1 (tame equality case
-    of Dedekind's different theorem) at each odd-valuation place.
+    of Dedekind's different theorem) at each place of odd valuation,
+    whatever its size.
     """
     problems = validate_standard_form(cover)
     if problems:
@@ -158,34 +158,34 @@ def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
         else:
             d_exp = 1
         data.append(RamificationDatum(place, 2, d_exp, place.degree))
-    data.sort(key=lambda r: (r.place.is_infinite, r.degree,
-                             r.place.poly.coeffs if r.place.poly else ()))
     return tuple(data)
 
 
 @lru_cache(maxsize=None)
 def cover_genus(cover: CoverModel) -> int:
     """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff.
-    Raises NonStandardCoverError unless the cover is in standard form,
-    and InvalidCoverError when 2g is not an even number >= 0."""
-    diff_degree = sum(r.different_exponent * r.degree
-                      for r in ramification_data(cover))
-    two_g = diff_degree - 2
-    if two_g % 2 or two_g < 0:
-        raise InvalidCoverError(f"Hurwitz formula gives non-genus 2g = {two_g}")
-    return two_g // 2
+    Raises NonStandardCoverError unless the cover is in standard form."""
+    # deg Diff is even and >= 2 in standard form: odd pole orders; sum v_P deg P = 0
+    diff_degree = sum(r.different_exponent * r.degree for r in ramification_data(cover))
+    return diff_degree // 2 - 1
+
+
+def _splits(cover: CoverModel, R: GF, c: int) -> bool:
+    """Whether an unramified place with residue field R splits: c, the
+    residue of f (Artin-Schreier) or its unit residue (Kummer), has trace
+    0 or is a square."""
+    if cover.kind is CoverKind.ARTIN_SCHREIER:
+        return R.trace(c) == 0
+    return R.quadratic_character(c) == 1
 
 
 def splitting_type(cover: CoverModel, place: Place) -> str:
     """'ramified', 'split', or 'inert' (each satisfies sum e*f = 2)."""
-    v = support_places(cover.f).get(place, 0)
-    if _is_ramified(cover, v):
+    if _is_ramified(cover, support_places(cover.f).get(place, 0)):
         return "ramified"
+    value = residue if cover.kind is CoverKind.ARTIN_SCHREIER else unit_residue
     R = residue_field(place)[0]
-    if cover.kind is CoverKind.ARTIN_SCHREIER:
-        return "split" if R.trace(residue(cover.f, place)) == 0 else "inert"
-    c = residue(cover.f, place) if v == 0 else unit_residue(cover.f, place)
-    return "split" if R.quadratic_character(c) == 1 else "inert"
+    return "split" if _splits(cover, R, value(cover.f, place)) else "inert"
 
 
 def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
@@ -200,12 +200,11 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
     least member of an orbit of size d of x -> x^q on GF(q^d)
     (``gf.orbit_representatives``).  The numerator and denominator of f
     are evaluated at all of these roots at once.  Where neither vanishes
-    the place is unramified and f(root) is its residue: it splits iff the
-    residue has trace 0 (Artin-Schreier) or is a square (Kummer, where
-    num/den is a square iff num*den is).  The infinite place and the
-    roots of f's finite support go through ``splitting_type``.
+    the place is unramified, f(root) is its residue and its unit residue,
+    and ``splitting_type``'s split test decides it.  The infinite place
+    and the roots of f's finite support go through ``splitting_type``.
 
-    Raises InvalidCoverError unless the cover is in standard form, and
+    Raises NonStandardCoverError unless the cover is in standard form, and
     when N_1 breaks the Weil bound (a cover that secretly extends the
     constant field splits every place).
     """
@@ -213,7 +212,6 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
         raise ValueError("census degree bound must be >= 1")
     g = cover.genus
     F, f = cover.field, cover.f
-    artin_schreier = cover.kind is CoverKind.ARTIN_SCHREIER
     support = [place for place in support_places(f) if not place.is_infinite]
     B = [0] * d_max
 
@@ -236,8 +234,7 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
                               f.den.values_in(roots, R)):
             if not (a and b):
                 tally(d, splitting_type(cover, at_support[root]))
-            elif (R.trace(R.mul(a, R.inv(b))) == 0 if artin_schreier
-                  else R.quadratic_character(R.mul(a, b)) == 1):
+            elif _splits(cover, R, R.mul(a, R.inv(b))):
                 split += 1
             else:
                 inert += 1

@@ -629,50 +629,52 @@ def format_rational(f: RationalFunction, var: str = "x", symbol: str = "a") -> s
 
 def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a",
                    check_degree=None) -> RationalFunction:
-    """num or num/den, where den may be a power (poly)^n.  ``check_degree``
-    is called as in ``parse_poly``, also on the degree of the power."""
+    """num or num/den, where each side is a polynomial or a power (poly)^n.
+    ``check_degree`` is called as in ``parse_poly``, and on the degree of
+    each power before it is expanded."""
     text, s = s, _text(s).replace(" ", "")
-    parts = _split_fraction(s)
-    if len(parts) == 1:
-        return RationalFunction(parse_poly(_strip_parens(parts[0]), field, var, symbol,
-                                           check_degree))
-    num, den = parts
-    dpoly, dexp = _parse_power(den, field, var, symbol, check_degree)
-    if check_degree is not None:
-        check_degree(dpoly.degree * dexp)
-    dpoly = dpoly ** dexp
-    if dpoly.is_zero:
+    num, slash, den = _split_fraction(s)
+    num = _parse_power(num, field, var, symbol, check_degree)
+    if not slash:
+        return RationalFunction(num)
+    den = _parse_power(den, field, var, symbol, check_degree)
+    if den.is_zero:
         raise ValueError(f"zero denominator in rational function {text!r}")
-    return RationalFunction(parse_poly(_strip_parens(num), field, var, symbol,
-                                       check_degree), dpoly)
+    return RationalFunction(num, den)
 
 
 def _split_fraction(s: str):
+    """(num, "/", den) split at the first / outside parentheses, or
+    (s, "", "") when there is none."""
     depth = 0
     for i, ch in enumerate(s):
         depth += (ch == "(") - (ch == ")")
         if ch == "/" and depth == 0:
-            return [s[:i], s[i + 1:]]
-    return [s]
+            return s[:i], "/", s[i + 1:]
+    return s, "", ""
 
 
-def _strip_parens(s: str) -> str:
-    """s without the parentheses that enclose all of it."""
-    while s.startswith("(") and s.endswith(")"):
+def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree) -> Poly:
+    """The polynomial that 'poly' or '(s)^n' describes, dropping any
+    parentheses that enclose all of s; ``check_degree`` is called on the
+    degree of the power before it is expanded."""
+    n = 1
+    while s.startswith("("):
         depth = 0
-        for ch in s[:-1]:
+        for i, ch in enumerate(s):
             depth += (ch == "(") - (ch == ")")
             if not depth:
-                return s
-        s = s[1:-1]
-    return s
-
-
-def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree):
-    """Parse '(poly)^n' or 'poly' denominators."""
-    if s.startswith("(") and ")^" in s:
-        body, _, exp = s.rpartition(")^")
-        if not exp.isdigit():
-            raise ValueError(f"bad exponent {exp!r} in denominator {s!r}")
-        return parse_poly(_strip_parens(body + ")"), field, var, symbol, check_degree), int(exp)
-    return parse_poly(_strip_parens(s), field, var, symbol, check_degree), 1
+                break
+        rest = s[i + 1:]
+        if depth or rest[:1] not in ("", "^"):
+            break  # not one parenthesised group: a term such as (a+1)x
+        if rest:
+            exp = re.fullmatch(r"\^(\d+)", rest)
+            if exp is None:
+                raise ValueError(f"bad exponent {rest[1:]!r} in power {s!r}")
+            n *= int(exp[1])
+        s = s[1:i]
+    poly = parse_poly(s, field, var, symbol, check_degree)
+    if check_degree is not None:
+        check_degree(poly.degree * n)
+    return poly ** n

@@ -129,12 +129,10 @@ def test_zero_denominator_in_catalog_exits_two(tmp_path, f):
     assert proc.stderr == f"input error: zero denominator in rational function {f!r}\n"
 
 
-# covers outside the handled standard form are unusable input (exit 2);
-# the first two are the ones that exited 1 as mathematical failures
+# covers outside the handled standard form are unusable input (exit 2)
 NONSTANDARD_COVERS = [
-    ({"kind": "kummer", "p": 3, "k": 1, "f": "x^5"},
-     "valuation 5 at Place(x) outside the handled range; "
-     "valuation -5 at Place(infinity) outside the handled range"),
+    ({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^2"},
+     "even pole order 2 at Place(infinity): not in standard form"),
     ({"kind": "kummer", "p": 3, "k": 1, "f": "0"}, "right-hand side is identically zero"),
     ({"kind": "artin_schreier", "p": 3, "k": 1, "f": "x^3+x"},
      "Artin-Schreier covers need characteristic 2"),
@@ -142,7 +140,7 @@ NONSTANDARD_COVERS = [
 
 
 @pytest.mark.parametrize("spec,message", NONSTANDARD_COVERS,
-                         ids=["valuation", "zero", "characteristic"])
+                         ids=["even-pole", "zero", "characteristic"])
 @pytest.mark.parametrize("command", ["zeta", "places", "verify"])
 def test_nonstandard_cover_exits_two(tmp_path, capsys, command, spec, message):
     path = tmp_path / "input.json"
@@ -158,6 +156,33 @@ def test_nonstandard_cover_exits_two(tmp_path, capsys, command, spec, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+# y^2 = x^5 is rational: v = 5 at x and v = -5 at infinity are odd, and
+# ramify as v = 1 and v = -1 do
+QUINTIC_KUMMER = {"curve_id": "quintic", "p": 3, "k": 1, "genus": 0, "class_number": 1,
+                  "kind": "kummer", "data": {"f": "x^5"}, "equation": "y^2=x^5"}
+
+
+def test_kummer_cover_with_valuations_beyond_three(tmp_path, capsys):
+    model, catalog = tmp_path / "model.json", tmp_path / "catalog.json"
+    model.write_text(json.dumps({"kind": "kummer", "p": 3, "k": 1, "f": "x^5"}))
+    catalog.write_text(json.dumps([QUINTIC_KUMMER]))
+
+    def report(*args):
+        assert cli.main(list(args) + ["--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return json.loads(out)
+
+    zeta = report("zeta", "--model", str(model))
+    assert (zeta["genus"], zeta["h"], zeta["l_coeffs"], zeta["counts"]) == (
+        0, 1, [1], [4, 10, 28, 82, 244])
+    places = report("places", "--model", str(model))
+    assert places["census"] == {"1": 4, "2": 3, "3": 8, "4": 18, "5": 48}
+    (curve,) = report("verify", "--catalog", str(catalog))["curves"]
+    assert (curve["genus_computed"], curve["h_computed"], curve["l_coeffs"],
+            curve["census"], curve["status"]) == (0, 1, [1], [4, 3, 8, 18, 48], "pass")
 
 
 @pytest.mark.parametrize("command,label", [
@@ -584,11 +609,14 @@ def _as_catalog(spec) -> list:
 
 HUGE_DEGREE = "the run would enumerate 262144 candidates in one field, beyond the budget of 131072"
 MALFORMED = {
-    # a cover's f of huge degree, or a huge power in its denominator, must
-    # be refused before its coefficients are laid out densely
+    # a cover's f of huge degree, or a huge power on either side of its /,
+    # must be refused before its coefficients are laid out densely
     "as-x1e7": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^10000000+x+1"}, HUGE_DEGREE),
     "as-x1e8": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^100000000+x+1"}, HUGE_DEGREE),
     "kummer-den-power": ({"kind": "kummer", "p": 3, "k": 1, "f": "x/(x^2+1)^100000000"},
+                         "the run would enumerate 387420489 candidates in one field, "
+                         "beyond the budget of 131072"),
+    "kummer-num-power": ({"kind": "kummer", "p": 3, "k": 1, "f": "(x^2+1)^100000000/x"},
                          "the run would enumerate 387420489 candidates in one field, "
                          "beyond the budget of 131072"),
     # a plane quartic of any other degree
@@ -657,8 +685,8 @@ def test_budget_admits_the_largest_runs_in_use():
 
 
 def test_budget_admits_curve_i_to_degree_17_only():
-    # a census of a cover over GF(2) to degree d walks GF(2^d): GF(2^17)
-    # has no log tables, and the run is admitted; GF(2^18) is refused
+    # a census of a cover over GF(2) to degree d walks GF(2^d): GF(2^17),
+    # the largest binary field, is admitted; GF(2^18) is refused
     model = build_model(get_entry("i"))
     cli._check_cost(model, 17, 6)
     with pytest.raises(ValueError, match="enumerate 262144 candidates"):

@@ -121,15 +121,6 @@ def _with_different_exponents(monkeypatch, cover, exponents):
         datum._replace(different_exponent=e) for e in exponents))
 
 
-@pytest.mark.parametrize("exponents,two_g", [((3,), 1), ((), -2)], ids=["odd", "negative"])
-def test_hurwitz_check_refuses_a_non_genus(monkeypatch, uncached_genus, exponents, two_g):
-    cover = _as("x^3+x+1")
-    _with_different_exponents(monkeypatch, cover, exponents)
-    with pytest.raises(InvalidCoverError,
-                       match=rf"^Hurwitz formula gives non-genus 2g = {two_g}$"):
-        cover_genus(cover)
-
-
 def test_weil_check_refuses_n1_beyond_the_genus(monkeypatch, uncached_genus):
     # curve i has N_1 = 1; with a different of degree 2 its genus reads 0,
     # and genus 0 over GF(2) forces N_1 = 3
@@ -190,40 +181,44 @@ def _draw_artin_schreier(rng, F):
 
 
 def _draw_kummer(rng, F, drawn):
-    """y^2 = c * prod u^v with v in -3..3 at one to three finite places of
-    degree <= 2, an odd valuation somewhere and |v| <= 3 at infinity."""
+    """y^2 = c * prod u^v with v in -5..5 at one to three finite places of
+    degree <= 2, and an odd valuation somewhere; the valuations at those
+    places and at infinity go into ``drawn``."""
     while True:
         num, den = Poly(F, (rng.randrange(1, F.order),)), Poly.one(F)
         places = rng.sample(_low_places(F), rng.randint(1, 3))
-        vals = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places]
+        vals = [rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)) for _ in places]
         for u, v in zip(places, vals):
             if v > 0:
                 num = num * u ** v
             else:
                 den = den * u ** -v
         v_inf = den.degree - num.degree
-        if (max(num.degree, den.degree) <= MAX_SUPPORT_DEGREE and abs(v_inf) <= 3
+        if (max(num.degree, den.degree) <= MAX_SUPPORT_DEGREE
                 and any(v % 2 for v in vals + [v_inf])):
-            drawn.update(vals)
+            drawn.update(vals + [v_inf])
             return CoverModel(CoverKind.KUMMER, RationalFunction(num, den))
 
 
-def _draw_covers(per_family=8):
-    """``per_family`` distinct covers of each family, by name."""
+def _draw_covers():
+    """Distinct covers of each family, by name: eight of each
+    Artin-Schreier family and twelve Kummer covers."""
     rng = random.Random(20261018)
     kummer_valuations = set()
     out = {}
-    for name, draw in (("as-gf2", lambda: _draw_artin_schreier(rng, F2)),
-                       ("as-gf4", lambda: _draw_artin_schreier(rng, F4)),
-                       ("kummer-gf3", lambda: _draw_kummer(rng, F3, kummer_valuations))):
+    for name, count, draw in (
+            ("as-gf2", 8, lambda: _draw_artin_schreier(rng, F2)),
+            ("as-gf4", 8, lambda: _draw_artin_schreier(rng, F4)),
+            ("kummer-gf3", 12, lambda: _draw_kummer(rng, F3, kummer_valuations))):
         family = []
-        while len(family) < per_family:
+        while len(family) < count:
             cover = draw()
             if cover not in family:
                 family.append(cover)
         out.update((f"{name}-{i}", cover) for i, cover in enumerate(family))
-    # the draws reach the even valuations +-2, where the unit residue matters
-    assert {-2, 2} <= kummer_valuations
+    # the draws reach the even valuations +-2 and +-4, where the unit
+    # residue matters, and the valuations +-4 and +-5 beyond +-3
+    assert {-5, -4, -2, 2, 4, 5} <= kummer_valuations
     return out
 
 

@@ -182,8 +182,32 @@ def test_rational_with_a_power_denominator():
     degrees = []
     parse_rational("x/(x^2+x+1)^2", F2, check_degree=degrees.append)
     assert 4 in degrees  # the degree of the power is checked, not only its base
-    with pytest.raises(ValueError, match=r"bad exponent 'a' in denominator"):
+    with pytest.raises(ValueError, match=r"^bad exponent 'a' in power '\(x\^2\+x\+1\)\^a'$"):
         parse_rational("x/(x^2+x+1)^a", F2)
+
+
+@pytest.mark.parametrize("text,num,den", [
+    ("(x+1)^2/x", "x^2+1", "x"),
+    ("(x+1)^2", "x^2+1", "1"),
+    ("1/((x+1)^2)", "1", "x^2+1"),
+    ("((x+1)^2)^3/((x))", "x^6+x^4+x^2+1", "x"),
+    ("(x+1)^0/x", "1", "x"),
+], ids=["numerator", "alone", "enclosed", "nested", "zeroth"])
+def test_rational_reads_a_power_on_either_side(text, num, den):
+    assert parse_rational(text, F2) == RationalFunction(parse_poly(num, F2),
+                                                        parse_poly(den, F2))
+
+
+def test_rational_checks_a_power_before_expanding_it():
+    def refuse(degree):
+        if degree > 100:
+            raise ValueError(f"degree {degree}")
+
+    for text in ("(x^2+1)^100000000/x", "x/(x^2+1)^100000000", "(x^2+1)^100000000"):
+        with pytest.raises(ValueError, match=r"^degree 200000000$"):
+            parse_rational(text, F2, check_degree=refuse)
+    with pytest.raises(ValueError, match=r"^bad exponent '2\^3' in power '\(x\+1\)\^2\^3'$"):
+        parse_rational("(x+1)^2^3", F2)
 
 
 def test_moebius_transport_of_the_infinite_place():
