@@ -263,9 +263,7 @@ def _frobenius_orbits(field: GF, d: int) -> dict[Poly, int]:
 @lru_cache(maxsize=None)
 def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree exactly d, ascending in the
-    element ordering of coefficient vectors."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    element ordering of coefficient vectors; ``make_field`` refuses d < 1."""
     return tuple(_frobenius_orbits(field, d))
 
 
@@ -562,14 +560,23 @@ def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
                 raise ValueError(f"unexpected {term[m.end():]!r}"
                                  + (f" after {m[0]!r}" if m[0] else ""))
             c = parse_element(m[1].strip("()"), field, symbol) if m[1] else 1
+            exps = [0] * len(varnames)
+            for v, n in factor.findall(m[2]):
+                exps[index[v]] += _exponent(n) if n else 1
         except ValueError as exc:
             raise TermError(term, s, getattr(exc, "reason", exc)) from None
-        exps = [0] * len(varnames)
-        for v, n in factor.findall(m[2]):
-            exps[index[v]] += int(n or 1)
         key = tuple(exps)
         terms[key] = field.add(terms.get(key, 0), field.neg(c) if sign < 0 else c)
     return terms
+
+
+def _exponent(digits: str, where: str = "") -> int:
+    """int(digits).  Where int() refuses that many digits (Python's limit
+    on decimal text), the ValueError says so in ffcn's words, after ``where``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{where}exponent of {len(digits)} digits is too long to read") from None
 
 
 @lru_cache(maxsize=None)
@@ -672,7 +679,7 @@ def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree) -> Poly
             exp = re.fullmatch(r"\^(\d+)", rest)
             if exp is None:
                 raise ValueError(f"bad exponent {rest[1:]!r} in power {s!r}")
-            n *= int(exp[1])
+            n *= _exponent(exp[1], f"bad power {s!r}: ")
         s = s[1:i]
     poly = parse_poly(s, field, var, symbol, check_degree)
     if check_degree is not None:

@@ -122,9 +122,6 @@ class MultiPoly(record("MultiPoly", "field nvars terms")):
             acc = F.add(acc, t)
         return acc
 
-    def __str__(self):
-        return format_multipoly(self)
-
 
 class _ProjectiveCurve:
     """What plane and space curves share: point counts by enumeration."""

@@ -118,8 +118,6 @@ def class_number(L: LPoly) -> int:
 
 def extend_counts(L: LPoly, up_to: int) -> PointCounts:
     """N_1..N_up_to from the power-sum recurrence induced by L."""
-    if up_to < 1:
-        raise ValueError("need up_to >= 1")
     g, q = L.g, L.q
     e = [(-1) ** i * L.coeffs[i] for i in range(2 * g + 1)]
     S: list[int] = []
@@ -185,15 +183,11 @@ def census_to_counts(census: PlaceCensus, up_to: int) -> list[int]:
 
 def hurwitz_different_degree(g_cover: int, g_base: int, n: int) -> int:
     """deg Diff from the Hurwitz genus formula: 2g_K - 2 - n(2g_F - 2)."""
-    if n < 1:
-        raise ValueError("cover degree must be positive")
     return 2 * g_cover - 2 - n * (2 * g_base - 2)
 
 
 def cyclic_extension_count(h: int, q: int, t: int, d: int) -> int:
     """Number of degree-d cyclic extensions with conductor dividing a
     fixed degree-t place: d when d divides h*(q^t - 1)/(q - 1), else 0."""
-    if min(h, q, t, d) < 1:
-        raise ValueError("all arguments must be positive")
     bound = h * (q ** t - 1) // (q - 1)
     return d if bound % d == 0 else 0

@@ -608,6 +608,9 @@ def _as_catalog(spec) -> list:
 
 
 HUGE_DEGREE = "the run would enumerate 262144 candidates in one field, beyond the budget of 131072"
+# an exponent past int()'s 4300 digits, and one that int() still reads
+LONG, READABLE = "9" * 5000, "9" * 4000
+TOO_LONG = "exponent of 5000 digits is too long to read"
 MALFORMED = {
     # a cover's f of huge degree, or a huge power on either side of its /,
     # must be refused before its coefficients are laid out densely
@@ -633,6 +636,19 @@ MALFORMED = {
                  "model spec key 'p' must be an integer, not '2'"),
     "k-float": ({"kind": "rational", "p": 2, "k": 1.0},
                 "model spec key 'k' must be an integer, not 1.0"),
+    # an exponent too long to read is named with its term or power
+    "as-x-5000-digits": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": f"x^{LONG}"},
+                         f"bad term 'x^{LONG}' in polynomial 'x^{LONG}': {TOO_LONG}"),
+    "as-power-5000-digits": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": f"x/(x+1)^{LONG}"},
+                             f"bad power '(x+1)^{LONG}': {TOO_LONG}"),
+    "quartic-5000-digits": ({"kind": "plane_quartic", "p": 2, "k": 1,
+                             "poly": f"x^4+y^4+z^4+x^{LONG}y", "vars": ["x", "y", "z"]},
+                            f"bad term 'x^{LONG}y' in polynomial 'x^4+y^4+z^4+x^{LONG}y': "
+                            f"{TOO_LONG}"),
+    "as-x-4000-digits": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": f"x^{READABLE}"},
+                         HUGE_DEGREE),
+    "as-power-4000-digits": ({"kind": "artin_schreier", "p": 2, "k": 1,
+                              "f": f"x/(x+1)^{READABLE}"}, HUGE_DEGREE),
 }
 
 
@@ -646,6 +662,22 @@ def test_malformed_model_exits_two_before_any_work(tmp_path, name, args):
     path.write_text(json.dumps(_as_catalog(spec) if args[0] == "verify" else spec))
     proc = _run_capped(*args, str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--probe-depth", "0"],
+    ["table64", "--probe-depth", "0"],
+    ["zeta", "--curve", "i", "--probe-depth", "0"],
+    ["places", "--curve", "i", "--probe-depth", "0"],
+    ["table64", "--dmax", "0"],
+    ["verify", "--max-place-degree", "0"],
+    ["places", "--curve", "i", "--max-place-degree", "0"],
+    ["zeta", "--curve", "i", "--counts-up-to", "0"],
+], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_a_bound_below_one_exits_two(capsys, args):
+    option = args[-2]
+    assert cli.main(args) == 2
+    assert tuple(capsys.readouterr()) == ("", f"{option} must be >= 1\n")
 
 
 def test_costly_table64_is_refused(capsys):

@@ -33,6 +33,14 @@ def test_kind_characteristic_guards():
         CoverModel(CoverKind.KUMMER, parse_rational("x", F2))
 
 
+def test_census_to_no_degree_is_refused():
+    # without the check, an empty census would fail on tallying infinity
+    with pytest.raises(ValueError) as info:
+        place_census(_as("x^3+x+1"), 0)
+    assert (type(info.value), str(info.value)) == (ValueError,
+                                                   "census degree bound must be >= 1")
+
+
 def test_standard_form_diagnostics():
     assert validate_standard_form(_as("x^3+x+1")) == []
     assert validate_standard_form(_kummer("x^3+2x+2")) == []

@@ -254,6 +254,45 @@ def test_embed_requires_subfield():
         embed(1, make_field(2, 3), make_field(2, 4))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_field(2, 3).inv(0), "inversion of zero"),
+    (lambda: make_field(3, 2).inv(0), "inversion of zero"),
+    (lambda: make_field(2, 2).quadratic_character(3),
+     "quadratic character undefined in characteristic 2"),
+    (lambda: embedding(make_field(2, 1), make_field(3, 2)), "embedding across characteristics"),
+], ids=["inv-zero-GF8", "inv-zero-GF9", "quadratic-character-GF4", "embed-GF2-in-GF9"])
+def test_illegal_field_operations_raise_by_name(call, message):
+    # without its check, inv(0) would read the zeros past exp and return 0,
+    # and the character of GF(4) would call every element a square
+    with pytest.raises(FieldError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (FieldError, message)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_negative_powers_are_powers_of_the_inverse(p, k):
+    F = make_field(p, k)
+    for a in range(1, F.order):
+        power, inv = 1, F.inv(a)
+        for n in range(1, F.order + 1):
+            power = F.mul(power, inv)
+            assert F.pow(a, -n) == power
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_ternary_trace_is_the_sum_of_the_conjugates(k):
+    F = make_field(3, k)
+    for a in F.elements():
+        total, conjugate = 0, a
+        for _ in range(k):
+            total = F.add(total, conjugate)
+            conjugate = F.mul(F.mul(conjugate, conjugate), conjugate)
+        assert F.trace(a) == total < 3  # an element of GF(3)
+    # the trace is onto GF(3), each value taken by 3^(k-1) elements
+    assert sorted(F.trace(a) for a in F.elements()) == [t for t in range(3)
+                                                        for _ in range(3 ** (k - 1))]
+
+
 # ---------------------------------------------------------------------------
 # Frobenius tables, orbit representatives and the table-driven kernels
 

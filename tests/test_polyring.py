@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffcn.gf import make_field
+from ffcn.gf import FieldError, make_field
 from ffcn.polyring import (Place, PoleError, Poly, RationalFunction,
                            element_str, format_poly, format_rational, format_terms,
                            irreducible_count, is_irreducible, moebius_mu,
@@ -210,6 +210,28 @@ def test_rational_checks_a_power_before_expanding_it():
         parse_rational("(x+1)^2^3", F2)
 
 
+def test_an_exponent_too_long_to_read_is_named():
+    # int() refuses more than 4300 digits; the message names the term or power
+    long, readable = "9" * 5000, "9" * 4000
+    with pytest.raises(ValueError) as info:
+        parse_rational(f"x^{long}+1", F2)
+    assert str(info.value) == (f"bad term 'x^{long}' in polynomial 'x^{long}+1': "
+                               "exponent of 5000 digits is too long to read")
+    with pytest.raises(ValueError) as info:
+        parse_rational(f"x/(x+1)^{long}", F2)
+    assert str(info.value) == (f"bad power '(x+1)^{long}': "
+                               "exponent of 5000 digits is too long to read")
+
+    # 4000 digits still read, and reach the degree check
+    def refuse(degree):
+        if degree > 100:
+            raise ValueError(f"degree of {len(str(degree))} digits")
+
+    for text in (f"x^{readable}+1", f"x/(x+1)^{readable}"):
+        with pytest.raises(ValueError, match="^degree of 4000 digits$"):
+            parse_rational(text, F2, check_degree=refuse)
+
+
 def test_moebius_transport_of_the_infinite_place():
     # x -> (2x + 1)/1 fixes infinity; x -> 1/(x + 1) sends it to x = -1
     infinity = Place.infinite(F3)
@@ -356,6 +378,54 @@ def test_written_text_goldens():
     assert format_multipoly(MultiPoly.build(F4, 2, {})) == "0"
     # a constant form's sum coefficient has no factor after it, so no parentheses
     assert format_multipoly(MultiPoly.build(F4, 2, {(0, 0): 3})) == "a+1"
+
+
+# each guard that no other run reaches, with the wrong answer, endless
+# loop or unnamed failure that it prevents
+GUARDS = {
+    "add-across-fields": (lambda: Poly.x(F2) + Poly.x(F4),
+                          FieldError, "polynomials over different fields"),
+    "divide-by-zero": (lambda: divmod(Poly.x(F2), Poly.zero(F2)),  # would invert 0
+                       ZeroDivisionError, "division by zero polynomial"),
+    "negative-power": (lambda: Poly.x(F2) ** -1,  # n >>= 1 would stay -1
+                       ValueError, "negative polynomial power"),
+    "irreducible-constant": (lambda: is_irreducible(Poly.one(F2)),
+                             ValueError, "irreducibility is undefined for constants"),
+    "mu-of-zero": (lambda: moebius_mu(0),  # would return 1
+                   ValueError, "mu is defined for positive integers"),
+    "place-wrong-field": (lambda: Place(F2, Poly.x(F4)),
+                          FieldError, "place polynomial over the wrong field"),
+    "place-not-monic": (lambda: Place(F3, Poly(F3, (0, 2))),
+                        ValueError, "place polynomial must be monic"),
+    "place-reducible": (lambda: Place(F2, Poly(F2, (0, 0, 1))),
+                        ValueError, "x^2 is not irreducible"),
+    "rational-across-fields": (lambda: RationalFunction(Poly.x(F2), Poly.one(F4)),
+                               FieldError, "numerator and denominator over different fields"),
+    "rational-zero-denominator": (lambda: RationalFunction(Poly.x(F2), Poly.zero(F2)),
+                                  ZeroDivisionError, "zero denominator"),
+    "valuation-of-zero": (lambda: place_valuation(RationalFunction(Poly.zero(F2)),
+                                                  Place(F2, Poly.x(F2))),  # would loop
+                          ValueError, "the zero function has no valuation"),
+    "pole-at-infinity": (lambda: residue(parse_rational("x^2/(x+1)", F2), Place.infinite(F2)),
+                         PoleError, "(x^2)/(x+1) has a pole at Place(infinity)"),
+    "degenerate-transport": (lambda: moebius_transport(Place.infinite(F3), (1, 2, 1, 2)),
+                             ValueError, "degenerate fractional-linear map"),
+    "irreducibles-of-degree-0": (lambda: monic_irreducibles(F2, 0),
+                                 FieldError, "extension degree 0 is below 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guards_raise_by_name(name):
+    call, kind, message = GUARDS[name]
+    with pytest.raises(kind) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_poly_repr_names_the_field_and_the_text():
+    assert repr(Poly(F4, (1, 2, 3))) == "Poly(GF(2^2), '(a+1)x^2+ax+1')"
+    assert repr(Poly.zero(F3)) == "Poly(GF(3), '0')"
 
 
 def test_gcd_is_monic_common_divisor():

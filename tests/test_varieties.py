@@ -5,7 +5,7 @@ import pytest
 
 from ffcn.catalog import build_model, get_entry
 from ffcn import varieties
-from ffcn.gf import embed, make_field
+from ffcn.gf import FieldError, embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
@@ -164,6 +164,23 @@ def test_space_curve_shape_validation():
     cubic = parse_multipoly("x1^3", F2, X4)
     with pytest.raises(ValueError):
         SpaceCurve(cubic, cubic)  # quadric slot must have degree 2
+
+
+CONIC = PlaneCurve(parse_multipoly("xz+y^2", F2, XYZ))
+
+
+@pytest.mark.parametrize("call,kind,message", [
+    (lambda: MultiPoly.build(F2, 3, {(1, 0): 1}), ValueError, "exponent vector length mismatch"),
+    (lambda: CONIC.poly((1, 0)), ValueError, "coordinate dimension mismatch"),
+    (lambda: point_degree((1, 1), F4, make_field(2, 3)),
+     FieldError, "point field is not an extension of the base"),
+    # without the check, a depth-0 probe would pass with nothing probed
+    (lambda: smoothness_probe(CONIC, 0), ValueError, "probe depth must be >= 1"),
+], ids=["build-arity", "call-arity", "point-field", "probe-depth-0"])
+def test_shape_guards_raise_by_name(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
 
 
 def test_min_point_degree_on_conic():

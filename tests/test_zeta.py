@@ -92,6 +92,24 @@ def test_census_truncation_guard():
         census_to_counts(PlaceCensus((1, 2)), 3)
 
 
+@pytest.mark.parametrize("call,message", [
+    # without the check, b(0) would read the last degree's B
+    (lambda: PlaceCensus((1, 2, 3)).b(0), "census only covers degrees 1..3"),
+    (lambda: PlaceCensus((1, 2, 3)).b(4), "census only covers degrees 1..3"),
+    (lambda: l_polynomial(PointCounts(2, 2, (1,))), "need counts through N_2 to reconstruct L"),
+], ids=["b-of-0", "b-past-the-census", "l-from-too-few-counts"])
+def test_out_of_range_requests_raise_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+def test_extending_to_no_degree_gives_no_counts():
+    L = LPoly(2, 1, (1, -2, 2))
+    assert extend_counts(L, 0).counts == ()
+    assert extend_counts(L, 3).counts == (1, 5, 13)
+
+
 def test_hurwitz_different_degree():
     assert hurwitz_different_degree(4, 0, 5) == 16
     assert hurwitz_different_degree(1, 0, 2) == 4
