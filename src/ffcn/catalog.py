@@ -14,8 +14,8 @@ code that reads the kind:
 * ``space_curve``: a cubic-quadric intersection in P^3.
 
 Every model exposes ``field``, ``genus``, ``cross_check_depth``,
-``counts(n, probe_depth)`` (N_1..N_n) and ``enumeration_size(n,
-probe_depth)``, the size of the largest enumeration those counts start;
+``counts(n)`` (N_1..N_n) and ``enumeration_size(n)``, the size of the
+largest enumeration those counts start;
 the L-polynomial, class number, cross-check and place census always come
 from ``zeta.analyse_counts`` of the counts, the one zeta pipeline.
 """
@@ -23,6 +23,7 @@ from ``zeta.analyse_counts`` of the counts, the one zeta pipeline.
 from __future__ import annotations
 
 import json
+import sys
 
 from .covers import CoverKind, CoverModel
 from .gf import extension_order, make_field
@@ -43,11 +44,11 @@ class Rational(record("Rational", "field")):
     genus = 0
     cross_check_depth = 0  # the counts are the definition; nothing to check
 
-    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
+    def counts(self, n: int) -> list[int]:
         q = self.field.order
         return [q ** m + 1 for m in range(1, n + 1)]
 
-    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
+    def enumeration_size(self, n: int) -> int:
         return 0  # the counts are a formula; nothing is enumerated
 
 
@@ -79,8 +80,11 @@ def model_from_spec(spec: dict):
         if kind == "plane_quartic":
             poly = parse_multipoly(spec["poly"], F, _variables(spec["vars"], 3))
             if poly.degree != 4:
-                raise ValueError(f"a plane quartic needs a form of degree 4, "
-                                 f"not of degree {poly.degree}")
+                try:
+                    shown = f"degree {poly.degree}"
+                except ValueError:  # more digits than Python writes as text
+                    shown = f"a degree of more than {sys.get_int_max_str_digits()} digits"
+                raise ValueError(f"a plane quartic needs a form of degree 4, not of {shown}")
             return PlaneCurve(poly)
         if kind == "space_curve":
             names = _variables(spec["vars"], 4)
@@ -237,8 +241,7 @@ def count_depth(model, max_place_degree: int) -> int:
     return max(max_place_degree, model.cross_check_depth, model.genus)
 
 
-def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
-                 probe_depth: int = 6) -> CurveReport:
+def verify_curve(entry: CatalogEntry, max_place_degree: int = 5) -> CurveReport:
     """Recompute genus, L-polynomial, class number, and place census from
     the model with ``analyse_counts``, and compare against the entry's
     claims; a miscount is a problem line.  Counts beyond N_g are
@@ -248,7 +251,7 @@ def verify_curve(entry: CatalogEntry, max_place_degree: int = 5,
     model = build_model(entry)
     genus = model.genus
     depth = count_depth(model, max_place_degree)
-    counts = tuple(model.counts(depth, probe_depth))
+    counts = tuple(model.counts(depth))
     l_coeffs, h, census, checked, found = analyse_counts(
         model.field.order, genus, counts,
         max(model.cross_check_depth, min(2 * genus, depth)))

@@ -40,8 +40,8 @@ from .polyring import (Place, irreducible_count, is_irreducible,
 from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, WitnessMismatchError,
                       build_family, find_survivors, survivor_analysis,
                       verify_row)
-from .varieties import (BudgetError, SingularModelError, check_budget,
-                        format_multipoly)
+from .varieties import (PROBE_DEPTH, BudgetError, SingularModelError,
+                        check_budget, format_multipoly)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, analyse_counts,
                    census_from_counts, census_to_counts, class_number,
                    extend_counts)
@@ -81,12 +81,11 @@ def _stage(label: str, input_errors, fn, *args):
         raise _Exit(EXIT_USAGE, f"input error: {exc}") from None
 
 
-def _check_cost(model, n: int, probe_depth: int):
-    """Refuse counting N_1..N_n with this probe depth if the largest
-    enumeration it starts exceeds ENUMERATION_BUDGET.  The depth may
-    depend on the genus: reading a cover's genus walks only f's support,
-    which ``model_from_spec`` has already kept within the budget."""
-    check_budget(model.enumeration_size(n, probe_depth))
+def _check_cost(model, n: int):
+    """Refuse counting N_1..N_n beyond ENUMERATION_BUDGET.  n may depend on
+    the genus: reading a cover's genus walks only f's support, which
+    ``model_from_spec`` has already kept within the budget."""
+    check_budget(model.enumeration_size(n))
 
 
 def _finish(ns, report, text, ok: bool = True) -> int:
@@ -109,8 +108,8 @@ def _finish(ns, report, text, ok: bool = True) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_one(entry, max_place_degree: int, probe_depth: int):
-    report = verify_curve(entry, max_place_degree, probe_depth)
+def _verify_one(entry, max_place_degree: int):
+    report = verify_curve(entry, max_place_degree)
     return {
         "id": entry.curve_id,
         "equation": entry.equation,
@@ -134,21 +133,20 @@ def _verify_entries(ns):
         with open(ns.catalog) as fh:
             catalog = load_catalog(fh.read())
     entries = [get_entry(ns.curve, catalog)] if ns.curve else list(catalog)
-    for entry in entries:
-        model = build_model(entry)
-        _check_cost(model, count_depth(model, ns.max_place_degree), ns.probe_depth)
+    for model in map(build_model, entries):
+        _check_cost(model, count_depth(model, ns.max_place_degree))
     return entries
 
 
 def cmd_verify(ns) -> int:
     entries = _stage("verification error", PARSE_ERRORS, _verify_entries, ns)
     records = _stage("verification error", COUNT_ERRORS, lambda: [
-        _verify_one(e, ns.max_place_degree, ns.probe_depth) for e in entries])
+        _verify_one(e, ns.max_place_degree) for e in entries])
     overall = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     report = {
         "tool_version": __version__,
         "config": {"max_place_degree": ns.max_place_degree,
-                   "probe_depth": ns.probe_depth,
+                   "probe_depth": PROBE_DEPTH,
                    "catalog": ns.catalog or "embedded"},
         "curves": records,
         "auxiliary_facts": section_facts(),
@@ -198,18 +196,16 @@ CSV_COLUMNS = ("family", "mask", "quadric", "paper_witness", "paper_degree",
                "status")
 
 
-def _table_rows(dmax: int, probe_depth: int):
-    """The 64 row records, once the search is within the budget: rows
-    search points to dmax; from dmax 4 on, the survivor is counted to N_5
-    and probed.  The pencils refuse a surface walk beyond the budget."""
-    n, depth = (dmax, 1) if dmax < 4 else (max(dmax, 5), probe_depth)
-    _check_cost(build_family()[0].model, n, depth)
+def _table_rows(dmax: int):
+    """The 64 row records, once the rows' search to dmax and the survivor's
+    N_5 and probe (run from dmax 4 on, charged at any) are within the
+    budget.  The pencils refuse a surface walk beyond the budget."""
+    _check_cost(build_family()[0].model, dmax)
     return [_table_one(i, dmax) for i in range(64)]
 
 
 def cmd_table64(ns) -> int:
-    records = _stage("survivor search error", COUNT_ERRORS, _table_rows,
-                     ns.dmax, ns.probe_depth)
+    records = _stage("survivor search error", COUNT_ERRORS, _table_rows, ns.dmax)
     all_pass = all(r["status"] == "pass" for r in records)
     survivor_undetermined = ns.dmax < 4
     summary = {"rows": 64,
@@ -226,7 +222,7 @@ def cmd_table64(ns) -> int:
                        and survivors[0].mask == SURVIVOR_MASK)
         if survivor_ok:
             rep = _stage("survivor analysis error", COUNT_ERRORS,
-                         survivor_analysis, survivors[0], ns.probe_depth)
+                         survivor_analysis, survivors[0])
             summary["survivor_analysis"] = {
                 "counts": list(rep.counts),
                 "l_coeffs": list(rep.l_coeffs),
@@ -279,11 +275,11 @@ def _open_model(ns):
 def cmd_zeta(ns) -> int:
     model, g = _stage("model error", PARSE_ERRORS, _open_model, ns)
     n = max(ns.counts_up_to, g)
-    _stage("model error", PARSE_ERRORS, _check_cost, model, n, ns.probe_depth)
+    _stage("model error", PARSE_ERRORS, _check_cost, model, n)
     q = model.field.order
 
     def pipeline():
-        counts = tuple(model.counts(n, ns.probe_depth))
+        counts = tuple(model.counts(n))
         l_coeffs, h, census, _, problems = analyse_counts(q, g, counts, n)
         if problems:
             raise CountInconsistencyError(problems[0])
@@ -302,9 +298,9 @@ def cmd_zeta(ns) -> int:
 def cmd_places(ns) -> int:
     d = ns.max_place_degree
     model, g = _stage("model error", PARSE_ERRORS, _open_model, ns)
-    _stage("model error", PARSE_ERRORS, _check_cost, model, d, ns.probe_depth)
+    _stage("model error", PARSE_ERRORS, _check_cost, model, d)
     census = _stage("census error", COUNT_ERRORS,
-                    lambda: census_from_counts(model.counts(d, ns.probe_depth)))
+                    lambda: census_from_counts(model.counts(d)))
     q = model.field.order
     report = {"q": q, "genus": g, "max_degree": d, "census": census.as_dict()}
     return _finish(ns, report, lambda: "\n".join(
@@ -439,8 +435,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def common(p, fmt_default="text", fmt_choices=("json", "text")):
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        p.add_argument("--probe-depth", type=int, default=6,
-                       help="smoothness probe depth in extension degrees")
 
     if "verify" in names:
         p = sub.add_parser("verify", help="verify the curve catalog")
@@ -489,7 +483,7 @@ def main(argv=None) -> int:
     if ns.command in ("zeta", "places") and bool(ns.curve) == bool(ns.model):
         sys.stderr.write("exactly one of --curve or --model is required\n")
         return EXIT_USAGE
-    for bound in ("max_place_degree", "dmax", "counts_up_to", "probe_depth"):
+    for bound in ("max_place_degree", "dmax", "counts_up_to"):
         if getattr(ns, bound, 1) < 1:
             sys.stderr.write(f"--{bound.replace('_', '-')} must be >= 1\n")
             return EXIT_USAGE

@@ -74,11 +74,11 @@ class CoverModel(record("CoverModel", "kind f")):
     def cross_check_depth(self) -> int:
         return 2 * self.genus + 2
 
-    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
+    def counts(self, n: int) -> list[int]:
         """N_1..N_n from the place census (no points, so no probe)."""
         return census_to_counts(place_census(self, n), n)
 
-    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
+    def enumeration_size(self, n: int) -> int:
         """Elements of GF(q^m), the largest field the census to degree n or
         the support walk (m = max(deg num, deg den)) visits; past the field
         limit, m is capped as ``extension_order`` says."""

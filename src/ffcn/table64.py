@@ -177,8 +177,8 @@ class RowResult(record("RowResult", "row quadric_matches_published witness_on_cu
 # counts: N_1..N_5 by direct enumeration; cross_checked: (5,), N_5 met the
 # L-extension; census: B_1..B_5; different_degree: the Hurwitz check for
 # the degree-5 cover; cyclic_count: the ray-class cyclic extension count
-SurvivorReport = record("SurvivorReport", "row probe_depth counts cross_checked l_coeffs "
-                                          "h census different_degree cyclic_count")
+SurvivorReport = record("SurvivorReport", "counts cross_checked l_coeffs h census "
+                                          "different_degree cyclic_count")
 
 
 @lru_cache(maxsize=None)
@@ -356,16 +356,16 @@ def find_survivors(rows) -> list[TableRow]:
     return survivors
 
 
-def survivor_analysis(row: TableRow, probe_depth: int = 6) -> SurvivorReport:
+def survivor_analysis(row: TableRow) -> SurvivorReport:
     """The zeta pipeline ``analyse_counts`` on the surviving genus-4
     model: N_5 is enumerated over GF(32) and cross-checked against the
     L-extension, and the census must be nonnegative integers.  The first
     problem raises CountInconsistencyError."""
-    counts = tuple(curve_point_counts(row.model, 5, probe_depth))
+    counts = tuple(curve_point_counts(row.model, 5))
     g = row.model.genus
     l_coeffs, h, census, checked, problems = analyse_counts(2, g, counts, 5)
     if problems:
         raise CountInconsistencyError(problems[0])
-    return SurvivorReport(row, probe_depth, counts, checked, l_coeffs, h, census,
+    return SurvivorReport(counts, checked, l_coeffs, h, census,
                           hurwitz_different_degree(g, 0, 5),
                           cyclic_extension_count(h, 2, 4, 5))

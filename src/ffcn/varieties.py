@@ -132,13 +132,13 @@ class _ProjectiveCurve:
     def cross_check_depth(self) -> int:
         return min(2 * self.genus, 6)
 
-    def counts(self, n: int, probe_depth: int = 6) -> list[int]:
-        return curve_point_counts(self, n, probe_depth)
+    def counts(self, n: int) -> list[int]:
+        return curve_point_counts(self, n)
 
-    def enumeration_size(self, n: int, probe_depth: int = 6) -> int:
-        """Candidates of the largest enumeration ``counts(n, probe_depth)``
-        starts, the ``walk_size`` of its deepest field."""
-        return walk_size(self, max(n, probe_depth))
+    def enumeration_size(self, n: int) -> int:
+        """Candidates of the largest enumeration ``counts(n)`` starts, the
+        ``walk_size`` of its deepest field, the probe's included."""
+        return walk_size(self, max(n, PROBE_DEPTH))
 
 
 class PlaneCurve(_ProjectiveCurve, record("PlaneCurve", "poly")):
@@ -235,6 +235,9 @@ def projective_point_count(dim: int, q: int) -> int:
 # slowest of these, ``places --curve i`` and ``--curve iii`` at
 # ``--max-place-degree 17``, take about 0.4 s each on a 2-core VM.
 ENUMERATION_BUDGET = FIELD_MAX
+
+# The smoothness probe before every point count walks GF(q^m), m <= PROBE_DEPTH.
+PROBE_DEPTH = 6
 
 
 def walk_size(model, m: int) -> int:
@@ -454,7 +457,7 @@ def _jacobian(model, ext: GF) -> list:
 
 
 @lru_cache(maxsize=None)
-def smoothness_probe(model, m_probe: int = 6):
+def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
     """Points over GF(q^m), m <= m_probe, where the Jacobian drops rank.
 
     Empty tuple means the probe passed.  Results are (m, point) pairs,
@@ -492,13 +495,13 @@ def _rank_lt_codim(rows, ext: GF, codim: int) -> bool:
     return True
 
 
-def curve_point_counts(model, m_max: int, probe_depth: int = 6) -> list[int]:
+def curve_point_counts(model, m_max: int) -> list[int]:
     """N_m for m = 1..m_max by direct enumeration (smooth-probed models only)."""
-    bad = smoothness_probe(model, probe_depth)
+    bad = smoothness_probe(model)
     if bad:
         raise SingularModelError(
             f"model failed the smoothness probe at {bad[0]} "
-            f"({len(bad)} singular point(s) up to depth {probe_depth})")
+            f"({len(bad)} singular point(s) up to depth {PROBE_DEPTH})")
     return [len(points_on_model(model, _extension(model.field, m)))
             for m in range(1, m_max + 1)]
 

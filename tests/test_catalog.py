@@ -54,7 +54,7 @@ def test_model_from_spec(kind):
     assert model.field.order == spec["p"] ** spec["k"]
     assert model.genus == genus
     assert model.cross_check_depth == check_depth
-    assert model.counts(4, 6) == counts
+    assert model.counts(4) == counts
     if cls is CoverModel:
         assert model.kind is CoverKind(kind)
 
@@ -197,17 +197,18 @@ def test_enumeration_size():
     F2 = make_field(2, 1)
     viii, iv, vii = (build_model(get_entry(c)) for c in ("viii", "iv", "vii"))
     # space curve: prefixes of P^2(GF(2^m)), solved in closed form
-    assert viii.enumeration_size(5, 6) == 64 ** 2 + 64 + 1
-    assert viii.enumeration_size(7, 6) == 128 ** 2 + 128 + 1
+    # the probe walks GF(2^6) whatever n is
+    assert viii.enumeration_size(5) == 64 ** 2 + 64 + 1
+    assert viii.enumeration_size(7) == 128 ** 2 + 128 + 1
     # plane quartic: prefixes of P^1(GF(2^m)), each fiber scanned
-    assert iv.enumeration_size(5, 6) == 65 * 64
-    assert iv.enumeration_size(5, 1) == 33 * 32
+    assert iv.enumeration_size(5) == 65 * 64
+    assert iv.enumeration_size(7) == 129 * 128
     # a conic is solved in closed form
     conic = PlaneCurve(parse_multipoly("xz+y^2", F2, ("x", "y", "z")))
-    assert conic.enumeration_size(4, 1) == 17
+    assert conic.enumeration_size(4) == 65
     # covers walk GF(q^n); nothing is probed
-    assert vii.enumeration_size(5, 20) == 4 ** 5
-    assert Rational(F2).enumeration_size(30, 30) == 0
+    assert vii.enumeration_size(5) == 4 ** 5
+    assert Rational(F2).enumeration_size(30) == 0
     # the census of y^2 + y = x over GF(2^11) to degree 5 walks GF(2^55),
     # far beyond the budget, which refuses it before any field is built
     wide = model_from_spec({"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"})
@@ -215,5 +216,5 @@ def test_enumeration_size():
     # past the bit length of FIELD_MAX (18) every field is beyond the
     # budget: the degree is capped there, so a huge one costs nothing
     assert wide.enumeration_size(10 ** 9) == 2 ** (11 * 18)
-    assert viii.enumeration_size(10 ** 9, 6) == 2 ** 36 + 2 ** 18 + 1
-    assert iv.enumeration_size(6, 10 ** 9) == (2 ** 18 + 1) * 2 ** 18
+    assert viii.enumeration_size(10 ** 9) == 2 ** 36 + 2 ** 18 + 1
+    assert iv.enumeration_size(10 ** 9) == (2 ** 18 + 1) * 2 ** 18

@@ -8,7 +8,7 @@ from ffcn import varieties
 from ffcn.gf import FieldError, embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
-from ffcn.varieties import (MultiPoly, PlaneCurve, SingularModelError,
+from ffcn.varieties import (PROBE_DEPTH, MultiPoly, PlaneCurve, SingularModelError,
                             SpaceCurve, _jacobian, _representatives,
                             curve_point_counts,
                             format_multipoly, format_point, min_point_degree,
@@ -497,10 +497,13 @@ def test_probe_matches_the_scan_of_every_point(name):
     depth = 6 if model.field.p == 2 else 4
     bad = _scan_probe(model, depth)
     assert bad and smoothness_probe(model, depth) == bad
+    # a count probes to PROBE_DEPTH, which holds the scan's depth
+    probed = smoothness_probe(model)
+    assert probed[:len(bad)] == bad
     with pytest.raises(SingularModelError) as err:
-        curve_point_counts(model, 1, depth)
-    assert str(err.value) == (f"model failed the smoothness probe at {bad[0]} "
-                              f"({len(bad)} singular point(s) up to depth {depth})")
+        curve_point_counts(model, 1)
+    assert str(err.value) == (f"model failed the smoothness probe at {probed[0]} "
+                              f"({len(probed)} singular point(s) up to depth {PROBE_DEPTH})")
 
 
 def test_probe_expands_singular_points_of_higher_degree():
