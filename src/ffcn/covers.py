@@ -188,13 +188,13 @@ def splitting_type(cover: CoverModel, place: Place) -> str:
     return "split" if _splits(cover, R, value(cover.f, place)) else "inert"
 
 
-def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
-    """B_d for the cover, d = 1..d_max.
+def place_census(cover: CoverModel, max_degree: int) -> PlaceCensus:
+    """B_d for the cover, d = 1..max_degree.
 
     Ramified base places give one place of the same degree; split give
-    two; inert give one of twice the degree (recorded when 2d <= d_max).
-    Base places are scanned through degree d_max so that every cover
-    place of degree <= d_max is seen.
+    two; inert give one of twice the degree (recorded when 2d <=
+    max_degree).  Base places are scanned through degree max_degree so
+    that every cover place of degree <= max_degree is seen.
 
     A finite place of degree d is visited as its canonical root, the
     least member of an orbit of size d of x -> x^q on GF(q^d)
@@ -208,23 +208,23 @@ def place_census(cover: CoverModel, d_max: int) -> PlaceCensus:
     when N_1 breaks the Weil bound (a cover that secretly extends the
     constant field splits every place).
     """
-    if d_max < 1:
+    if max_degree < 1:
         raise ValueError("census degree bound must be >= 1")
     g = cover.genus
     F, f = cover.field, cover.f
     support = [place for place in support_places(f) if not place.is_infinite]
-    B = [0] * d_max
+    B = [0] * max_degree
 
     def tally(d: int, kind: str, n: int = 1):
         if kind == "ramified":
             B[d - 1] += n
         elif kind == "split":
             B[d - 1] += 2 * n
-        elif 2 * d <= d_max:
+        elif 2 * d <= max_degree:
             B[2 * d - 1] += n
 
     tally(1, splitting_type(cover, Place.infinite(F)))
-    for d in range(1, d_max + 1):
+    for d in range(1, max_degree + 1):
         R = make_field(F.p, F.k * d)
         roots = [a for a, size in orbit_representatives(R, F.order) if size == d]
         at_support = {residue_field(place)[1]: place

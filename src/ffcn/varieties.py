@@ -507,16 +507,16 @@ def curve_point_counts(model, m_max: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def min_point_degree(model, d_max: int):
+def min_point_degree(model, max_degree: int):
     """(degree, witness, witness field) for the least-degree point with
-    degree <= d_max, or None.  The witness is the lexicographically
+    degree <= max_degree, or None.  The witness is the lexicographically
     smallest normalized point at that degree.
 
     The fields are walked for d = 1, 2, ... in turn, so the first with
     any point holds no point of degree below d, and every point of
     GF(q^d) has degree dividing d: all of its points have degree d, and
     the witness is the first."""
-    for d in range(1, d_max + 1):
+    for d in range(1, max_degree + 1):
         ext = _extension(model.field, d)
         points = points_on_model(model, ext)
         if points:

@@ -53,7 +53,7 @@ CURVES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 COMMANDS = (
     [["verify"], ["verify", "--format", "json"],
      ["table64"], ["table64", "--format", "json"], ["table64", "--format", "text"],
-     ["table64", "--dmax", "2"], ["selftest"]]
+     ["selftest"]]
     + [args + ["--curve", c] for c in CURVES
        for args in (["zeta"], ["zeta", "--format", "json"], ["places"], ["verify"])])
 

@@ -306,8 +306,9 @@ def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
     row = table64.build_family()[32 + 12]
     real = table64.pencil_witness
     monkeypatch.setattr(table64, "pencil_witness",
-                        lambda model, d_max: (None if model == row.model and d_max == 3
-                                              else real(model, d_max)))
+                        lambda model, max_degree: (
+                            None if model == row.model and max_degree == 3
+                            else real(model, max_degree)))
     assert cli.main(["table64", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -320,12 +321,6 @@ def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
 TABLE64_DIGESTS = {
     ("--format", "csv"): "110df98d6785e83355f2a39dd94f32f317383bebb4d0a7b6f759c838c1d5dbd0",
     ("--format", "text"): "f5d8fe7774112a2ede2f45ccdfde70b9cf3851a3f0632cfaa9a4dec1eb2372b3",
-    ("--format", "json", "--dmax", "1"):
-        "5569843e466340ca7ad44c6c377226310b37be1f1689834889d0fedb407e249f",
-    ("--format", "json", "--dmax", "2"):
-        "3a9a6d0d110edad2ba5294e22ab73a25fe2d736053b7e7b522188686aca9e8f7",
-    ("--format", "json", "--dmax", "3"):
-        "f02aa5c2c7f3e5b2f43e61ee3dec1c72617c99e6c55214718febdef84261c7c1",
 }
 
 
@@ -335,13 +330,6 @@ def test_table64_reports_are_pinned(args):
                           env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == TABLE64_DIGESTS[args]
-
-
-def test_table64_truncated_dmax():
-    proc = run_cli("table64", "--dmax", "1", "--format", "json", check=True)
-    summary = json.loads(proc.stdout)["summary"]
-    assert summary["survivor_undetermined"] is True
-    assert "survivors" not in summary
 
 
 def test_reports_identical_run_to_run():
@@ -669,7 +657,19 @@ def test_malformed_model_exits_two_before_any_work(tmp_path, name, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["table64", "--dmax", "0"],
+    ["verify", "--catalog"], ["zeta", "--model"], ["places", "--model"]],
+    ids=["verify", "zeta", "places"])
+def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, args):
+    # once a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(args + [str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: maximum recursion depth exceeded while decoding a JSON array "
+            "from a unicode string\n")
+
+
+@pytest.mark.parametrize("args", [
     ["verify", "--max-place-degree", "0"],
     ["places", "--curve", "i", "--max-place-degree", "0"],
     ["zeta", "--curve", "i", "--counts-up-to", "0"],
@@ -680,29 +680,26 @@ def test_a_bound_below_one_exits_two(capsys, args):
     assert tuple(capsys.readouterr()) == ("", f"{option} must be >= 1\n")
 
 
-def test_costly_table64_is_refused(capsys):
-    assert cli.main(["table64", "--dmax", "9"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("input error: the run would enumerate 262657 candidates")
+def test_table64_refuses_dmax_at_every_value(capsys):
+    # every row is searched to table64.MAX_CLAIMED_DEGREE: no search
+    # bound, cheap or costly, is an option
+    for dmax in ("0", "1", "3", "4", "5", "8", "9"):
+        _assert_unrecognized(capsys, "table64", ["--dmax", dmax])
 
 
 def test_table64_pencil_walks_no_surface_beyond_the_budget(monkeypatch, capsys):
     # family 4 closes at degree 3, where its surface is scanned in x4:
-    # 73 prefixes of P^2(GF(8)) times 8; the rows' own curves need 73.
-    # table64 charges the survivor's probe at any dmax (4,161 candidates
-    # at depth 6), so the probe depth comes down to 3 to let the pencil
-    # meet the budget first
-    monkeypatch.setattr(varieties, "PROBE_DEPTH", 3)
+    # 73 prefixes of P^2(GF(8)) times 8, the largest walk of any pencil;
+    # the rows' own curves need 73
     monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 583)
     table64._pencil.cache_clear()
-    assert cli.main(["table64", "--dmax", "3"]) == 2
+    assert cli.main(["table64"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("input error: the run would enumerate 584 candidates in one "
                    "field, beyond the budget of 583\n")
     monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 584)
-    assert cli.main(["table64", "--dmax", "3"]) == 0
+    assert cli.main(["table64"]) == 0
     table64._pencil.cache_clear()
 
 
@@ -844,10 +841,12 @@ def test_selftest_takes_only_out(capsys, flag):
     _assert_unrecognized(capsys, "selftest", flag)
 
 
-# the smoothness probe depth is varieties.PROBE_DEPTH, not an option
+# the smoothness probe depth is varieties.PROBE_DEPTH and table64's
+# search bound is table64.MAX_CLAIMED_DEGREE, not options
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_no_command_takes_probe_depth(capsys, command):
-    _assert_unrecognized(capsys, command, ["--probe-depth", "6"])
+    for flag in (["--probe-depth", "6"], ["--dmax", "4"]):
+        _assert_unrecognized(capsys, command, flag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Passing runs keep their bytes.
 
-``golden_outputs.json`` lists 37 ``ffc`` runs that ``perfbench/expected.json``
+``golden_outputs.json`` lists 36 ``ffc`` runs that ``perfbench/expected.json``
 does not gate: ``zeta`` (text and json), ``places`` and ``verify`` on each
-catalog curve, plus ``verify``, ``table64`` in three forms and
+catalog curve, plus ``verify``, ``table64`` in two forms and
 ``selftest``.  Each entry holds the run's arguments, its exit code and the
 sha256 of its stdout.  A change meant to alter a report rewrites the
 entry from the new output and says why.

@@ -94,16 +94,6 @@ def test_survivor_analysis():
     assert rep.cyclic_count == 5
 
 
-def test_truncated_search_still_verifies_rational_witnesses():
-    for row in build_family():
-        res = verify_row(row, d_max=1)
-        if row.paper_witness is not None:
-            assert res.witness_on_curve is True
-        if res.claimed_degree == 1:
-            assert res.computed_min_degree == 1
-        assert res.status == "pass"  # degree bound below claim: no judgment
-
-
 def test_tampered_witness_fails():
     row = build_family()[0]
     bad = row._replace(paper_witness="(0:1:0:0)")
@@ -114,15 +104,12 @@ def test_tampered_witness_fails():
 
 def test_claimed_degree_below_the_computed_minimum_fails():
     # the survivor's least point has degree 4; a claimed rational witness
-    # is refused, and so is one the search to degree 3 cannot reach
+    # is refused
     (survivor,) = [row for row in build_family()
                    if (row.family, row.mask) == (SURVIVOR_FAMILY, SURVIVOR_MASK)]
     bad = survivor._replace(paper_witness="(1:0:0:0)")
     assert verify_row(bad).problems == ("published witness is not on the curve",
                                         "computed minimal degree 4 exceeds claimed 1")
-    assert verify_row(bad, d_max=3).problems == (
-        "published witness is not on the curve",
-        "computed minimal degree None exceeds claimed 1")
 
 
 def test_witness_of_another_degree_than_its_field_fails():
@@ -150,15 +137,17 @@ def test_pencil_matches_the_curve_walk_on_every_row(monkeypatch, order):
 
 
 def test_every_mask_closes_by_degree_four():
-    # so --dmax 8 walks no surface past the default's degrees; the
-    # surfaces of families 1, 3 and 4 are scanned in x4
+    # so the search to MAX_CLAIMED_DEGREE finds a least point on every
+    # row; the surfaces of families 1, 3 and 4 are scanned in x4
+    assert table64.MAX_CLAIMED_DEGREE == 4
     table64._pencil.cache_clear()
     for row in build_family():
-        verify_row(row, d_max=8)
-    walked = {family: table64._pencil(parse_multipoly(CUBICS[family], F2, VARS),
-                                      table64._base_quadric(family)).walked
-              for family in (1, 2, 3, 4)}
-    assert walked == {1: 1, 2: 4, 3: 1, 4: 3}
+        verify_row(row)
+    pencils = {family: table64._pencil(parse_multipoly(CUBICS[family], F2, VARS),
+                                       table64._base_quadric(family))
+               for family in (1, 2, 3, 4)}
+    assert {family: p.walked for family, p in pencils.items()} == {1: 1, 2: 4, 3: 1, 4: 3}
+    assert all(set(p.least) == set(MASKS) for p in pencils.values())
 
 
 def _monomials(degree):
