@@ -5,13 +5,14 @@ Each entry records the claimed invariants (genus, class number) next to
 a computable model; ``verify_curve`` recomputes everything from the
 model and reports any disagreement.  ``model_from_spec`` builds a model
 from a spec (catalog entries and model files alike) and is the only
-code that reads the kind:
+code that reads the kind.  There are two models, one per way of counting:
 
-* ``rational``: the rational function field GF(q)(x) itself,
-* ``artin_schreier`` / ``kummer``: degree-2 covers of a rational field,
-  handled place by place (no point enumeration needed),
-* ``plane_quartic``: a smooth homogeneous quartic in P^2,
-* ``space_curve``: a cubic-quadric intersection in P^3.
+* ``artin_schreier`` / ``kummer``: a ``covers.CoverModel``, a degree-2
+  cover of a rational field, counted place by place (no point
+  enumeration needed); with f = x it is the rational field itself,
+* ``plane_quartic`` (a quartic in P^2) and ``space_curve`` (a
+  cubic-quadric intersection in P^3): a ``varieties.ProjectiveCurve``,
+  whose points are enumerated.
 
 Every model exposes ``field``, ``genus``, ``cross_check_depth``,
 ``counts(n)`` (N_1..N_n) and ``enumeration_size(n)``, the size of the
@@ -29,27 +30,19 @@ from .covers import CoverKind, CoverModel
 from .gf import extension_order, make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
 from .records import record
-from .varieties import PlaneCurve, SpaceCurve, check_budget, parse_multipoly
+from .varieties import ProjectiveCurve, check_budget, parse_multipoly
 from .zeta import analyse_counts, cyclic_extension_count, hurwitz_different_degree
 
 # each kind's keys besides p, k and kind
-MODEL_KEYS = {"rational": (), "artin_schreier": ("f",), "kummer": ("f",),
+MODEL_KEYS = {"artin_schreier": ("f",), "kummer": ("f",),
               "plane_quartic": ("poly", "vars"), "space_curve": ("cubic", "quadric", "vars")}
-
-
-class Rational(record("Rational", "field")):
-    """The rational function field GF(q)(x): genus 0, N_m = q^m + 1."""
-
-    __slots__ = ()
-    genus = 0
-    cross_check_depth = 0  # the counts are the definition; nothing to check
-
-    def counts(self, n: int) -> list[int]:
-        q = self.field.order
-        return [q ** m + 1 for m in range(1, n + 1)]
-
-    def enumeration_size(self, n: int) -> int:
-        return 0  # the counts are a formula; nothing is enumerated
+# each curve kind's forms as {key: degree}, and its message for a form of
+# another degree, given the form's degree d and its actual degree as text
+CURVE_FORMS = {
+    "plane_quartic": ({"poly": 4}, "a plane quartic needs a form of degree {d}, not of {shown}"),
+    "space_curve": ({"cubic": 3, "quadric": 2},
+                    "expected a homogeneous degree-{d} form in 4 variables"),
+}
 
 
 def model_from_spec(spec: dict):
@@ -75,26 +68,26 @@ def model_from_spec(spec: dict):
                 raise ValueError(f"model spec key {key!r} must be an integer, "
                                  f"not {spec[key]!r}")
         F = make_field(spec["p"], spec["k"])
-        if kind == "rational":
-            return Rational(F)
-        if kind == "plane_quartic":
-            poly = parse_multipoly(spec["poly"], F, _variables(spec["vars"], 3))
-            if poly.degree != 4:
-                try:
-                    shown = f"degree {poly.degree}"
-                except ValueError:  # more digits than Python writes as text
-                    shown = f"a degree of more than {sys.get_int_max_str_digits()} digits"
-                raise ValueError(f"a plane quartic needs a form of degree 4, not of {shown}")
-            return PlaneCurve(poly)
-        if kind == "space_curve":
-            names = _variables(spec["vars"], 4)
-            return SpaceCurve(parse_multipoly(spec["cubic"], F, names),
-                              parse_multipoly(spec["quadric"], F, names))
+        if kind in CURVE_FORMS:
+            degrees, message = CURVE_FORMS[kind]
+            names = _variables(spec["vars"], len(degrees) + 2)
+            polys = [parse_multipoly(spec[key], F, names) for key in degrees]
+            for poly, d in zip(polys, degrees.values()):
+                if poly.degree != d:
+                    raise ValueError(message.format(d=d, shown=_degree_text(poly)))
+            return ProjectiveCurve(polys)
         f = parse_rational(spec["f"], F,
                            check_degree=lambda d: check_budget(extension_order(F, d)))
         return CoverModel(CoverKind(kind), f)
     except KeyError as exc:
         raise ValueError(f"model spec lacks the field {exc}") from None
+
+
+def _degree_text(poly) -> str:
+    try:
+        return f"degree {poly.degree}"
+    except ValueError:  # more digits than Python writes as text
+        return f"a degree of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _variables(names, count: int) -> tuple[str, ...]:

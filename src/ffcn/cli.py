@@ -37,9 +37,9 @@ from .gf import FieldError, make_field
 from .polyring import (Place, irreducible_count, is_irreducible,
                        monic_irreducibles, place_valuation, places_of_degree,
                        residue, residue_field, unit_residue)
-from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, WitnessMismatchError,
-                      build_family, find_survivors, survivor_analysis,
-                      verify_row)
+from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, SurvivorMismatchError,
+                      WitnessMismatchError, build_family, find_survivors,
+                      survivor_analysis, verify_row)
 from .varieties import (PROBE_DEPTH, BudgetError, SingularModelError,
                         check_budget, format_multipoly)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, analyse_counts,
@@ -58,7 +58,7 @@ PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError, RecursionError,
 # it first) or a pencil walk beyond the budget; anything else is a fault
 COUNT_ERRORS = (FieldError, BudgetError)
 MATH_ERRORS = (CountInconsistencyError, SingularModelError, InvalidCoverError,
-               WitnessMismatchError)
+               WitnessMismatchError, SurvivorMismatchError)
 
 
 class _Exit(Exception):

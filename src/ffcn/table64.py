@@ -1,7 +1,8 @@
 """The 64 cubic-quadric pairs in P^3 over GF(2): generation of the full
 family, row-by-row verification against the published table (quadric
 expansion, witness membership, witness degree), survivor identification,
-and the one zeta pipeline, ``zeta.analyse_counts``, on the unique survivor.
+and the one zeta pipeline, ``zeta.analyse_counts``, on the unique survivor,
+whose model must be catalog curve viii's.
 
 The published table is embedded below as ground-truth test data.  In the
 witness strings, ``a`` is the GF(4) generator with a^2+a+1 = 0 and ``b``
@@ -12,8 +13,8 @@ In characteristic 2 a quadric over GF(2) is its cross terms plus a
 square: Q = Q_x + (k.x)^2, with k the mask of its square terms.  The 16
 rows of a family share the cubic C and Q_x, so a point P of the surface
 C = 0 lies on row k iff k.P = sqrt(Q_x(P)), and one walk of that surface
-over GF(2^d) (``varieties._model_points``, on the one-form model
-``_CubicSurface``) decides every mask at once.  sqrt on GF(2^d) is
+over GF(2^d) (``varieties._model_points`` of the one form C) decides
+every mask at once.  sqrt on GF(2^d) is
 x -> x^(2^(d-1)), one ``frobenius_table``.  The pencil walks d = 1, 2, ...
 in turn and only while a mask asked for is still open.  It is exact:
 
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .catalog import build_model, get_entry
 from .gf import frobenius_table, make_field
 from .records import record
-from .varieties import (MultiPoly, SpaceCurve, _embedded_terms, _model_points,
+from .varieties import (MultiPoly, ProjectiveCurve, _embedded_terms, _model_points,
                         check_budget, curve_point_counts, format_point,
                         min_point_degree, parse_multipoly, parse_point,
                         point_degree, walk_size)
@@ -153,15 +155,20 @@ class WitnessMismatchError(ValueError):
     """The pencil and the row's own curve walk disagree on a row."""
 
 
+class SurvivorMismatchError(ValueError):
+    """The survivor's model is not catalog curve viii's."""
+
+
 class TableRow(record("TableRow", "family mask model paper_quadric paper_witness")):
     """One published row: ``mask`` is (k1, k2, k3, k4), ``model`` the
-    SpaceCurve, ``paper_witness`` None for the published degree-4 row."""
+    ProjectiveCurve of its quadric and cubic, ``paper_witness`` None for
+    the published degree-4 row."""
 
     __slots__ = ()
 
     @property
     def quadric(self) -> MultiPoly:
-        return self.model.quadric
+        return self.model.polys[0]
 
     @property
     def mask_str(self) -> str:
@@ -210,20 +217,9 @@ def build_family() -> tuple[TableRow, ...]:
     for family in (1, 2, 3, 4):
         cubic = parse_multipoly(CUBICS[family], F2, VARS)
         for mask, (paper_q, witness) in zip(MASKS, PUBLISHED_TABLE[family]):
-            model = SpaceCurve(cubic, expanded_quadric(family, mask))
+            model = ProjectiveCurve((cubic, expanded_quadric(family, mask)))
             rows.append(TableRow(family, mask, model, paper_q, witness))
     return tuple(rows)
-
-
-class _CubicSurface:
-    """The surface C = 0 in P^3: a one-form model for the orbit walk,
-    one per pencil, so the walk's cache keys it by identity."""
-
-    __slots__ = ("field", "polys")
-    dim = 3
-
-    def __init__(self, cubic: MultiPoly):
-        self.field, self.polys = cubic.field, (cubic,)
 
 
 class _Pencil:
@@ -236,7 +232,7 @@ class _Pencil:
     only while the mask asked for is open."""
 
     def __init__(self, cubic: MultiPoly, cross: MultiPoly):
-        self.surface = _CubicSurface(cubic)
+        self.surface = (cubic,)  # the forms of the surface C = 0
         self.cross = cross
         self.walked = 0
         self.least = {}
@@ -274,17 +270,18 @@ def _pencil(cubic: MultiPoly, cross: MultiPoly) -> _Pencil:
     return _Pencil(cubic, cross)
 
 
-def pencil_witness(model: SpaceCurve, max_degree: int):
-    """``min_point_degree(model, max_degree)`` for a model over GF(2), read
-    from the pencil of its cubic and the cross part of its quadric; the
-    quadric's square terms x_j^2 give the mask."""
+def pencil_witness(model: ProjectiveCurve, max_degree: int):
+    """``min_point_degree(model, max_degree)`` for a quadric and a cubic
+    over GF(2), read from the pencil of the cubic and the cross part of
+    the quadric; the quadric's square terms x_j^2 give the mask."""
+    quadric, cubic = model.polys
     cross, mask = {}, [0] * 4
-    for exps, c in model.quadric.terms:
+    for exps, c in quadric.terms:
         if 2 in exps:
             mask[exps.index(2)] = c
         else:
             cross[exps] = c
-    return _pencil(model.cubic, MultiPoly.build(model.field, 4, cross)).witness(
+    return _pencil(cubic, MultiPoly.build(model.field, 4, cross)).witness(
         tuple(mask), max_degree)
 
 
@@ -301,7 +298,7 @@ def verify_row(row: TableRow) -> RowResult:
     """Check one row against the published table.
 
     Pass requires: the expanded quadric equals the published monomial set;
-    the published witness (when given) lies on cubic and quadric with
+    the published witness (when given) lies on every form with
     Frobenius-orbit degree matching its field of definition; and the
     computed minimal point degree does not exceed the claimed one.  Every
     row is searched to MAX_CLAIMED_DEGREE, so every claim is judged.  The
@@ -320,9 +317,7 @@ def verify_row(row: TableRow) -> RowResult:
     if row.paper_witness is not None:
         coords, wfield = parse_point(row.paper_witness, _witness_fields(), F2)
         claimed = wfield.k  # GF(2)->1, GF(4)->2, GF(8)->3
-        on_cubic = row.model.cubic(coords, wfield) == 0
-        on_quadric = row.model.quadric(coords, wfield) == 0
-        witness_on = on_cubic and on_quadric
+        witness_on = all(f(coords, wfield) == 0 for f in row.model.polys)
         if not witness_on:
             problems.append("published witness is not on the curve")
         witness_deg = point_degree(coords, wfield, F2)
@@ -362,9 +357,13 @@ def find_survivors(rows) -> list[TableRow]:
 
 def survivor_analysis(row: TableRow) -> SurvivorReport:
     """The zeta pipeline ``analyse_counts`` on the surviving genus-4
-    model: N_5 is enumerated over GF(32) and cross-checked against the
+    model, which must be catalog curve viii's (else SurvivorMismatchError):
+    N_5 is enumerated over GF(32) and cross-checked against the
     L-extension, and the census must be nonnegative integers.  The first
     problem raises CountInconsistencyError."""
+    if row.model != build_model(get_entry("viii")):
+        raise SurvivorMismatchError(f"family {row.family} mask {row.mask_str}: the "
+                                    "survivor's model is not catalog curve viii's")
     counts = tuple(curve_point_counts(row.model, 5))
     g = row.model.genus
     l_coeffs, h, census, checked, problems = analyse_counts(2, g, counts, 5)

@@ -1,6 +1,13 @@
 """Projective curve models: multivariate evaluation, point enumeration,
 Frobenius point degrees, smoothness probing, and exact point counts.
 
+``ProjectiveCurve`` is the one model whose points are enumerated: n - 2
+homogeneous forms in n variables over one field (a plane quartic, or the
+quadric and cubic of a genus-4 curve in P^3), with the genus of a smooth
+complete intersection, 2g - 2 = (prod d_i)(sum d_i - n).  The walk below
+takes the forms alone, so a surface such as table64's cubic is walked as
+the one form it is.
+
 Points are canonical representatives: the leftmost nonzero coordinate is
 scaled to 1.  Enumeration order is ascending lexicographic on the
 coordinate tuple under the element ordering, which makes witness
@@ -31,7 +38,7 @@ every y of the head.  The solved form's roots are checked against the
 other forms by ``GF.values`` too, and the points over the conjugate
 prefixes come from the x^q table (``gf.frobenius_table``).
 
-The walk is computed once per (model, extension field) and keeps each
+The walk is computed once per (forms, extension field) and keeps each
 point over a least prefix with the size of the prefix's orbit.
 ``points_on_model`` expands those into their conjugates and sorts them:
 normalized tuples in ascending order are exactly ``projective_points``
@@ -55,7 +62,7 @@ Forms are read from text by ``parse_multipoly`` and written by
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .gf import (FIELD_MAX, GF, FieldError, embed, extension_order,
                  frobenius_table, make_field, orbit_representatives)
@@ -123,10 +130,38 @@ class MultiPoly(record("MultiPoly", "field nvars terms")):
         return acc
 
 
-class _ProjectiveCurve:
-    """What plane and space curves share: point counts by enumeration."""
+class ProjectiveCurve(record("ProjectiveCurve", "polys")):
+    """The curve in P^(n-1) cut out by n - 2 homogeneous forms in n
+    variables over one field, kept sorted by degree (then by terms), so a
+    quadric comes before a cubic and the same forms in any order give one
+    model.  Its genus is the adjunction formula's for a smooth complete
+    intersection: 2g - 2 = (prod d_i)(sum d_i - n)."""
 
     __slots__ = ()
+
+    def __new__(cls, polys):
+        polys = tuple(sorted(polys, key=lambda f: (f.degree, f.terms)))
+        n = len(polys) + 2
+        if not polys or any(f.nvars != n or not f.is_homogeneous or f.degree < 1
+                            for f in polys):
+            raise ValueError("a curve in P^(n-1) needs n - 2 homogeneous forms of "
+                             "positive degree in n variables")
+        if any(f.field is not polys[0].field for f in polys):
+            raise FieldError("forms over different fields")
+        return super().__new__(cls, polys)
+
+    @property
+    def field(self) -> GF:
+        return self.polys[0].field
+
+    @property
+    def dim(self) -> int:
+        return len(self.polys) + 1
+
+    @property
+    def genus(self) -> int:
+        degrees = [f.degree for f in self.polys]
+        return prod(degrees) * (sum(degrees) - self.dim - 1) // 2 + 1
 
     @property
     def cross_check_depth(self) -> int:
@@ -138,66 +173,7 @@ class _ProjectiveCurve:
     def enumeration_size(self, n: int) -> int:
         """Candidates of the largest enumeration ``counts(n)`` starts, the
         ``walk_size`` of its deepest field, the probe's included."""
-        return walk_size(self, max(n, PROBE_DEPTH))
-
-
-class PlaneCurve(_ProjectiveCurve, record("PlaneCurve", "poly")):
-    """One homogeneous polynomial in 3 variables (catalog use: quartics)."""
-
-    __slots__ = ()
-
-    def __new__(cls, poly: MultiPoly):
-        if poly.nvars != 3 or not poly.is_homogeneous:
-            raise ValueError("plane model needs a homogeneous 3-variable polynomial")
-        return super().__new__(cls, poly)
-
-    @property
-    def field(self):
-        return self.poly.field
-
-    @property
-    def dim(self):
-        return 2
-
-    @property
-    def polys(self):
-        return (self.poly,)
-
-    @property
-    def genus(self) -> int:
-        d = self.poly.degree
-        return (d - 1) * (d - 2) // 2
-
-
-class SpaceCurve(_ProjectiveCurve, record("SpaceCurve", "cubic quadric")):
-    """Cubic-and-quadric intersection in P^3 (canonical genus-4 model)."""
-
-    __slots__ = ()
-
-    def __new__(cls, cubic: MultiPoly, quadric: MultiPoly):
-        for poly, d in ((cubic, 3), (quadric, 2)):
-            if poly.nvars != 4 or not poly.is_homogeneous or poly.degree != d:
-                raise ValueError(f"expected a homogeneous degree-{d} form in 4 variables")
-        if cubic.field is not quadric.field:
-            raise FieldError("cubic and quadric over different fields")
-        return super().__new__(cls, cubic, quadric)
-
-    @property
-    def field(self):
-        return self.cubic.field
-
-    @property
-    def dim(self):
-        return 3
-
-    @property
-    def polys(self):
-        return (self.quadric, self.cubic)  # cheaper form first for short-circuits
-
-    @property
-    def genus(self) -> int:
-        # complete intersection of degrees (2,3) in P^3
-        return 4
+        return walk_size(self.polys, max(n, PROBE_DEPTH))
 
 
 def projective_points(dim: int, field: GF):
@@ -240,14 +216,14 @@ ENUMERATION_BUDGET = FIELD_MAX
 PROBE_DEPTH = 6
 
 
-def walk_size(model, m: int) -> int:
-    """Candidates the walk of the model over GF(q^m) tries: the prefixes
-    of P^(dim-1), times the field order when the fiber is scanned rather
-    than solved (degree > 2 in the last variable).  Past the field limit,
-    m is capped as ``extension_order`` says."""
-    order = extension_order(model.field, m)
-    prefixes = projective_point_count(model.dim - 1, order)
-    fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in model.polys)
+def walk_size(polys, m: int) -> int:
+    """Candidates the walk of the forms in n variables over GF(q^m)
+    tries: the prefixes of P^(n-2), times the field order when the fiber
+    is scanned rather than solved (degree > 2 in the last variable).
+    Past the field limit, m is capped as ``extension_order`` says."""
+    order = extension_order(polys[0].field, m)
+    prefixes = projective_point_count(polys[0].nvars - 2, order)
+    fiber = min(max((e[-1] for e, _ in f.terms), default=0) for f in polys)
     return prefixes if fiber <= 2 else prefixes * order
 
 
@@ -378,12 +354,13 @@ def _quadratic_solver(ext: GF):
 
 
 @lru_cache(maxsize=None)
-def _model_points(model, ext: GF) -> tuple:
-    """(point, n) for every point over the least prefix of each orbit of
-    prefixes, n the size of that prefix orbit: the point and its first
-    n - 1 images under x -> x^q are the points over the whole orbit."""
-    n, q = model.dim, model.field.order
-    fibs = [_fibered(p, ext) for p in model.polys]
+def _model_points(polys, ext: GF) -> tuple:
+    """(point, n) for every common zero of the forms over the least
+    prefix of each orbit of prefixes, n the size of that prefix orbit:
+    the point and its first n - 1 images under x -> x^q are the points
+    over the whole orbit."""
+    n, q = polys[0].nvars - 1, polys[0].field.order
+    fibs = [_fibered(p, ext) for p in polys]
     # solve the form of least degree in z, check the others at its roots
     key = min(range(len(fibs)), key=lambda i: len(fibs[i]))
     solve = None
@@ -392,7 +369,7 @@ def _model_points(model, ext: GF) -> tuple:
         solve = _quadratic_solver(ext)
     values, line = ext.values, ext.elements()
     # a form vanishes at (0:...:0:1) iff it has no z^d term
-    on_origin = all(all(any(e[:-1]) for e, _ in p.terms) for p in model.polys)
+    on_origin = all(all(any(e[:-1]) for e, _ in p.terms) for p in polys)
     out = [((0,) * n + (1,), 1)] if on_origin else []
     # heads in P^(n-2) and the zero head, whose only prefix is (0:...:0:1)
     heads = [((0,) * (n - 1), 1, ((1, 1),))]
@@ -433,7 +410,7 @@ def points_on_model(model, ext: GF) -> list:
     orbit walk itself runs once per (model, field)."""
     # the fiber over a conjugate prefix holds the conjugate points
     frob = frobenius_table(ext, model.field.order)
-    out = [c for point, n in _model_points(model, ext)
+    out = [c for point, n in _model_points(model.polys, ext)
            for c in _conjugates(point, n, frob)]
     # normalized tuples sort in projective_points order
     out.sort()
@@ -475,24 +452,30 @@ def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
         jac = _jacobian(model, ext)
         frob = frobenius_table(ext, model.field.order)
         singular = []
-        for pt, n in _model_points(model, ext):
+        for pt, n in _model_points(model.polys, ext):
             rows = [[ext.evaluate(d, pt) for d in row] for row in jac]
-            if _rank_lt_codim(rows, ext, len(model.polys)):
+            if _dependent(rows, ext):
                 singular += _conjugates(pt, n, frob)
         bad += [(m, pt) for pt in sorted(singular)]
     return tuple(bad)
 
 
-def _rank_lt_codim(rows, ext: GF, codim: int) -> bool:
-    if codim == 1:
-        return all(v == 0 for v in rows[0])
-    r1, r2 = rows
-    n = len(r1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ext.sub(ext.mul(r1[i], r2[j]), ext.mul(r1[j], r2[i])):
-                return False
-    return True
+def _dependent(rows, ext: GF) -> bool:
+    """Whether the rows, one gradient per form, are linearly dependent:
+    the Jacobian has rank below the codimension.  Gaussian elimination,
+    each row cleared against the pivots of the rows before it."""
+    done = []  # (pivot column, row scaled to a 1 there)
+    for row in rows:
+        for col, pivot in done:
+            c = row[col]
+            if c:
+                row = [ext.sub(a, ext.mul(c, b)) for a, b in zip(row, pivot)]
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is None:
+            return True
+        inv = ext.inv(row[col])
+        done.append((col, [ext.mul(inv, v) for v in row]))
+    return False
 
 
 def curve_point_counts(model, m_max: int) -> list[int]:

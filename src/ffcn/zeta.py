@@ -149,16 +149,18 @@ def analyse_counts(q: int, g: int, counts, through: int):
     degrees g < d <= through where N_d meets the L-extension, and the
     Moebius-inverted census.  Each failure is a problem line: the Weil
     bound, Newton integrality or L(1) < 1 (L is then (), h 0, nothing is
-    cross-checked), a cross-check mismatch, a non-integral census (then ()).
+    cross-checked), an L-extension beyond the Weil bound (L is no curve's,
+    so the same), a cross-check mismatch, a non-integral census (then ()).
     """
     problems, l_coeffs, h, checked, census = [], (), 0, [], ()
+    L = None
     try:
         L = l_polynomial(PointCounts(q, g, counts))
+        extended = extend_counts(L, len(counts)).counts
     except CountInconsistencyError as exc:
-        problems.append(str(exc))
+        problems.append(str(exc) if L is None else f"L-extension: {exc}")
     else:
         l_coeffs, h = L.coeffs, class_number(L)
-        extended = extend_counts(L, len(counts)).counts
         for m in range(g + 1, through + 1):
             if extended[m - 1] != counts[m - 1]:
                 problems.append(

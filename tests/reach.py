@@ -12,7 +12,9 @@ it line-traces src/ffcn there with ``sys.settrace``.  The traced runs are:
 - the Tier-1 suite, in its own process and in every ``python -m
   ffcn.cli`` child, since the tests set the children's PYTHONPATH to the
   ``src`` they import ffcn from;
-- the ``ffc`` commands in ``COMMANDS``, each a fresh process;
+- the ``ffc`` commands in ``COMMANDS``, each a fresh process: the runs
+  that ``golden_outputs.json`` pins and the two ``--format json`` runs
+  that ``perfbench/expected.json`` gates;
 - the four demos.
 
 The two ``python -S`` runs of tests/test_cli.py skip ``sitecustomize``;
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import ast
 import glob
+import json
 import marshal
 import os
 import shutil
@@ -49,13 +52,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # key -> why no run can reach it and why it is kept; the list only shrinks
 ALLOWLIST: dict[str, str] = {}
 
-CURVES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
-COMMANDS = (
-    [["verify"], ["verify", "--format", "json"],
-     ["table64"], ["table64", "--format", "json"], ["table64", "--format", "text"],
-     ["selftest"]]
-    + [args + ["--curve", c] for c in CURVES
-       for args in (["zeta"], ["zeta", "--format", "json"], ["places"], ["verify"])])
+# the product runs: those golden_outputs.json pins, and the two that
+# perfbench/expected.json gates
+with open(os.path.join(ROOT, "tests", "golden_outputs.json")) as _fh:
+    COMMANDS = ([case["argv"] for case in json.load(_fh)]
+                + [["verify", "--format", "json"], ["table64", "--format", "json"]])
 
 # written into the copy's src/ as sitecustomize.py; the names in braces
 # are filled in by ``main``.  It imports nothing that Python has not

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, Rational,
-                          build_model, dump_catalog, get_entry, load_catalog,
+from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model,
+                          dump_catalog, get_entry, load_catalog,
                           model_from_spec, section_facts, verify_curve)
 from ffcn.covers import CoverKind, CoverModel
 from ffcn.gf import make_field
-from ffcn.varieties import PlaneCurve, SpaceCurve, parse_multipoly
+from ffcn.varieties import ProjectiveCurve, parse_multipoly
 
 EXPECTED_GENERA = {"i": 1, "ii": 2, "iii": 2, "iv": 3, "v": 3,
                    "vi": 1, "vii": 1, "viii": 4}
@@ -25,9 +25,9 @@ def test_model_routing():
     kinds = {e.curve_id: build_model(e) for e in DEFAULT_CATALOG}
     for cid in ("i", "ii", "iii", "vi", "vii"):
         assert isinstance(kinds[cid], CoverModel)
-    assert isinstance(kinds["iv"], PlaneCurve)
-    assert isinstance(kinds["v"], PlaneCurve)
-    assert isinstance(kinds["viii"], SpaceCurve)
+    for cid, dim in (("iv", 2), ("v", 2), ("viii", 3)):
+        assert isinstance(kinds[cid], ProjectiveCurve)
+        assert kinds[cid].dim == dim
 
 
 def spec_of(curve_id):
@@ -35,14 +35,15 @@ def spec_of(curve_id):
     return {"p": entry.p, "k": entry.k, "kind": entry.kind, **entry.data}
 
 
-# kind -> (spec, model type, genus, cross-check depth, N_1..N_4)
+# kind -> (spec, model type, genus, cross-check depth, N_1..N_4); the
+# rational field GF(3)(x) is the genus-0 cover y^2 = x
 SPECS = {
-    "rational": ({"kind": "rational", "p": 3, "k": 1}, Rational, 0, 0,
+    "rational": ({"kind": "kummer", "p": 3, "k": 1, "f": "x"}, CoverModel, 0, 2,
                  [4, 10, 28, 82]),
     "artin_schreier": (spec_of("i"), CoverModel, 1, 4, [1, 5, 13, 25]),
     "kummer": (spec_of("vi"), CoverModel, 1, 4, [1, 7, 28, 91]),
-    "plane_quartic": (spec_of("iv"), PlaneCurve, 3, 6, [0, 0, 3, 28]),
-    "space_curve": (spec_of("viii"), SpaceCurve, 4, 6, [0, 0, 0, 4]),
+    "plane_quartic": (spec_of("iv"), ProjectiveCurve, 3, 6, [0, 0, 3, 28]),
+    "space_curve": (spec_of("viii"), ProjectiveCurve, 4, 6, [0, 0, 0, 4]),
 }
 
 
@@ -56,7 +57,7 @@ def test_model_from_spec(kind):
     assert model.cross_check_depth == check_depth
     assert model.counts(4) == counts
     if cls is CoverModel:
-        assert model.kind is CoverKind(kind)
+        assert model.kind is CoverKind(spec["kind"])
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -69,8 +70,10 @@ def test_model_spec_missing_field(kind):
 
 
 def test_model_spec_unknown_kind():
-    with pytest.raises(ValueError, match="unknown model kind 'hyperelliptic'"):
-        model_from_spec({"kind": "hyperelliptic", "p": 2, "k": 1, "f": "x"})
+    # the rational field is a genus-0 cover, not a kind of its own
+    for kind in ("hyperelliptic", "rational"):
+        with pytest.raises(ValueError, match=f"unknown model kind '{kind}'"):
+            model_from_spec({"kind": kind, "p": 2, "k": 1, "f": "x"})
 
 
 @pytest.mark.parametrize("data", [{}, {"f": "x^4+q"}])
@@ -122,8 +125,8 @@ def test_tampered_genus_detected():
 
 def _viii_with_counts(monkeypatch, change):
     """verify_curve of viii with its enumerated N_1..N_6 passed through change."""
-    real = SpaceCurve.counts
-    monkeypatch.setattr(SpaceCurve, "counts",
+    real = ProjectiveCurve.counts
+    monkeypatch.setattr(ProjectiveCurve, "counts",
                         lambda model, *args: change(list(real(model, *args))))
     return verify_curve(get_entry("viii"))
 
@@ -204,11 +207,10 @@ def test_enumeration_size():
     assert iv.enumeration_size(5) == 65 * 64
     assert iv.enumeration_size(7) == 129 * 128
     # a conic is solved in closed form
-    conic = PlaneCurve(parse_multipoly("xz+y^2", F2, ("x", "y", "z")))
+    conic = ProjectiveCurve((parse_multipoly("xz+y^2", F2, ("x", "y", "z")),))
     assert conic.enumeration_size(4) == 65
     # covers walk GF(q^n); nothing is probed
     assert vii.enumeration_size(5) == 4 ** 5
-    assert Rational(F2).enumeration_size(30) == 0
     # the census of y^2 + y = x over GF(2^11) to degree 5 walks GF(2^55),
     # far beyond the budget, which refuses it before any field is built
     wide = model_from_spec({"kind": "artin_schreier", "p": 2, "k": 11, "f": "x"})

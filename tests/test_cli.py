@@ -265,15 +265,16 @@ def test_table64_survivor_mismatch_exits_one(monkeypatch, capsys):
 
 
 def _viii_counts_changed(monkeypatch, n, delta):
-    """Add delta to N_n of every space curve counted in this process (viii's)."""
-    real = varieties.SpaceCurve.counts
+    """Add delta to N_n of curve viii whenever it is counted in this process."""
+    real, viii = varieties.ProjectiveCurve.counts, build_model(get_entry("viii"))
 
     def counts(model, *args):
         N = list(real(model, *args))
-        N[n - 1] += delta
+        if model == viii:
+            N[n - 1] += delta
         return N
 
-    monkeypatch.setattr(varieties.SpaceCurve, "counts", counts)
+    monkeypatch.setattr(varieties.ProjectiveCurve, "counts", counts)
 
 
 def test_verify_miscount_is_a_problem_line_in_a_full_report(monkeypatch, capsys):
@@ -298,6 +299,36 @@ def test_zeta_cross_check_mismatch_exits_one(monkeypatch, capsys):
     assert cli.main(["zeta", "--curve", "viii"]) == 1
     assert capsys.readouterr() == (
         "", "zeta pipeline error: N_5: enumeration 20 vs L-extension 15\n")
+
+
+def test_table64_survivor_other_than_viii_exits_one(monkeypatch, capsys):
+    # viii's catalog quadric with one more term: the survivor is no longer viii
+    data = get_entry("viii").data
+    monkeypatch.setitem(data, "quadric", data["quadric"] + "+x2^2")
+    assert cli.main(["table64", "--format", "json"]) == 1
+    assert capsys.readouterr() == (
+        "", "survivor analysis error: family 2 mask 1011: the survivor's model is "
+            "not catalog curve viii's\n")
+
+
+def test_verify_l_extension_beyond_the_weil_bound_fails_one_curve(monkeypatch, capsys):
+    # curve ii counted as N = 0, 10, 0, 9, 41, 65: its L extends to N_3 = 27,
+    # beyond the Weil bound; every curve still prints, and the run exits 1
+    real, ii = covers.CoverModel.counts, build_model(get_entry("ii"))
+    monkeypatch.setattr(covers.CoverModel, "counts", lambda model, n: (
+        [0, 10, 0, 9, 41, 65][:n] if model == ii else real(model, n)))
+    assert cli.main(["verify", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    records = {r["id"]: r for r in report["curves"]}
+    assert list(records) == [e.curve_id for e in DEFAULT_CATALOG]
+    assert [r["id"] for r in records.values() if r["status"] == "fail"] == ["ii"]
+    assert records["ii"]["problems"] == [
+        "L-extension: N_3=27 violates the Weil bound for g=2, q=2",
+        "census inversion gives B_4 = -1/4"]
+    assert (records["ii"]["l_coeffs"], records["ii"]["h_computed"]) == ([], 0)
+    assert report["status"] == "fail"
 
 
 def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
@@ -348,9 +379,13 @@ def test_zeta_catalog_curve():
     assert report["h"] == 1
 
 
+# the rational field GF(2)(x), as the genus-0 cover y^2 + y = x
+LINE = {"kind": "artin_schreier", "p": 2, "k": 1, "f": "x"}
+
+
 def test_zeta_rational_stub(tmp_path):
     path = tmp_path / "line.json"
-    path.write_text(json.dumps({"kind": "rational", "p": 2, "k": 1}))
+    path.write_text(json.dumps(LINE))
     proc = run_cli("zeta", "--model", str(path), "--format", "json", check=True)
     report = json.loads(proc.stdout)
     assert report["l_coeffs"] == [1]
@@ -369,7 +404,7 @@ def test_zeta_singular_model_exits_one(tmp_path):
 def test_zeta_requires_exactly_one_source(tmp_path):
     assert run_cli("zeta").returncode == 2
     path = tmp_path / "line.json"
-    path.write_text(json.dumps({"kind": "rational", "p": 2, "k": 1}))
+    path.write_text(json.dumps(LINE))
     assert run_cli("zeta", "--curve", "i", "--model", str(path)).returncode == 2
 
 
@@ -380,7 +415,7 @@ def test_zeta_requires_exactly_one_source(tmp_path):
     {"kind": "space_curve", "p": 2, "k": 1, "cubic": "x1^3",
      "vars": ["x1", "x2", "x3", "x4"]},
     {"p": 2, "k": 1, "f": "x^3+x+1"},
-    [{"kind": "rational", "p": 2, "k": 1}],
+    [LINE],
 ], ids=["unknown-kind", "no-f", "no-quadric", "no-kind", "list"])
 def test_bad_model_spec_exits_two(tmp_path, capsys, command, spec):
     path = tmp_path / "model.json"
@@ -621,12 +656,14 @@ MALFORMED = {
                                    "poly": f"x^{'9' * 4300}x+y^4+z^4", "vars": ["x", "y", "z"]},
                                   "a plane quartic needs a form of degree 4, "
                                   "not of a degree of more than 4300 digits"),
+    # the rational field is the genus-0 cover y^2 + y = x, not a kind
+    "rational-kind": ({"kind": "rational", "p": 2, "k": 1}, "unknown model kind 'rational'"),
     # p and k must be ints, and a bool is not one
     "k-true": ({"kind": "artin_schreier", "p": 2, "k": True, "f": "x^3+x+1"},
                "model spec key 'k' must be an integer, not True"),
     "p-string": ({"kind": "artin_schreier", "p": "2", "k": 1, "f": "x^3+x+1"},
                  "model spec key 'p' must be an integer, not '2'"),
-    "k-float": ({"kind": "rational", "p": 2, "k": 1.0},
+    "k-float": ({"kind": "artin_schreier", "p": 2, "k": 1.0, "f": "x"},
                 "model spec key 'k' must be an integer, not 1.0"),
     # an exponent too long to read is named with its term or power
     "as-x-5000-digits": ({"kind": "artin_schreier", "p": 2, "k": 1, "f": f"x^{LONG}"},
@@ -747,16 +784,20 @@ def _wrong_typed_inputs():
             entry[key] = value
             cases.append(pytest.param(["verify", "--catalog"], catalog,
                                       id=f"verify-{key}-{json.dumps(value)}"))
-    specs = [{"kind": "rational", "p": 2, "k": 1}]
+    # (label, spec, keys typed wrong): the rational field, as the genus-0
+    # cover LINE, with its kind, p and k (its f is the artin_schreier
+    # spec's), then a spec of each catalog kind, with every key
+    specs = [("rational", LINE, ("kind", "p", "k"))]
     for kind in sorted({item["kind"] for item in items}):
         item = rng.choice([item for item in items if item["kind"] == kind])
-        specs.append({"kind": kind, "p": item["p"], "k": item["k"], **item["data"]})
-    for spec in specs:
-        for key in spec:
+        spec = {"kind": kind, "p": item["p"], "k": item["k"], **item["data"]}
+        specs.append((kind, spec, tuple(spec)))
+    for label, spec, keys in specs:
+        for key in keys:
             for value in BAD_JSON_VALUES + [5] * (key in TEXT_KEYS):
                 command = rng.choice(["zeta", "places"])
                 cases.append(pytest.param([command, "--model"], dict(spec, **{key: value}),
-                                          id=f"{command}-{spec['kind']}-{key}-{json.dumps(value)}"))
+                                          id=f"{command}-{label}-{key}-{json.dumps(value)}"))
     return cases
 
 

@@ -7,11 +7,12 @@ import hashlib
 
 import pytest
 
-from ffcn.catalog import DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog, get_entry
+from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog,
+                          get_entry, model_from_spec)
 from ffcn.covers import CoverKind, CoverModel, InvalidCoverError
 from ffcn.gf import FieldError, make_field
 from ffcn.polyring import parse_rational
-from ffcn.varieties import PlaneCurve, SpaceCurve, parse_multipoly
+from ffcn.varieties import ProjectiveCurve, parse_multipoly
 from ffcn.zeta import CountInconsistencyError, LPoly, PlaceCensus, PointCounts
 
 F2, F3, F4 = make_field(2, 1), make_field(3, 1), make_field(2, 2)
@@ -21,24 +22,26 @@ CUBIC = "x1^3+x2^3+x3^3+x4^3"
 QUADRIC = "x1x2+x3x4"
 
 
-def _space(cubic, quadric, cubic_field=F2, quadric_field=F2):
-    return SpaceCurve(parse_multipoly(cubic, cubic_field, X14),
-                      parse_multipoly(quadric, quadric_field, X14))
+def _space_spec(cubic, quadric):
+    return model_from_spec({"kind": "space_curve", "p": 2, "k": 1, "cubic": cubic,
+                            "quadric": quadric, "vars": list(X14)})
 
 
 INVALID = {
     "plane-not-homogeneous": (
-        lambda: PlaneCurve(parse_multipoly("x^4+y^3z+z", F2, XYZ)),
-        ValueError, "homogeneous 3-variable"),
+        lambda: ProjectiveCurve((parse_multipoly("x^4+y^3z+z", F2, XYZ),)),
+        ValueError, "homogeneous forms of positive degree in n variables"),
     "plane-not-3-variables": (
-        lambda: PlaneCurve(parse_multipoly("x^4+y^4", F2, ("x", "y"))),
-        ValueError, "homogeneous 3-variable"),
+        lambda: ProjectiveCurve((parse_multipoly("x^4+y^4", F2, ("x", "y")),)),
+        ValueError, "homogeneous forms of positive degree in n variables"),
     "space-cubic-wrong-degree": (
-        lambda: _space(QUADRIC, QUADRIC), ValueError, "degree-3 form"),
+        lambda: _space_spec(QUADRIC, QUADRIC), ValueError, "degree-3 form"),
     "space-quadric-wrong-degree": (
-        lambda: _space(CUBIC, CUBIC), ValueError, "degree-2 form"),
+        lambda: _space_spec(CUBIC, CUBIC), ValueError, "degree-2 form"),
     "space-different-fields": (
-        lambda: _space(CUBIC, QUADRIC, quadric_field=F4), FieldError, "different fields"),
+        lambda: ProjectiveCurve((parse_multipoly(CUBIC, F2, X14),
+                                 parse_multipoly(QUADRIC, F4, X14))),
+        FieldError, "different fields"),
     "artin-schreier-odd-characteristic": (
         lambda: CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x^3+x+1", F3)),
         InvalidCoverError, "characteristic 2"),
@@ -69,7 +72,7 @@ def test_construction_checks_raise(case):
     (LPoly(2, 1, (1, -2, 2)), {"g": 2}, ValueError),
     (PlaceCensus((1, 2)), {"counts": (-1,)}, CountInconsistencyError),
     (get_entry("i"), {"kind": "hyperelliptic"}, ValueError),
-    (build_model(get_entry("viii")), {"quadric": parse_multipoly(CUBIC, F2, X14)}, ValueError),
+    (build_model(get_entry("viii")), {"polys": (parse_multipoly(CUBIC, F2, X14),)}, ValueError),
     (build_model(get_entry("vi")), {"kind": CoverKind.ARTIN_SCHREIER}, InvalidCoverError),
 ], ids=["counts-q", "counts-weil", "lpoly-g", "census", "entry-kind", "space-quadric",
         "cover-kind"])
@@ -86,11 +89,11 @@ def test_replace_coerces_like_construction():
 
 @pytest.mark.parametrize("obj,name,value", [
     (parse_multipoly(CUBIC, F2, X14), "nvars", 3),
-    (build_model(get_entry("viii")), "cubic", None),
+    (build_model(get_entry("viii")), "polys", None),
     (get_entry("i"), "genus", 7),
     (LPoly(2, 1, (1, -2, 2)), "coeffs", (1, 0, 2)),
     (build_model(get_entry("i")), "f", None),
-], ids=["MultiPoly", "SpaceCurve", "CatalogEntry", "LPoly", "CoverModel"])
+], ids=["MultiPoly", "ProjectiveCurve", "CatalogEntry", "LPoly", "CoverModel"])
 def test_fields_cannot_be_assigned(obj, name, value):
     before = getattr(obj, name)
     with pytest.raises(AttributeError):

@@ -8,7 +8,7 @@ from ffcn.table64 import (CUBICS, MASKS, PUBLISHED_TABLE, QUADRICS,
                           SURVIVOR_FAMILY, SURVIVOR_MASK,
                           build_family, expanded_quadric, find_survivors,
                           pencil_witness, survivor_analysis, verify_row)
-from ffcn.varieties import (MultiPoly, SpaceCurve, min_point_degree,
+from ffcn.varieties import (MultiPoly, ProjectiveCurve, min_point_degree,
                             parse_multipoly)
 
 F2 = make_field(2, 1)
@@ -22,7 +22,7 @@ def test_family_shape():
     assert keys == sorted(keys)
     assert len(set(keys)) == 64
     for r in rows:
-        assert r.model.cubic == parse_multipoly(CUBICS[r.family], F2, VARS)
+        assert r.model.polys == (r.quadric, parse_multipoly(CUBICS[r.family], F2, VARS))
 
 
 def test_expanded_quadrics_match_published_table():
@@ -80,6 +80,17 @@ def test_unique_survivor():
     assert survivors[0].family == SURVIVOR_FAMILY
     assert survivors[0].mask == SURVIVOR_MASK
     assert survivors[0].paper_witness is None
+
+
+def test_survivor_must_be_catalog_curve_viii():
+    rows = build_family()
+    (survivor,) = find_survivors(rows)
+    # the survivor's mask with family 1's cubic: no longer viii's model
+    other = survivor._replace(model=ProjectiveCurve((survivor.quadric, rows[0].model.polys[1])))
+    with pytest.raises(table64.SurvivorMismatchError) as info:
+        survivor_analysis(other)
+    assert str(info.value) == ("family 2 mask 1011: the survivor's model is not "
+                               "catalog curve viii's")
 
 
 def test_survivor_analysis():
@@ -185,18 +196,18 @@ def test_pencil_matches_the_curve_walk_on_synthetic_families(seed, x4_cubed, x4_
         for j, k in enumerate(mask):
             if k:
                 quadric[tuple(2 if v == j else 0 for v in range(4))] = 1
-        model = SpaceCurve(cubic, MultiPoly.build(F2, 4, quadric))
+        model = ProjectiveCurve((cubic, MultiPoly.build(F2, 4, quadric)))
         for d in range(1, 4):
             assert pencil_witness(model, d) == min_point_degree(model, d), (mask, d)
 
 
 def test_pencil_reads_the_rows_own_model():
     rows = build_family()
-    other_cubic = rows[16 * 3].model.cubic  # family 4
+    other_cubic = rows[16 * 3].model.polys[1]  # family 4
     for row in (rows[0], rows[16 + 11]):
         extra_square = MultiPoly.build(F2, 4, {**dict(row.quadric.terms), (0, 2, 0, 0): 1})
-        for model in (SpaceCurve(other_cubic, row.quadric),
-                      SpaceCurve(row.model.cubic, extra_square)):
+        for model in (ProjectiveCurve((other_cubic, row.quadric)),
+                      ProjectiveCurve((row.model.polys[1], extra_square))):
             expected = min_point_degree(model, 4)
             res = verify_row(row._replace(model=model))
             assert res.computed_min_degree == expected[0]

@@ -8,15 +8,15 @@ from ffcn import varieties
 from ffcn.gf import FieldError, embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
-from ffcn.varieties import (PROBE_DEPTH, MultiPoly, PlaneCurve, SingularModelError,
-                            SpaceCurve, _jacobian, _representatives,
+from ffcn.varieties import (PROBE_DEPTH, MultiPoly, ProjectiveCurve, SingularModelError,
+                            _dependent, _jacobian, _model_points, _representatives,
                             curve_point_counts,
                             format_multipoly, format_point, min_point_degree,
                             normalize_point, parse_multipoly, parse_point,
                             point_degree, points_on_model,
                             projective_point_count, projective_points,
                             smoothness_probe)
-from ffcn.zeta import PointCounts, extend_counts, l_polynomial
+from ffcn.zeta import PointCounts, analyse_counts, extend_counts, l_polynomial
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -131,14 +131,14 @@ def test_min_point_degree_matches_brute_force(monkeypatch, p, k):
         for d_max in (1, 2, 3):
             expected = _min_degree_by_brute_force(form, d_max)
             # unwrapped, so the walk runs here and not in an earlier test
-            assert min_point_degree.__wrapped__(PlaneCurve(form), d_max) == expected, \
+            assert min_point_degree.__wrapped__(ProjectiveCurve((form,)), d_max) == expected, \
                 (str(form), d_max)
             seen.add(expected and expected[0])
     assert seen == {None, 1, 2, 3}
 def test_plane_conic_counts():
     # x*z = y^2: a smooth conic, isomorphic to P^1, so N_m = q^m + 1
     conic = parse_multipoly("xz+y^2", F2, XYZ)
-    model = PlaneCurve(conic)
+    model = ProjectiveCurve((conic,))
     assert smoothness_probe(model) == ()
     assert curve_point_counts(model, 4) == [3, 5, 9, 17]
 
@@ -146,7 +146,7 @@ def test_plane_conic_counts():
 def test_singular_plane_curve_rejected():
     # y^2*z = x^3: cuspidal cubic, singular at (0:0:1)
     cusp = parse_multipoly("y^2z+x^3", F2, XYZ)
-    model = PlaneCurve(cusp)
+    model = ProjectiveCurve((cusp,))
     assert smoothness_probe(model) != ()
     with pytest.raises(SingularModelError):
         curve_point_counts(model, 2)
@@ -155,23 +155,31 @@ def test_singular_plane_curve_rejected():
 def test_degenerate_space_curve_rejected():
     cubic = parse_multipoly("x1^3", F2, X4)
     quadric = parse_multipoly("x1^2", F2, X4)
-    model = SpaceCurve(cubic, quadric)
+    model = ProjectiveCurve((cubic, quadric))
     with pytest.raises(SingularModelError):
         curve_point_counts(model, 1)
 
 
+SHAPE_MESSAGE = ("a curve in P^(n-1) needs n - 2 homogeneous forms of positive "
+                 "degree in n variables")
+
+
 def test_space_curve_shape_validation():
-    cubic = parse_multipoly("x1^3", F2, X4)
-    with pytest.raises(ValueError):
-        SpaceCurve(cubic, cubic)  # quadric slot must have degree 2
+    # no forms, one or three forms in 4 variables, a form that is not
+    # homogeneous, a nonzero constant
+    for forms in ((), ("x1^3",), ("x1^3", "x1^2", "x2^2"), ("x1^3", "x1^2+x2"),
+                  ("x1^3", "1")):
+        with pytest.raises(ValueError) as info:
+            ProjectiveCurve([parse_multipoly(f, F2, X4) for f in forms])
+        assert str(info.value) == SHAPE_MESSAGE, forms
 
 
-CONIC = PlaneCurve(parse_multipoly("xz+y^2", F2, XYZ))
+CONIC = ProjectiveCurve((parse_multipoly("xz+y^2", F2, XYZ),))
 
 
 @pytest.mark.parametrize("call,kind,message", [
     (lambda: MultiPoly.build(F2, 3, {(1, 0): 1}), ValueError, "exponent vector length mismatch"),
-    (lambda: CONIC.poly((1, 0)), ValueError, "coordinate dimension mismatch"),
+    (lambda: CONIC.polys[0]((1, 0)), ValueError, "coordinate dimension mismatch"),
     (lambda: point_degree((1, 1), F4, make_field(2, 3)),
      FieldError, "point field is not an extension of the base"),
     # without the check, a depth-0 probe would pass with nothing probed
@@ -184,7 +192,7 @@ def test_shape_guards_raise_by_name(call, kind, message):
 
 
 def test_min_point_degree_on_conic():
-    model = PlaneCurve(parse_multipoly("xz+y^2", F2, XYZ))
+    model = ProjectiveCurve((parse_multipoly("xz+y^2", F2, XYZ),))
     found = min_point_degree(model, 3)
     assert found is not None
     d, pt, ext = found
@@ -249,10 +257,10 @@ def test_point_text_round_trip():
 
 
 def test_points_on_model_agree_with_direct_evaluation():
-    model = PlaneCurve(parse_multipoly("xz+y^2", F2, XYZ))
+    model = ProjectiveCurve((parse_multipoly("xz+y^2", F2, XYZ),))
     pts = points_on_model(model, F4)
     expected = [pt for pt in projective_points(2, F4)
-                if model.poly(pt, F4) == 0]
+                if model.polys[0](pt, F4) == 0]
     assert pts == expected
 
 
@@ -271,12 +279,12 @@ def test_fiberwise_points_match_brute_force_on_table64():
         # the 16 rows of a family share the cubic: filter P^3 by it once
         cubic_zeros = {}
         for row in rows:
-            cubic = row.model.cubic
+            quadric, cubic = row.model.polys
             if cubic not in cubic_zeros:
                 cubic_zeros[cubic] = [pt for pt in projective_points(3, ext)
                                       if cubic(pt, ext) == 0]
             expected = [pt for pt in cubic_zeros[cubic]
-                        if row.model.quadric(pt, ext) == 0]
+                        if quadric(pt, ext) == 0]
             assert points_on_model(row.model, ext) == expected, (
                 row.family, row.mask_str, m)
 
@@ -323,13 +331,12 @@ def test_fiberwise_points_match_brute_force_on_random_space_curves(p, k, degrees
     quadric_ok, cubic_ok = SPACE_SHAPES[shape]
     rng = random.Random(f"{p}^{k} {shape}")
     for _ in range(3):
-        model = SpaceCurve(_random_form(rng, F, 4, 3, cubic_ok),
-                           _random_form(rng, F, 4, 2, quadric_ok))
+        model = ProjectiveCurve((_random_form(rng, F, 4, 3, cubic_ok),
+                                 _random_form(rng, F, 4, 2, quadric_ok)))
         for m in degrees:
             ext = make_field(p, k * m)
             pts = points_on_model(model, ext)
-            assert pts == brute_force_points(model, ext), (str(model.cubic),
-                                                           str(model.quadric), m)
+            assert pts == brute_force_points(model, ext), (*map(str, model.polys), m)
             if shape == "cone_at_0001":
                 assert pts[0] == (0, 0, 0, 1)
 
@@ -349,12 +356,12 @@ def test_fiberwise_points_match_brute_force_on_random_plane_curves(p, k, degrees
     for degree in (1, 2, 3, 4):
         # the second draw has no z: every fiber is the whole line or empty
         for allowed in (lambda e: True, lambda e: e[2] == 0):
-            model = PlaneCurve(_random_form(rng, F, 3, degree, allowed))
+            model = ProjectiveCurve((_random_form(rng, F, 3, degree, allowed),))
             for m in degrees:
                 ext = make_field(p, k * m)
                 pts = points_on_model(model, ext)
-                assert pts == brute_force_points(model, ext), (str(model.poly), m)
-                assert _closed_under_frobenius(pts, ext, F.order), (str(model.poly), m)
+                assert pts == brute_force_points(model, ext), (str(model.polys[0]), m)
+                assert _closed_under_frobenius(pts, ext, F.order), (str(model.polys[0]), m)
 
 
 def test_points_on_model_returns_a_fresh_list():
@@ -408,9 +415,9 @@ def _jacobian_cases():
     rng = random.Random("jacobian")
     F3, F4 = make_field(3, 1), make_field(2, 2)
     models = [build_model(get_entry("viii")), build_model(get_entry("iv")), _survivor()]
-    models += [PlaneCurve(_random_form(rng, F, 3, 4, lambda e: True)) for F in (F3, F4)]
-    models += [SpaceCurve(_random_form(rng, F, 4, 3, lambda e: True),
-                          _random_form(rng, F, 4, 2, lambda e: True)) for F in (F3, F4)]
+    models += [ProjectiveCurve((_random_form(rng, F, 3, 4, lambda e: True),)) for F in (F3, F4)]
+    models += [ProjectiveCurve((_random_form(rng, F, 4, 3, lambda e: True),
+                                _random_form(rng, F, 4, 2, lambda e: True))) for F in (F3, F4)]
     return models
 
 
@@ -458,10 +465,10 @@ SINGULAR_SPACE_CURVES = {F2: ("x1^3+x1^2x2+x2^3+x3^3+x1x4^2+x4^3", "x3^2+x3x4+x4
 
 
 def _singular_cases():
-    cases = {f"{s}-{F}": PlaneCurve(parse_multipoly(s, F, XYZ))
+    cases = {f"{s}-{F}": ProjectiveCurve((parse_multipoly(s, F, XYZ),))
              for s in SINGULAR_PLANE_FORMS for F in (F2, F3)}
-    cases.update((f"space-{F}", SpaceCurve(parse_multipoly(c, F, X4),
-                                           parse_multipoly(q, F, X4)))
+    cases.update((f"space-{F}", ProjectiveCurve((parse_multipoly(c, F, X4),
+                                                 parse_multipoly(q, F, X4))))
                  for F, (c, q) in SINGULAR_SPACE_CURVES.items())
     return cases
 
@@ -515,3 +522,91 @@ def test_probe_expands_singular_points_of_higher_degree():
         for m, pt in smoothness_probe(model, 6 if model.field.p == 2 else 4):
             degrees.add(point_degree(pt, make_field(model.field.p, m), model.field))
     assert degrees == {2, 3}
+
+
+# ---------------------------------------------------------------------------
+# one record for every projective model: n - 2 forms in n variables, its
+# genus by adjunction, 2g - 2 = (prod d_i)(sum d_i - n)
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_plane_genus_is_the_adjunction_genus(d):
+    form = MultiPoly.build(F2, 3, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1})
+    model = ProjectiveCurve((form,))
+    assert (model.dim, model.genus) == (2, (d - 1) * (d - 2) // 2)
+
+
+# a smooth (2,2) intersection in P^3 over GF(2): an elliptic curve
+QUADRICS_22 = ("x1x3+x1x4+x2^2+x2x3+x3^2", "x1^2+x1x4+x2^2+x2x4+x3^2+x4^2")
+
+
+def test_space_intersections_have_the_adjunction_genus():
+    assert build_model(get_entry("viii")).genus == 4
+    model = ProjectiveCurve([parse_multipoly(f, F2, X4) for f in QUADRICS_22])
+    assert (model.dim, model.genus) == (3, 1)
+    # smooth, and its N_2..N_4 meet the L of N_1: those of curve i
+    counts = curve_point_counts(model, 4)
+    assert counts == [1, 5, 13, 25]
+    assert analyse_counts(2, 1, tuple(counts), 4)[3] == (2, 3, 4)
+
+
+@pytest.mark.parametrize("forms", [("x1^3+x2^3+x3^3+x4^3", "x1x2+x3x4"),
+                                   tuple(reversed(QUADRICS_22))],
+                         ids=["cubic-quadric", "quadric-quadric"])
+def test_forms_in_either_order_give_one_model_and_one_walk(forms):
+    forms = tuple(parse_multipoly(f, F2, X4) for f in forms)
+    first, second = ProjectiveCurve(forms), ProjectiveCurve(forms[::-1])
+    assert first == second and hash(first) == hash(second)
+    assert first.polys == tuple(sorted(forms, key=lambda f: (f.degree, f.terms)))
+    assert first.polys[0].degree == 2
+    ext = make_field(2, 7)  # a field no other test walks these forms over
+    before = _model_points.cache_info()
+    assert points_on_model(first, ext) == points_on_model(second, ext)
+    after = _model_points.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def test_forms_over_different_fields_are_refused():
+    with pytest.raises(FieldError, match="^forms over different fields$"):
+        ProjectiveCurve((parse_multipoly("x1^3", F2, X4), parse_multipoly("x1^2", F4, X4)))
+
+
+# three quadrics in P^4 over GF(2): genus 8 * (6 - 5) / 2 + 1 = 5
+QUADRICS_222 = ("x1x5+x2^2+x3^2+x3x4+x3x5+x4^2", "x1^2+x1x4+x1x5+x2^2+x2x3",
+                "x1^2+x1x3+x2x4+x4x5")
+
+
+def test_three_quadrics_in_p4():
+    model = ProjectiveCurve([parse_multipoly(f, F2, ("x1", "x2", "x3", "x4", "x5"))
+                             for f in QUADRICS_222])
+    assert (model.dim, model.genus) == (4, 5)
+    for m in (1, 2, 3):
+        ext = make_field(2, m)
+        assert points_on_model(model, ext) == brute_force_points(model, ext)
+    # the probe ranks three gradients at every point: none drops rank
+    assert smoothness_probe(model, 4) == ()
+    assert [len(points_on_model(model, make_field(2, m))) for m in range(1, 5)] == [4, 12, 4, 16]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1)])
+def test_dependent_rows_match_brute_force(p, k):
+    # rows are dependent iff a nonzero combination of them vanishes
+    ext = make_field(p, k)
+    rng = random.Random(f"dependent {p}^{k}")
+    seen = set()
+    for _ in range(300):
+        nrows = rng.randint(1, 3)
+        rows = [[rng.choice((0, 0, rng.randrange(ext.order))) for _ in range(4)]
+                for _ in range(nrows)]
+        expected = any(
+            not any(_combination(ext, coeffs, rows))
+            for coeffs in itertools.product(range(ext.order), repeat=nrows) if any(coeffs))
+        assert _dependent([list(r) for r in rows], ext) == expected, rows
+        seen.add((nrows, expected))
+    assert len(seen) == 6
+
+
+def _combination(ext, coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [ext.add(a, ext.mul(c, b)) for a, b in zip(out, row)]
+    return out

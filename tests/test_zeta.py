@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ffcn.zeta import (CountInconsistencyError, LPoly, PlaceCensus,
-                       PointCounts, census_from_counts, census_to_counts,
-                       class_number, cyclic_extension_count, extend_counts,
+                       PointCounts, analyse_counts, census_from_counts,
+                       census_to_counts, class_number, cyclic_extension_count, extend_counts,
                        hurwitz_different_degree, l_polynomial)
 
 
@@ -120,3 +120,10 @@ def test_cyclic_extension_count():
     assert cyclic_extension_count(1, 2, 4, 5) == 5   # 5 divides 15
     assert cyclic_extension_count(1, 2, 2, 5) == 0   # 5 does not divide 3
     assert cyclic_extension_count(1, 3, 1, 2) == 0   # (3-1)/(3-1) = 1
+
+
+def test_an_l_extension_beyond_the_weil_bound_is_a_problem_line():
+    # N_1 = 0, N_2 = 10 give an L with the functional equation, but its
+    # N_3 = 27 breaks the Weil bound: L is no curve's, and nothing is raised
+    assert analyse_counts(2, 2, (0, 10, 0), 3) == (
+        (), 0, (0, 5, 0), (), ("L-extension: N_3=27 violates the Weil bound for g=2, q=2",))
