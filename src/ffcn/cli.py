@@ -173,8 +173,7 @@ def cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 # table64
 
-def _table_one(index: int):
-    row = build_family()[index]
+def _table_one(row):
     res = verify_row(row)
     return {
         "family": row.family,
@@ -203,7 +202,7 @@ def cmd_table64(ns) -> int:
     zeta pipeline on it.  ``survivor_undetermined`` stays in the summary,
     always false, so the report keeps its keys."""
     records = _stage("survivor search error", COUNT_ERRORS,
-                     lambda: [_table_one(i) for i in range(64)])
+                     lambda: [_table_one(row) for row in build_family()])
     all_pass = all(r["status"] == "pass" for r in records)
     survivors = _stage("survivor search error", COUNT_ERRORS,
                        find_survivors, build_family())

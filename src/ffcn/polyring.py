@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from types import MappingProxyType
 
 from .gf import (GF, FieldError, _digits, _prime_factors, embedding,
                  frobenius_table, make_field, orbit_representatives)
@@ -239,11 +240,12 @@ def _q_power_matrix(f: Poly) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_orbits(field: GF, d: int) -> dict[Poly, int]:
+def _frobenius_orbits(field: GF, d: int) -> MappingProxyType:
     """{place polynomial: canonical root} for every monic irreducible of
-    degree d, in place order.  The roots are the least members of the
-    orbits of x -> x^q on GF(q^d) of size d; each place polynomial is
-    the product of (x - r) over the orbit of its root."""
+    degree d, in place order, as a read-only mapping.  The roots are the
+    least members of the orbits of x -> x^q on GF(q^d) of size d; each
+    place polynomial is the product of (x - r) over the orbit of its
+    root."""
     R = make_field(field.p, field.k * d)
     preimage = {v: a for a, v in enumerate(embedding(field, R))}
     q = field.order
@@ -257,7 +259,7 @@ def _frobenius_orbits(field: GF, d: int) -> dict[Poly, int]:
             orbit.append(frob[orbit[-1]])
         found.append((Poly(field, [preimage[c] for c in R.from_roots(orbit)]), alpha))
     found.sort(key=lambda item: item[0].coeffs[::-1])
-    return dict(found)
+    return MappingProxyType(dict(found))
 
 
 @lru_cache(maxsize=None)
@@ -583,13 +585,13 @@ def _exponent(digits: str, where: str = "") -> int:
 def _term_patterns(varnames: tuple[str, ...]):
     """For ``read_terms``: the pattern of a factor v or v^n, the pattern of
     a term (a coefficient, in parentheses or up to the first name, then
-    factors), and each name's index.  Names match longest first; with no
-    names, no factor matches."""
+    factors), and each name's index in a read-only mapping.  Names match
+    longest first; with no names, no factor matches."""
     names = sorted(filter(None, varnames), key=len, reverse=True)
     name = "(?:" + ("|".join(map(re.escape, names)) or "(?!)") + ")"
     return (re.compile(rf"({name})(?:\^(\d+))?"),
             re.compile(rf"(\([^()]*\)|(?:(?!{name})[^()])*)((?:{name}(?:\^\d+)?)*)"),
-            {v: i for i, v in enumerate(varnames)})
+            MappingProxyType({v: i for i, v in enumerate(varnames)}))
 
 
 def _text(s) -> str:

@@ -14,9 +14,11 @@ square: Q = Q_x + (k.x)^2, with k the mask of its square terms.  The 16
 rows of a family share the cubic C and Q_x, so a point P of the surface
 C = 0 lies on row k iff k.P = sqrt(Q_x(P)), and one walk of that surface
 over GF(2^d) (``varieties._model_points`` of the one form C) decides
-every mask at once.  sqrt on GF(2^d) is
-x -> x^(2^(d-1)), one ``frobenius_table``.  The pencil walks d = 1, 2, ...
-in turn and only while a mask asked for is still open.  It is exact:
+every mask at once.  sqrt on GF(2^d) is x -> x^(2^(d-1)), one
+``frobenius_table``.  The pencil, ``_pencil``, is a pure function cached
+per family: it walks d = 1, 2, ... in turn while any of its 16 masks is
+open, and returns each mask's least point in a read-only mapping.  It is
+exact:
 
 - a row's points are closed under x -> x^2, so its least point over
   GF(2^d) lies over a prefix that is least in its Frobenius orbit, and
@@ -28,14 +30,16 @@ Every row is searched to degree 4 (MAX_CLAIMED_DEGREE), the largest
 degree the table claims, and for the embedded table every mask closes
 by then.  The surfaces of families 1, 3 and 4 are scanned in x4 (they
 contain x4^3), which costs 2^d times a curve walk, so no surface walk
-beyond ENUMERATION_BUDGET starts.  ``find_survivors`` confirms each row the pencil leaves open with
-``min_point_degree`` on the row's own curve, an independent walk; a
-disagreement is a mathematical failure.
+beyond ENUMERATION_BUDGET starts.  ``find_survivors`` confirms each row
+the pencil leaves open below degree 4 with ``min_point_degree`` on the
+row's own curve, an independent walk; a disagreement is a mathematical
+failure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .catalog import build_model, get_entry
 from .gf import frobenius_table, make_field
@@ -222,58 +226,40 @@ def build_family() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-class _Pencil:
-    """The 16 curves C = 0, Q_x + (k.x)^2 = 0 over GF(2), k a mask, that
-    share the cubic C and the cross part Q_x of their quadrics.  A point P
-    of the surface C = 0 lies on row k iff k.P = sqrt(Q_x(P)), so one walk
-    of the surface over GF(2^d) decides every mask at once (see the
-    module docstring for why it is exact).  ``least`` maps each closed
-    mask to (degree, least point, field); degrees are walked in turn, and
-    only while the mask asked for is open."""
-
-    def __init__(self, cubic: MultiPoly, cross: MultiPoly):
-        self.surface = (cubic,)  # the forms of the surface C = 0
-        self.cross = cross
-        self.walked = 0
-        self.least = {}
-
-    def witness(self, mask, max_degree: int):
-        while mask not in self.least and self.walked < max_degree:
-            self._walk(self.walked + 1)
-        found = self.least.get(mask)
-        return found if found is not None and found[0] <= max_degree else None
-
-    def _walk(self, d: int):
-        check_budget(walk_size(self.surface, d))
-        ext = make_field(2, d)
-        sqrt = frobenius_table(ext, 2 ** (d - 1))
-        cross = _embedded_terms(self.cross, ext)
+@lru_cache(maxsize=None)
+def _pencil(cubic: MultiPoly, cross: MultiPoly) -> MappingProxyType:
+    """{mask: (degree, least point, field)} of the 16 rows that share the
+    cubic and the cross part of their quadrics, in a read-only mapping
+    (see the module docstring); a mask with no point of degree <=
+    MAX_CLAIMED_DEGREE is absent."""
+    surface, least = (cubic,), {}
+    for d in range(1, MAX_CLAIMED_DEGREE + 1):
         # each open mask as the coordinates it sums
         open_masks = [(m, [j for j, k in enumerate(m) if k])
-                      for m in MASKS if m not in self.least]
+                      for m in MASKS if m not in least]
+        if not open_masks:
+            break
+        check_budget(walk_size(surface, d))
+        ext = make_field(2, d)
+        sqrt = frobenius_table(ext, 2 ** (d - 1))
+        cross_d = _embedded_terms(cross, ext)
         best = {}
-        for point, _ in _model_points(self.surface, ext):
-            root = sqrt[ext.evaluate(cross, point)]
+        for point, _ in _model_points(surface, ext):
+            root = sqrt[ext.evaluate(cross_d, point)]
             for mask, coords in open_masks:
                 s = 0
                 for j in coords:
                     s ^= point[j]  # char 2: sums are xors
                 if s == root and (mask not in best or point < best[mask]):
                     best[mask] = point
-        self.least.update((m, (d, p, ext)) for m, p in best.items())
-        self.walked = d
+        least.update((m, (d, p, ext)) for m, p in best.items())
+    return MappingProxyType(least)
 
 
-@lru_cache(maxsize=None)
-def _pencil(cubic: MultiPoly, cross: MultiPoly) -> _Pencil:
-    """One pencil per family, extended in place by every caller."""
-    return _Pencil(cubic, cross)
-
-
-def pencil_witness(model: ProjectiveCurve, max_degree: int):
-    """``min_point_degree(model, max_degree)`` for a quadric and a cubic
-    over GF(2), read from the pencil of the cubic and the cross part of
-    the quadric; the quadric's square terms x_j^2 give the mask."""
+def pencil_witness(model: ProjectiveCurve):
+    """``min_point_degree(model, MAX_CLAIMED_DEGREE)`` for a quadric and a
+    cubic over GF(2), read from the pencil of the cubic and the cross
+    part of the quadric; the quadric's square terms x_j^2 give the mask."""
     quadric, cubic = model.polys
     cross, mask = {}, [0] * 4
     for exps, c in quadric.terms:
@@ -281,8 +267,7 @@ def pencil_witness(model: ProjectiveCurve, max_degree: int):
             mask[exps.index(2)] = c
         else:
             cross[exps] = c
-    return _pencil(cubic, MultiPoly.build(model.field, 4, cross)).witness(
-        tuple(mask), max_degree)
+    return _pencil(cubic, MultiPoly.build(model.field, 4, cross)).get(tuple(mask))
 
 
 def _witness_fields():
@@ -327,7 +312,7 @@ def verify_row(row: TableRow) -> RowResult:
     else:
         claimed = MAX_CLAIMED_DEGREE
 
-    found = pencil_witness(row.model, MAX_CLAIMED_DEGREE)
+    found = pencil_witness(row.model)
     computed_min = found[0] if found else None
     computed_witness = _format_witness(found) if found else None
     if computed_min is None or computed_min > claimed:
@@ -344,7 +329,8 @@ def find_survivors(rows) -> list[TableRow]:
     WitnessMismatchError."""
     survivors = []
     for row in rows:
-        if pencil_witness(row.model, 3) is None:
+        found = pencil_witness(row.model)
+        if found is None or found[0] > 3:  # open below degree 4
             found = min_point_degree(row.model, 3)
             if found is not None:
                 raise WitnessMismatchError(

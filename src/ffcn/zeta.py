@@ -6,9 +6,21 @@ uniqueness argument.  ``analyse_counts`` is the one zeta pipeline of
 Everything here is exact integer arithmetic; a non-integral intermediate
 is a hard error by design, since it is the detector for singular models
 and miscounted points, and ``analyse_counts`` reports it as a problem line.
+
+``analyse_counts`` also proves that L is a Weil polynomial, as a curve's
+must be: every inverse root alpha has |alpha| = sqrt(q).  That holds iff
+every root of the degree-g polynomial R with T^g R(T + q/T) = T^(2g) L(1/T)
+is real and lies in [-2 sqrt(q), 2 sqrt(q)] (``real_weil_polynomial``,
+``roots_in_weil_interval``).  The test takes the square-free part of R,
+divides out its roots at the ends, and counts the roots strictly inside
+with a Sturm sequence; each sign at +-2 sqrt(q) is an exact sign in
+Z[sqrt(q)].  It stays in integers (pseudo-remainders, primitive parts),
+so no rational-number module is imported.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .polyring import moebius_mu
 from .records import record
@@ -143,6 +155,109 @@ def census_from_counts(counts) -> PlaceCensus:
     return PlaceCensus(tuple(B))
 
 
+# ---------------------------------------------------------------------------
+# the Weil test; integer polynomials are coefficient lists, lowest degree
+# first, with no trailing zeros ([] is zero)
+
+def real_weil_polynomial(L: LPoly) -> list[int]:
+    """The monic R of degree g with T^g R(T + q/T) = T^(2g) L(1/T), whose
+    roots are alpha + q/alpha over the inverse roots alpha of L:
+    R = a_g + sum_k a_(g-k) D_k, where D_k(T + q/T) = T^k + (q/T)^k, so
+    D_0 = 2, D_1 = x and D_(k+1) = x D_k - q D_(k-1)."""
+    q, g, a = L.q, L.g, L.coeffs
+    R = [a[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        for i, c in enumerate(cur):
+            R[i] += a[g - k] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return R
+
+
+def roots_in_weil_interval(R, q: int) -> bool:
+    """Whether every root of the nonzero integer polynomial R is real and
+    lies in [-2 sqrt(q), 2 sqrt(q)].  The square-free part of R, less its
+    roots at the ends (its gcd with x^2 - 4q), must have as many roots
+    strictly inside as its degree; a Sturm sequence counts them."""
+    S = _exact_quotient(R, _gcd(R, _derivative(R)))
+    S = _exact_quotient(S, _gcd(S, [-4 * q, 0, 1]))
+    seq, nxt = [S], _derivative(S)
+    while nxt:  # then minus each remainder, up to a positive factor
+        seq.append(nxt)
+        nxt = _primitive([-c for c in _remainder(seq[-2], nxt)])
+    inside = _sign_changes(seq, q, -2) - _sign_changes(seq, q, 2)
+    return inside == len(S) - 1
+
+
+def _derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _primitive(p):
+    """p over the gcd of its coefficients, so with the same signs."""
+    content = gcd(*p)
+    return [c // content for c in p] if content else p
+
+
+def _remainder(a, b):
+    """A positive multiple of the remainder of a by b: each step scales by
+    |lead(b)| rather than lead(b), so the signs are the remainder's."""
+    r, m, s = list(a), abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(r) >= len(b):
+        c, shift = s * r[-1], len(r) - len(b)
+        r = [m * x for x in r]
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd(a, b):
+    """The gcd over Q of a (nonzero) and b, primitive with a positive
+    leading coefficient."""
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return _primitive(a if a[-1] > 0 else [-c for c in a])
+
+
+def _exact_quotient(a, b):
+    """a / b for a primitive b that divides a over Q: by Gauss's lemma the
+    quotient is integral, so each step divides exactly."""
+    a, quo = list(a), [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(quo))):
+        quo[k] = c = a[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    return quo
+
+
+def _sign_changes(seq, q: int, c: int) -> int:
+    """Sign changes along seq at x = c sqrt(q), zeros skipped."""
+    signs = [s for s in (_sign_at(p, q, c) for p in seq) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sign_at(p, q: int, c: int) -> int:
+    """The sign of p(c sqrt(q)) = u + v sqrt(q), u and v integers: the
+    sign they share, else that of the larger of u^2 and q v^2."""
+    u = v = 0
+    for k, x in enumerate(p):
+        term = x * c ** k * q ** (k // 2)
+        if k % 2:
+            v += term
+        else:
+            u += term
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    d = u * u - q * v * v
+    return su if d > 0 else sv if d < 0 else 0
+
+
 def analyse_counts(q: int, g: int, counts, through: int):
     """(l_coeffs, h, census, cross_checked, problems) of N_1..N_m (m >= g)
     for a curve of genus g over GF(q): L from N_1..N_g, h = L(1), the
@@ -150,7 +265,8 @@ def analyse_counts(q: int, g: int, counts, through: int):
     Moebius-inverted census.  Each failure is a problem line: the Weil
     bound, Newton integrality or L(1) < 1 (L is then (), h 0, nothing is
     cross-checked), an L-extension beyond the Weil bound (L is no curve's,
-    so the same), a cross-check mismatch, a non-integral census (then ()).
+    so the same), an L that is not a Weil polynomial (L and h are kept), a
+    cross-check mismatch, a non-integral census (then ()).
     """
     problems, l_coeffs, h, checked, census = [], (), 0, [], ()
     L = None
@@ -161,6 +277,9 @@ def analyse_counts(q: int, g: int, counts, through: int):
         problems.append(str(exc) if L is None else f"L-extension: {exc}")
     else:
         l_coeffs, h = L.coeffs, class_number(L)
+        if not roots_in_weil_interval(real_weil_polynomial(L), q):
+            problems.append("L is not a Weil polynomial: not every inverse root "
+                            f"has absolute value sqrt({q})")
         for m in range(g + 1, through + 1):
             if extended[m - 1] != counts[m - 1]:
                 problems.append(

@@ -301,6 +301,37 @@ def test_zeta_cross_check_mismatch_exits_one(monkeypatch, capsys):
         "", "zeta pipeline error: N_5: enumeration 20 vs L-extension 15\n")
 
 
+def _iv_counted_as_no_curve(monkeypatch):
+    """Curve iv counted as N = 0, 4, 3, 20, 25, 19: an L with h = 1, the
+    functional equation and an integral census that is no Weil polynomial."""
+    real, iv = varieties.ProjectiveCurve.counts, build_model(get_entry("iv"))
+    monkeypatch.setattr(varieties.ProjectiveCurve, "counts", lambda model, n: (
+        [0, 4, 3, 20, 25, 19][:n] if model == iv else real(model, n)))
+
+
+NOT_WEIL = "L is not a Weil polynomial: not every inverse root has absolute value sqrt(2)"
+
+
+def test_verify_an_l_that_is_not_a_weil_polynomial_fails_one_curve(monkeypatch, capsys):
+    _iv_counted_as_no_curve(monkeypatch)
+    assert cli.main(["verify", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    records = {r["id"]: r for r in report["curves"]}
+    assert [r["id"] for r in records.values() if r["status"] == "fail"] == ["iv"]
+    assert records["iv"]["problems"] == [NOT_WEIL]
+    assert (records["iv"]["l_coeffs"], records["iv"]["h_computed"]) == (
+        [1, -3, 4, -5, 8, -12, 8], 1)
+    assert report["status"] == "fail"
+
+
+def test_zeta_an_l_that_is_not_a_weil_polynomial_exits_one(monkeypatch, capsys):
+    _iv_counted_as_no_curve(monkeypatch)
+    assert cli.main(["zeta", "--curve", "iv"]) == 1
+    assert capsys.readouterr() == ("", f"zeta pipeline error: {NOT_WEIL}\n")
+
+
 def test_table64_survivor_other_than_viii_exits_one(monkeypatch, capsys):
     # viii's catalog quadric with one more term: the survivor is no longer viii
     data = get_entry("viii").data
@@ -337,9 +368,7 @@ def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
     row = table64.build_family()[32 + 12]
     real = table64.pencil_witness
     monkeypatch.setattr(table64, "pencil_witness",
-                        lambda model, max_degree: (
-                            None if model == row.model and max_degree == 3
-                            else real(model, max_degree)))
+                        lambda model: None if model == row.model else real(model))
     assert cli.main(["table64", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

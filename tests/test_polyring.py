@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ffcn import polyring
 from ffcn.gf import FieldError, make_field
 from ffcn.polyring import (Place, PoleError, Poly, RationalFunction,
                            element_str, format_poly, format_rational, format_terms,
@@ -108,6 +109,17 @@ def test_residue_root_is_the_smallest_root(pk, d_max):
             assert R.order == field.order ** d
             smallest = next(x for x in R.elements() if place.poly.eval_in(x, R) == 0)
             assert root == smallest
+
+
+def test_the_cached_orbits_and_name_indices_cannot_be_changed():
+    orbits = polyring._frobenius_orbits(F2, 3)
+    assert list(orbits) == list(monic_irreducibles(F2, 3))
+    with pytest.raises(TypeError):
+        orbits[parse_poly("x^3+x+1", F2)] = 0
+    index = polyring._term_patterns(("x", "y"))[2]
+    assert dict(index) == {"x": 0, "y": 1}
+    with pytest.raises(TypeError):
+        index["z"] = 2
 
 
 def test_degree7_irreducibles_over_gf2():

@@ -133,6 +133,13 @@ def test_witness_of_another_degree_than_its_field_fails():
     assert res.status == "fail"
 
 
+def _pencil_to(model, d):
+    """The pencil's least point of the model if its degree is <= d, as
+    ``min_point_degree(model, d)`` gives it."""
+    found = pencil_witness(model)
+    return found if found is not None and found[0] <= d else None
+
+
 @pytest.mark.parametrize("order", ["walked", "reversed"])
 def test_pencil_matches_the_curve_walk_on_every_row(monkeypatch, order):
     # the least point must not depend on the order of the walk
@@ -142,23 +149,41 @@ def test_pencil_matches_the_curve_walk_on_every_row(monkeypatch, order):
     table64._pencil.cache_clear()
     for row in build_family():
         for d in range(1, 5):
-            assert pencil_witness(row.model, d) == min_point_degree(row.model, d), \
+            assert _pencil_to(row.model, d) == min_point_degree(row.model, d), \
                 (row.family, row.mask, d)
     table64._pencil.cache_clear()
 
 
-def test_every_mask_closes_by_degree_four():
+def test_every_mask_closes_by_degree_four(monkeypatch):
     # so the search to MAX_CLAIMED_DEGREE finds a least point on every
-    # row; the surfaces of families 1, 3 and 4 are scanned in x4
+    # row; each family's surface is walked once per degree, and only
+    # while one of its masks is open; the surfaces of families 1, 3 and
+    # 4 are scanned in x4
     assert table64.MAX_CLAIMED_DEGREE == 4
+    family_of = {(parse_multipoly(CUBICS[family], F2, VARS),): family
+                 for family in (1, 2, 3, 4)}
+    walks, real = [], table64._model_points
+    monkeypatch.setattr(table64, "_model_points", lambda surface, ext: (
+        walks.append((family_of[surface], ext.k)) or real(surface, ext)))
     table64._pencil.cache_clear()
-    for row in build_family():
-        verify_row(row)
-    pencils = {family: table64._pencil(parse_multipoly(CUBICS[family], F2, VARS),
-                                       table64._base_quadric(family))
-               for family in (1, 2, 3, 4)}
-    assert {family: p.walked for family, p in pencils.items()} == {1: 1, 2: 4, 3: 1, 4: 3}
-    assert all(set(p.least) == set(MASKS) for p in pencils.values())
+    rows = build_family()
+    assert all(verify_row(row).computed_min_degree is not None for row in rows)
+    assert [(row.family, row.mask) for row in find_survivors(rows)] == [
+        (SURVIVOR_FAMILY, SURVIVOR_MASK)]
+    table64._pencil.cache_clear()
+    assert sorted(walks) == [(family, d) for family, top in {1: 1, 2: 4, 3: 1, 4: 3}.items()
+                             for d in range(1, top + 1)]
+
+
+def test_the_pencil_cannot_be_changed_by_its_callers():
+    cubic = parse_multipoly(CUBICS[1], F2, VARS)
+    least = table64._pencil(cubic, table64._base_quadric(1))
+    assert set(least) == set(MASKS)
+    with pytest.raises(TypeError):
+        least[MASKS[0]] = None
+    with pytest.raises(AttributeError):
+        least.clear()
+    assert table64._pencil(cubic, table64._base_quadric(1)) is least
 
 
 def _monomials(degree):
@@ -198,7 +223,7 @@ def test_pencil_matches_the_curve_walk_on_synthetic_families(seed, x4_cubed, x4_
                 quadric[tuple(2 if v == j else 0 for v in range(4))] = 1
         model = ProjectiveCurve((cubic, MultiPoly.build(F2, 4, quadric)))
         for d in range(1, 4):
-            assert pencil_witness(model, d) == min_point_degree(model, d), (mask, d)
+            assert _pencil_to(model, d) == min_point_degree(model, d), (mask, d)
 
 
 def test_pencil_reads_the_rows_own_model():

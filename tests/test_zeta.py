@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from ffcn.catalog import DEFAULT_CATALOG, build_model, verify_curve
 from ffcn.zeta import (CountInconsistencyError, LPoly, PlaceCensus,
                        PointCounts, analyse_counts, census_from_counts,
                        census_to_counts, class_number, cyclic_extension_count, extend_counts,
-                       hurwitz_different_degree, l_polynomial)
+                       hurwitz_different_degree, l_polynomial, real_weil_polynomial,
+                       roots_in_weil_interval)
 
 
 def test_elliptic_l_polynomial():
@@ -127,3 +129,118 @@ def test_an_l_extension_beyond_the_weil_bound_is_a_problem_line():
     # N_3 = 27 breaks the Weil bound: L is no curve's, and nothing is raised
     assert analyse_counts(2, 2, (0, 10, 0), 3) == (
         (), 0, (0, 5, 0), (), ("L-extension: N_3=27 violates the Weil bound for g=2, q=2",))
+
+
+# an L with the functional equation, h = 1, N_4..N_6 within the Weil bound
+# and an integral census through degree 12, but R = x^3 - 3x^2 - 2x + 7
+# has a root near 2.834, beyond 2 sqrt(2) ~ 2.828: no curve has it
+NOT_WEIL = (2, 3, (1, -3, 4, -5, 8, -12, 8))
+NOT_WEIL_COUNTS = (0, 4, 3, 20, 25, 19)
+
+
+def test_an_l_that_is_not_a_weil_polynomial_is_a_problem_line():
+    q, g, coeffs = NOT_WEIL
+    assert real_weil_polynomial(LPoly(q, g, coeffs)) == [7, -2, -3, 1]
+    assert analyse_counts(q, g, NOT_WEIL_COUNTS, 6) == (
+        coeffs, 1, (0, 2, 1, 4, 5, 2), (4, 5, 6),
+        ("L is not a Weil polynomial: not every inverse root has absolute value sqrt(2)",))
+
+
+def _catalog_l_polynomials():
+    return [LPoly(build_model(entry).field.order, report.genus, report.l_coeffs)
+            for entry in DEFAULT_CATALOG for report in (verify_curve(entry),)]
+
+
+def test_the_catalog_l_polynomials_are_weil_polynomials():
+    Ls = _catalog_l_polynomials()
+    assert len(Ls) == 8
+    for L in Ls:
+        assert roots_in_weil_interval(real_weil_polynomial(L), L.q), L
+
+
+@pytest.mark.parametrize("R, q, weil", [
+    ([-4, 1], 4, True), ([4, 1], 4, True),  # x -+ 2 sqrt(4): curve vii's R is x - 4
+    ([-16, 0, 1], 4, True), ([-8, 0, 1], 2, True), ([-12, 0, 1], 3, True),
+    ([-24, -8, 3, 1], 2, False),  # (x^2 - 8)(x + 3)
+    ([-8, 2, 1], 2, False),  # x^2 + 2x - 8 = (x - 2)(x + 4)
+    ([-7, 0, 1], 2, True), ([-9, 0, 1], 2, False),  # roots just inside, just outside
+    ([4, -4, 1], 2, True), ([16, -8, 1], 4, True),  # (x - 2)^2, (x - 4)^2
+    ([64, 0, -16, 0, 1], 2, True),  # (x^2 - 8)^2
+    ([1, 0, 1], 2, False),  # x^2 + 1: no real root
+    ([1], 2, True),  # genus 0
+])
+def test_the_ends_of_the_interval_and_repeated_roots(R, q, weil):
+    assert roots_in_weil_interval(R, q) is weil
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_factor(rng, q, square):
+    """x - c, a quadratic, x^2 - 4q (roots at both ends), a root just
+    inside or outside both ends, or x -+ 2 sqrt(q) for a square q."""
+    b = int(2 * q ** 0.5) + 2
+    kind = rng.randrange(6)
+    if kind == 1:
+        return [rng.randint(-b * b, b * b), rng.randint(-2 * b, 2 * b), 1]
+    if kind == 2:
+        return [-4 * q, 0, 1]
+    if kind == 3:
+        return [-4 * q + rng.choice((-1, 1)), 0, 1]
+    if kind == 4 and square:
+        return [rng.choice((-2, 2)) * square, 1]
+    return [-rng.randint(-b, b), 1]
+
+
+def _random_r(rng):
+    """A monic integer R of degree 1..4 over q in {2, 3, 4, 5, 9}, as a
+    product of random factors, each squared with probability 1/4."""
+    q = rng.choice((2, 3, 4, 5, 9))
+    square = {4: 2, 9: 3}.get(q, 0)
+    R, repeated = [1], False
+    while len(R) == 1 or rng.random() < 0.7:
+        f = _random_factor(rng, q, square)
+        twice = rng.random() < 0.25
+        if twice:
+            f = _times(f, f)
+        if len(R) + len(f) - 2 > 4:
+            break
+        R, repeated = _times(R, f), repeated or twice
+    return R, q, repeated
+
+
+def test_the_weil_test_agrees_with_sympy():
+    # sympy's exact real and complex roots, compared exactly with
+    # +-2 sqrt(q), on 300 seeded random R
+    sympy = pytest.importorskip("sympy")
+    x, rng = sympy.Symbol("x"), random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        R, q, repeated = _random_r(rng)
+        bound = 2 * sympy.sqrt(q)
+        roots = sympy.Poly(R[::-1], x).all_roots()
+        weil = all(r.is_real and bool(-bound <= r) and bool(r <= bound) for r in roots)
+        assert roots_in_weil_interval(R, q) is weil, (R, q)
+        at_an_end = any(r**2 == 4 * q for r in roots if r.is_real)
+        seen.add((weil, "repeated" if repeated else "",
+                  ("square" if q in (4, 9) else "non-square") if at_an_end else ""))
+    for kind in ((True, "repeated", ""), (False, "repeated", ""),
+                 (True, "", "square"), (True, "", "non-square"),
+                 (False, "", "square"), (False, "", "non-square")):
+        assert kind in seen, kind
+
+
+def test_r_is_the_real_weil_polynomial_of_l():
+    # T^g R(T + q/T) = T^(2g) L(1/T) on the catalog's L and the non-Weil one
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    for L in _catalog_l_polynomials() + [LPoly(*NOT_WEIL)]:
+        R = real_weil_polynomial(L)
+        lhs = T ** L.g * sum(c * (T + L.q / T) ** k for k, c in enumerate(R))
+        rhs = T ** (2 * L.g) * sum(c * T ** -i for i, c in enumerate(L.coeffs))
+        assert sympy.expand(lhs - rhs) == 0, L
