@@ -4,9 +4,8 @@ zeta L-polynomials and class numbers."""
 
 __version__ = "1.0.0"
 
-from .catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog,
-                      get_entry, load_catalog, model_from_spec, section_facts,
-                      verify_curve)
+from .catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, get_entry,
+                      load_catalog, model_from_spec, section_facts, verify_curve)
 from .covers import (CoverKind, CoverModel, InvalidCoverError,
                      NonStandardCoverError, RamificationDatum, cover_genus,
                      place_census, ramification_data, splitting_type,
@@ -22,8 +21,7 @@ from .table64 import (CUBICS, QUADRICS, SURVIVOR_FAMILY, SURVIVOR_MASK,
                       survivor_analysis, verify_row)
 from .varieties import (MultiPoly, ProjectiveCurve, SingularModelError,
                         curve_point_counts, min_point_degree, parse_multipoly,
-                        point_degree, points_on_model, projective_points,
-                        smoothness_probe)
+                        point_degree, points_on_model, smoothness_probe)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, PointCounts,
                    census_from_counts, census_to_counts, class_number,
                    cyclic_extension_count, extend_counts,

@@ -179,10 +179,6 @@ def build_model(entry: CatalogEntry):
                             **entry.data})
 
 
-def dump_catalog(catalog=DEFAULT_CATALOG) -> str:
-    return json.dumps([e._asdict() for e in catalog], indent=2, sort_keys=True) + "\n"
-
-
 def _entry_from_json(item) -> CatalogEntry:
     """The entry a catalog item describes; a TypeError names any missing
     or unknown keys."""

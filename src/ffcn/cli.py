@@ -201,11 +201,11 @@ def cmd_table64(ns) -> int:
     largest degree the table claims; then find the survivor and run the
     zeta pipeline on it.  ``survivor_undetermined`` stays in the summary,
     always false, so the report keeps its keys."""
+    rows = build_family()
     records = _stage("survivor search error", COUNT_ERRORS,
-                     lambda: [_table_one(row) for row in build_family()])
+                     lambda: [_table_one(row) for row in rows])
     all_pass = all(r["status"] == "pass" for r in records)
-    survivors = _stage("survivor search error", COUNT_ERRORS,
-                       find_survivors, build_family())
+    survivors = _stage("survivor search error", COUNT_ERRORS, find_survivors, rows)
     summary = {"rows": 64,
                "rows_passing": sum(r["status"] == "pass" for r in records),
                "survivor_undetermined": False,

@@ -18,11 +18,12 @@ smallest generator g of the multiplicative group and builds the tables
 ``exp[i] = g^i`` and ``log[g^i] = i``.  Then ``mul``, ``inv`` and
 ``pow`` are table lookups: a*b is ``exp[log[a] + log[b]]``.  ``log[0]``
 points into a run of zeros after two periods of ``exp``, so a product
-with zero needs no test.  For p = 2, ``add``, ``sub`` and ``neg`` are
-xor.  For p = 3 they use the Zech logarithm ``zech[n] = log(1 + g^n)``:
-a + b = a*(1 + b/a) is ``exp[log[a] + zech[log[b] - log[a]]]``, and -a =
-``exp[log[a] + (q-1)/2]``.  Where 1 + g^n = 0, ``zech[n]`` is ``log[0]``
-and lands in the zeros.
+with zero needs no test.  For p = 2, ``add`` and ``sub`` are xor and
+``neg`` is the identity.  For p = 3 ``add`` uses the Zech logarithm
+``zech[n] = log(1 + g^n)``: a + b = a*(1 + b/a) is
+``exp[log[a] + zech[log[b] - log[a]]]``; -a is ``exp[log[a] + (q-1)/2]``,
+and a - b is a + (-b).  Where 1 + g^n = 0, ``zech[n]`` is ``log[0]`` and
+lands in the zeros.
 
 Only the candidate rings of the modulus search have no tables.  Their
 product is ``_raw_mul``: a shift/xor product of ints for p = 2, reduced
@@ -145,14 +146,7 @@ class GF:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if b == 0:
-            return a
-        log = self._log
-        lb = log[b] + (self.order - 1) // 2  # the log of -b
-        if a == 0:
-            return self._exp[lb]
-        la = log[a]
-        return self._exp[la + self._zech[lb - la]]
+        return self.add(a, self.neg(b))
 
     def _raw_mul(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -209,9 +203,9 @@ class GF:
         """exp and log, and for p = 3 zech, from the field's generator.
 
         ``exp`` holds two periods of g^i, so a sum of two logs needs no
-        reduction, then zeros for the sentinel ``log[0] = 2(q-1)``.  ``zech``
-        holds two periods too: ``sub`` indexes it up to (q-1)/2 past the
-        first, and a negative index wraps into the second."""
+        reduction, then zeros for the sentinel ``log[0] = 2(q-1)``.
+        ``zech`` holds one period: it is indexed by a difference of two
+        logs below q - 1, and a negative index wraps to the same residue."""
         q = self.order
         zero = 2 * (q - 1)
         exp = [0] * (2 * zero + 1)
@@ -222,8 +216,7 @@ class GF:
         self._exp, self._log = exp, log
         if self.p == 3:
             # 1 + e changes only the constant digit of e
-            zech = [log[e + 1 if e % 3 < 2 else e - 2] for e in exp[:q - 1]]
-            self._zech = zech + zech
+            self._zech = [log[e + 1 if e % 3 < 2 else e - 2] for e in exp[:q - 1]]
 
     def _generator_powers(self):
         """g^0, g^1, ..., g^(q-2), stepped as the module docstring says."""

@@ -141,9 +141,6 @@ class Poly:
                         rem[j] = F.sub(rem[j], F.mul(f, y))
         return Poly(F, quot), Poly(F, rem[:d])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -195,7 +192,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-@lru_cache(maxsize=None)
 def is_irreducible(f: Poly) -> bool:
     """True iff f is irreducible over its base field.
 
@@ -334,10 +330,10 @@ class Place:
         return f"Place({body})"
 
 
-def places_of_degree(field: GF, d: int, include_infinite: bool = True):
+def places_of_degree(field: GF, d: int):
     """Finite places of degree d, ascending; the infinite place last for d=1."""
     out = [Place(field, f, _checked=True) for f in monic_irreducibles(field, d)]
-    if d == 1 and include_infinite:
+    if d == 1:
         out.append(Place.infinite(field))
     return out
 
@@ -357,7 +353,7 @@ class RationalFunction:
         if not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num, den = num // g, den // g
+                num, den = divmod(num, g)[0], divmod(den, g)[0]
         lead_inv = num.field.inv(den.coeffs[-1])
         self.num = num.scale(lead_inv)
         self.den = den.scale(lead_inv)
@@ -369,13 +365,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)

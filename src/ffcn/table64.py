@@ -196,32 +196,22 @@ SurvivorReport = record("SurvivorReport", "counts cross_checked l_coeffs h censu
                                           "different_degree cyclic_count")
 
 
-@lru_cache(maxsize=None)
-def _base_quadric(family: int) -> MultiPoly:
-    """Q_family, parsed once per family rather than once per mask."""
-    return parse_multipoly(QUADRICS[family], make_field(2, 1), VARS)
-
-
-def expanded_quadric(family: int, mask) -> MultiPoly:
-    """Q_family + k1*x1^2 + ... + k4*x4^2 (char 2: L(k)^2 = sum k_j x_j^2)."""
-    F2 = make_field(2, 1)
-    terms = dict(_base_quadric(family).terms)
-    for j, k in enumerate(mask):
-        if k:
-            exps = tuple(2 if v == j else 0 for v in range(4))
-            terms[exps] = F2.add(terms.get(exps, 0), 1)
-    return MultiPoly.build(F2, 4, terms)
-
-
-@lru_cache(maxsize=1)
 def build_family() -> tuple[TableRow, ...]:
-    """All 64 rows: family ascending, mask as a 4-bit integer ascending."""
+    """All 64 rows: family ascending, mask as a 4-bit integer ascending.
+    Row (family, k) has the quadric Q_family + k1*x1^2 + ... + k4*x4^2
+    (char 2: L(k)^2 = sum k_j x_j^2)."""
     F2 = make_field(2, 1)
     rows = []
     for family in (1, 2, 3, 4):
         cubic = parse_multipoly(CUBICS[family], F2, VARS)
+        base = dict(parse_multipoly(QUADRICS[family], F2, VARS).terms)
         for mask, (paper_q, witness) in zip(MASKS, PUBLISHED_TABLE[family]):
-            model = ProjectiveCurve((cubic, expanded_quadric(family, mask)))
+            terms = dict(base)
+            for j, k in enumerate(mask):
+                if k:
+                    exps = tuple(2 if v == j else 0 for v in range(4))
+                    terms[exps] = F2.add(terms.get(exps, 0), 1)
+            model = ProjectiveCurve((cubic, MultiPoly.build(F2, 4, terms)))
             rows.append(TableRow(family, mask, model, paper_q, witness))
     return tuple(rows)
 

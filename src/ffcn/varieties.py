@@ -40,10 +40,10 @@ prefixes come from the x^q table (``gf.frobenius_table``).
 
 The walk is computed once per (forms, extension field) and keeps each
 point over a least prefix with the size of the prefix's orbit.
-``points_on_model`` expands those into their conjugates and sorts them:
-normalized tuples in ascending order are exactly ``projective_points``
-order, (0:...:0:1) first, so witnesses and reports do not depend on the
-walk.  ``curve_point_counts`` and ``min_point_degree`` read that list.
+``points_on_model`` expands those into their conjugates and sorts them
+in ascending lexicographic order of normalized tuples, (0:...:0:1)
+first, so witnesses and reports do not depend on the walk.
+``curve_point_counts`` and ``min_point_degree`` read that list.
 ``min_point_degree`` computes no point's degree: the first GF(q^d),
 d = 1, 2, ..., with any point holds only points of degree d, so its
 first point is the witness.
@@ -174,30 +174,6 @@ class ProjectiveCurve(record("ProjectiveCurve", "polys")):
         """Candidates of the largest enumeration ``counts(n)`` starts, the
         ``walk_size`` of its deepest field, the probe's included."""
         return walk_size(self.polys, max(n, PROBE_DEPTH))
-
-
-def projective_points(dim: int, field: GF):
-    """Every point of P^dim over the field exactly once, normalized, in
-    ascending lexicographic coordinate order."""
-    q = field.order
-    for lead in range(dim, -1, -1):
-        free = dim - lead
-        prefix = (0,) * lead + (1,)
-        if free == 0:
-            yield prefix
-            continue
-        counters = [0] * free
-        while True:
-            yield prefix + tuple(counters)
-            i = free - 1
-            while i >= 0:
-                counters[i] += 1
-                if counters[i] < q:
-                    break
-                counters[i] = 0
-                i -= 1
-            if i < 0:
-                break
 
 
 def projective_point_count(dim: int, q: int) -> int:
@@ -406,13 +382,13 @@ def _conjugates(point, n: int, frob) -> list:
 
 def points_on_model(model, ext: GF) -> list:
     """Normalized points of the common zero locus over the given field,
-    in projective_points order.  Each call returns a fresh list; the
-    orbit walk itself runs once per (model, field)."""
+    in ascending lexicographic order of normalized tuples.  Each call
+    returns a fresh list; the orbit walk itself runs once per (model,
+    field)."""
     # the fiber over a conjugate prefix holds the conjugate points
     frob = frobenius_table(ext, model.field.order)
     out = [c for point, n in _model_points(model.polys, ext)
            for c in _conjugates(point, n, frob)]
-    # normalized tuples sort in projective_points order
     out.sort()
     return out
 
@@ -438,11 +414,12 @@ def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
     """Points over GF(q^m), m <= m_probe, where the Jacobian drops rank.
 
     Empty tuple means the probe passed.  Results are (m, point) pairs,
-    in projective_points order for each m.  The partial derivatives are
-    embedded in each GF(q^m) once and evaluated at one point per orbit
-    of the walk (``_model_points``): they are defined over GF(q), so a
-    point is singular iff its conjugates are, and only the singular
-    points are expanded into their conjugates.
+    in ascending lexicographic order of normalized tuples for each m.
+    The partial derivatives are embedded in each GF(q^m) once and
+    evaluated at one point per orbit of the walk (``_model_points``):
+    they are defined over GF(q), so a point is singular iff its
+    conjugates are, and only the singular points are expanded into their
+    conjugates.
     """
     if m_probe < 1:
         raise ValueError("probe depth must be >= 1")

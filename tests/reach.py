@@ -1,4 +1,5 @@
-"""The reach gate: every function and every ``raise`` in src/ffcn runs.
+"""The reach gate: every function and every ``raise`` in src/ffcn runs,
+and every function runs in ffc itself.
 
 Run it from anywhere, with the standard library and pytest:
 
@@ -23,16 +24,22 @@ they only import ffcn, which the other runs do too.
 A function counts as run when its code object is called: its ``def``
 line runs at import, so a hit on it does not count.  A ``raise`` counts
 when its first line runs, so a ``raise`` must not share that line with
-another statement (``if x: raise ...``).  Each process writes its hits
-at exit, and from a wrapper around ``os._exit``, which ``cli.run`` ends
-with and which skips ``atexit``.
+another statement (``if x: raise ...``).  Each process writes its hits,
+with its ``sys.orig_argv``, at exit, and from a wrapper around
+``os._exit``, which ``cli.run`` ends with and which skips ``atexit``.
 
-The gate exits 1 and lists each function never entered and each
-``raise`` never run, unless ``ALLOWLIST`` holds its key with a reason.
-It also exits 1 on an entry with no reason, on an entry that exempts
-nothing (what it named ran, or is gone), and on a traced run that
-fails.  Keys name the module, the qualified name and, for a ``raise``,
-its text with whitespace collapsed, never a line number.
+The gate has two passes.  The first, over all runs, exits 1 and lists
+each function never entered and each ``raise`` never run, unless
+``ALLOWLIST`` holds its key with a reason.  The second, the product
+pass, counts only the processes that run ``ffcn.cli`` or a demo: the
+commands, the demos and Tier-1's ``python -m ffcn.cli`` children, not
+the pytest process.  It exits 1 and lists each function that none of
+them enters, unless ``PRODUCT_ALLOWLIST`` holds its key with a reason:
+code that only tests enter is deleted or moved into the tests.  Either
+pass also exits 1 on an entry with no reason and on an entry that
+exempts nothing (what it named ran, or is gone); a traced run that
+fails exits 1 too.  Keys name the module, the qualified name and, for a
+``raise``, its text with whitespace collapsed, never a line number.
 """
 
 from __future__ import annotations
@@ -51,6 +58,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # key -> why no run can reach it and why it is kept; the list only shrinks
 ALLOWLIST: dict[str, str] = {}
+
+# key -> why no ffc or demo process enters the function and why it is kept
+PRODUCT_ALLOWLIST: dict[str, str] = {
+    "polyring.Poly.__repr__": "no report prints a repr; pytest's failure output "
+                              "reads it, and test_polyring pins it",
+    "polyring.RationalFunction.__repr__": "no report prints a repr; pytest's failure "
+                                          "output reads it, and "
+                                          "test_cover_model_repr_is_pinned pins it",
+}
 
 # the product runs: those golden_outputs.json pins, and the two that
 # perfbench/expected.json gates
@@ -105,7 +121,7 @@ def _dump():
                          os.O_WRONLY | os.O_CREAT | os.O_EXCL)
         except FileExistsError:
             continue
-        os.write(fd, marshal.dumps((calls, lines)))
+        os.write(fd, marshal.dumps((sys.orig_argv, calls, lines)))
         os.close(fd)
         return
 
@@ -163,6 +179,29 @@ def _where(path: str, line: int) -> str:
     return f"src/ffcn/{os.path.basename(path)}:{line}"
 
 
+def runs_the_product(argv) -> bool:
+    """Whether a traced process, by its ``sys.orig_argv``, runs ffc
+    (``python ... -m ffcn.cli``) or a demo (a script in ``demos/``)."""
+    if "-m" in argv:
+        return argv[argv.index("-m") + 1:][:1] == ["ffcn.cli"]
+    return any(os.path.basename(os.path.dirname(arg)) == "demos" for arg in argv[1:])
+
+
+def unmet(unreached: dict, allowlist: dict[str, str], name: str) -> list[str]:
+    """A line for each unreached key that the allowlist does not exempt,
+    and for each entry with no reason or that exempts nothing."""
+    problems = [f"{_where(path, line)}: {what}: {key}"
+                for key, (path, line, what) in sorted(unreached.items(),
+                                                      key=lambda item: item[1])
+                if key not in allowlist]
+    for key, reason in allowlist.items():
+        if not reason.strip():
+            problems.append(f"{name} entry {key!r} gives no reason")
+        if key not in unreached:
+            problems.append(f"{name} entry {key!r} exempts nothing that is unreached")
+    return problems
+
+
 def traced_runs(copy: str) -> list[str]:
     """Run Tier-1, the commands and the demos in ``copy``, which holds
     the tracing ``sitecustomize.py``; return a line per failed run."""
@@ -199,29 +238,32 @@ def main() -> int:
             fh.write(SITECUSTOMIZE.format(out=out, raises={
                 path: frozenset(lines) for path, lines in by_file.items()}))
         problems += traced_runs(copy)
-        calls, lines = set(), set()
+        calls, lines, product_calls, products = set(), set(), set(), 0
         for name in os.listdir(out):
             with open(os.path.join(out, name), "rb") as fh:
-                c, h = marshal.load(fh)
+                argv, c, h = marshal.load(fh)
             calls.update(c)
             lines.update(h)
+            if runs_the_product(argv):
+                product_calls.update(c)
+                products += 1
     unreached = {}  # key -> (file, line, what) for each function and raise that never ran
+    product_unreached = {}  # key -> (file, line, what) for each function ffc never entered
     for (path, first), (key, line) in functions.items():
         if (path, first) not in calls:
             unreached[key] = (path, line, "function never entered")
+        if (path, first) not in product_calls:
+            product_unreached[key] = (path, line, "function never entered by ffc or a demo")
     for (path, line), key in raises.items():
         if (path, line) not in lines:
             unreached[key] = (path, line, "raise never ran")
-    for key, (path, line, what) in sorted(unreached.items(), key=lambda item: item[1]):
-        if key not in ALLOWLIST:
-            problems.append(f"{_where(path, line)}: {what}: {key}")
-    for key, reason in ALLOWLIST.items():
-        if not reason.strip():
-            problems.append(f"ALLOWLIST entry {key!r} gives no reason")
-        if key not in unreached:
-            problems.append(f"ALLOWLIST entry {key!r} exempts nothing that is unreached")
+    problems += unmet(unreached, ALLOWLIST, "ALLOWLIST")
+    problems += unmet(product_unreached, PRODUCT_ALLOWLIST, "PRODUCT_ALLOWLIST")
     print(f"{len(functions)} functions and {len(raises)} raises in src/ffcn; "
           f"{len(unreached)} unreached, {len(ALLOWLIST)} allowlisted")
+    print(f"product pass over {products} ffc and demo processes: "
+          f"{len(product_unreached)} functions never entered, "
+          f"{len(PRODUCT_ALLOWLIST)} allowlisted")
     for problem in problems:
         print(problem)
     return 1 if problems else 0

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model,
-                          dump_catalog, get_entry, load_catalog,
-                          model_from_spec, section_facts, verify_curve)
+from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, get_entry,
+                          load_catalog, model_from_spec, section_facts, verify_curve)
 from ffcn.covers import CoverKind, CoverModel
 from ffcn.gf import make_field
 from ffcn.varieties import ProjectiveCurve, parse_multipoly
+from support import dump_catalog
 
 EXPECTED_GENERA = {"i": 1, "ii": 2, "iii": 2, "iv": 3, "v": 3,
                    "vi": 1, "vii": 1, "viii": 4}

@@ -9,9 +9,9 @@ import types
 import pytest
 
 from ffcn import cli, covers, table64, varieties, zeta
-from ffcn.catalog import (DEFAULT_CATALOG, build_model, count_depth, dump_catalog,
-                          get_entry)
+from ffcn.catalog import DEFAULT_CATALOG, build_model, count_depth, get_entry
 from ffcn.gf import GF, make_field
+from support import dump_catalog
 
 CMD = [sys.executable, "-m", "ffcn.cli"]
 # every child imports ffcn from this checkout, whatever PYTHONPATH says
@@ -428,6 +428,41 @@ def test_zeta_singular_model_exits_one(tmp_path):
                                 "poly": "y^2z^2+x^4", "vars": ["x", "y", "z"]}))
     proc = run_cli("zeta", "--model", str(path))
     assert proc.returncode == 1
+
+
+def test_ternary_projective_curves_through_the_cli(tmp_path):
+    # the quartic has z-degree 2, so its fibers are solved by the p = 3
+    # quadratic solver; it is singular at (0:0:1), as is every quartic of
+    # z-degree <= 2
+    quartic = tmp_path / "quartic.json"
+    quartic.write_text(json.dumps({"kind": "plane_quartic", "p": 3, "k": 1,
+                                   "poly": "y^4+x^3y+x^2z^2+xyz^2+y^2z^2+x^4",
+                                   "vars": ["x", "y", "z"]}))
+    proc = run_cli("zeta", "--model", str(quartic))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("zeta pipeline error: model failed the smoothness probe at "
+                           "(1, (0, 0, 1)) (6 singular point(s) up to depth 6)\n")
+    # a (2,3) space curve over GF(3): the depth-6 probe walks the
+    # 729^2 + 729 + 1 prefixes of P^2(GF(3^6))
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "space_curve", "p": 3, "k": 1,
+                                 **{key: get_entry("viii").data[key]
+                                    for key in ("cubic", "quadric", "vars")}}))
+    proc = run_cli("zeta", "--model", str(space))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("input error: the run would enumerate 532171 candidates in one "
+                           "field, beyond the budget of 131072\n")
+
+
+def test_a_cover_with_a_common_factor_is_reduced(tmp_path):
+    # f = (x^5+x^2)/x^2 reduces to x^3+1 when it is read
+    reduced, unreduced = tmp_path / "reduced.json", tmp_path / "unreduced.json"
+    reduced.write_text(json.dumps({"kind": "artin_schreier", "p": 2, "k": 1, "f": "x^3+1"}))
+    unreduced.write_text(json.dumps({"kind": "artin_schreier", "p": 2, "k": 1,
+                                     "f": "(x^5+x^2)/x^2"}))
+    expected = run_cli("zeta", "--model", str(reduced), check=True).stdout
+    assert "L = [1, 0, 2]" in expected
+    assert run_cli("zeta", "--model", str(unreduced), check=True).stdout == expected
 
 
 def test_zeta_requires_exactly_one_source(tmp_path):

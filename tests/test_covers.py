@@ -242,9 +242,9 @@ def _unit_value(f, place, v):
     R, root = residue_field(place)
     num, den = f.num, f.den
     if v > 0:
-        num = num // place.poly ** v
+        num = divmod(num, place.poly ** v)[0]
     elif v < 0:
-        den = den // place.poly ** -v
+        den = divmod(den, place.poly ** -v)[0]
     return R.mul(num.eval_in(root, R), R.inv(den.eval_in(root, R)))
 
 

@@ -47,8 +47,9 @@ def test_valuation_is_additive():
             continue
         f = RationalFunction(num1, den1)
         g = RationalFunction(num2, den2)
+        fg = RationalFunction(num1 * num2, den1 * den2)
         for place in places:
-            assert (place_valuation(f * g, place)
+            assert (place_valuation(fg, place)
                     == place_valuation(f, place) + place_valuation(g, place))
 
 
@@ -104,7 +105,9 @@ def test_monic_irreducibles_match_brute_force(pk, d_max):
 def test_residue_root_is_the_smallest_root(pk, d_max):
     field = make_field(*pk)
     for d in range(1, d_max + 1):
-        for place in places_of_degree(field, d, include_infinite=False):
+        for place in places_of_degree(field, d):
+            if place.is_infinite:
+                continue
             R, root = residue_field(place)
             assert R.order == field.order ** d
             smallest = next(x for x in R.elements() if place.poly.eval_in(x, R) == 0)
@@ -158,9 +161,10 @@ def test_residue_is_ring_homomorphism():
             continue
         f, g = RationalFunction(num1), RationalFunction(num2)
         R, _ = residue_field(place)
-        assert residue(f * g, place) == R.mul(residue(f, place), residue(g, place))
-        if not (f + g).is_zero:
-            assert residue(f + g, place) == R.add(residue(f, place), residue(g, place))
+        fg, f_plus_g = RationalFunction(num1 * num2), RationalFunction(num1 + num2)
+        assert residue(fg, place) == R.mul(residue(f, place), residue(g, place))
+        if not f_plus_g.is_zero:
+            assert residue(f_plus_g, place) == R.add(residue(f, place), residue(g, place))
 
 
 def test_residue_at_pole_raises():

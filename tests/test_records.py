@@ -7,13 +7,14 @@ import hashlib
 
 import pytest
 
-from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, dump_catalog,
-                          get_entry, model_from_spec)
+from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, get_entry,
+                          model_from_spec)
 from ffcn.covers import CoverKind, CoverModel, InvalidCoverError
 from ffcn.gf import FieldError, make_field
 from ffcn.polyring import parse_rational
 from ffcn.varieties import ProjectiveCurve, parse_multipoly
 from ffcn.zeta import CountInconsistencyError, LPoly, PlaceCensus, PointCounts
+from support import dump_catalog
 
 F2, F3, F4 = make_field(2, 1), make_field(3, 1), make_field(2, 2)
 XYZ = ("x", "y", "z")

@@ -6,7 +6,7 @@ from ffcn import table64, varieties
 from ffcn.gf import make_field
 from ffcn.table64 import (CUBICS, MASKS, PUBLISHED_TABLE, QUADRICS,
                           SURVIVOR_FAMILY, SURVIVOR_MASK,
-                          build_family, expanded_quadric, find_survivors,
+                          build_family, find_survivors,
                           pencil_witness, survivor_analysis, verify_row)
 from ffcn.varieties import (MultiPoly, ProjectiveCurve, min_point_degree,
                             parse_multipoly)
@@ -26,18 +26,16 @@ def test_family_shape():
 
 
 def test_expanded_quadrics_match_published_table():
-    for family in (1, 2, 3, 4):
-        for code in range(16):
-            mask = tuple((code >> (3 - j)) & 1 for j in range(4))
-            computed = expanded_quadric(family, mask)
-            published = parse_multipoly(PUBLISHED_TABLE[family][code][0], F2, VARS)
-            assert set(computed.terms) == set(published.terms), (family, mask)
+    for row in build_family():
+        code = MASKS.index(row.mask)
+        published = parse_multipoly(PUBLISHED_TABLE[row.family][code][0], F2, VARS)
+        assert set(row.quadric.terms) == set(published.terms), (row.family, row.mask)
 
 
 def test_mask_zero_is_base_quadric():
-    for family in (1, 2, 3, 4):
-        base = parse_multipoly(QUADRICS[family], F2, VARS)
-        assert expanded_quadric(family, (0, 0, 0, 0)) == base
+    for row in build_family():
+        if row.mask == (0, 0, 0, 0):
+            assert row.quadric == parse_multipoly(QUADRICS[row.family], F2, VARS)
 
 
 def test_each_base_quadric_is_parsed_once(monkeypatch):
@@ -48,11 +46,9 @@ def test_each_base_quadric_is_parsed_once(monkeypatch):
         return parse_multipoly(text, *args)
 
     monkeypatch.setattr(table64, "parse_multipoly", counting_parse)
-    table64._base_quadric.cache_clear()
-    for family in (1, 2, 3, 4):
-        for code in range(16):
-            expanded_quadric(family, tuple((code >> (3 - j)) & 1 for j in range(4)))
-    assert sorted(parsed) == sorted(QUADRICS.values())
+    build_family()
+    assert parsed == [text for family in (1, 2, 3, 4)
+                      for text in (CUBICS[family], QUADRICS[family])]
 
 
 def test_all_rows_verify():
@@ -177,13 +173,14 @@ def test_every_mask_closes_by_degree_four(monkeypatch):
 
 def test_the_pencil_cannot_be_changed_by_its_callers():
     cubic = parse_multipoly(CUBICS[1], F2, VARS)
-    least = table64._pencil(cubic, table64._base_quadric(1))
+    cross = parse_multipoly(QUADRICS[1], F2, VARS)
+    least = table64._pencil(cubic, cross)
     assert set(least) == set(MASKS)
     with pytest.raises(TypeError):
         least[MASKS[0]] = None
     with pytest.raises(AttributeError):
         least.clear()
-    assert table64._pencil(cubic, table64._base_quadric(1)) is least
+    assert table64._pencil(cubic, cross) is least
 
 
 def _monomials(degree):

@@ -14,9 +14,9 @@ from ffcn.varieties import (PROBE_DEPTH, MultiPoly, ProjectiveCurve, SingularMod
                             format_multipoly, format_point, min_point_degree,
                             normalize_point, parse_multipoly, parse_point,
                             point_degree, points_on_model,
-                            projective_point_count, projective_points,
-                            smoothness_probe)
+                            projective_point_count, smoothness_probe)
 from ffcn.zeta import PointCounts, analyse_counts, extend_counts, l_polynomial
+from support import projective_points
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
