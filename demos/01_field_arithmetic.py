@@ -8,7 +8,8 @@ ordering decision (witness tie-breaks, enumeration order) deterministic.
 
 import sys
 
-from ffcn import element_str, embed, make_field
+from ffcn.gf import embed, make_field
+from ffcn.polyring import element_str
 
 F4 = make_field(2, 2)
 print("GF(4) uses modulus coefficients", F4.modulus, "(t^2 + t + 1)")

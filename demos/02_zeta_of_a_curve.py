@@ -8,10 +8,11 @@ h = L(1) is the divisor class number.
 
 import sys
 
-from ffcn import (CoverKind, CoverModel, PointCounts, census_from_counts,
-                  class_number, cover_genus, extend_counts, l_polynomial,
-                  make_field, parse_rational, place_census)
-from ffcn.covers import census_to_counts
+from ffcn.covers import CoverKind, CoverModel, cover_genus, place_census
+from ffcn.gf import make_field
+from ffcn.polyring import parse_rational
+from ffcn.zeta import (PointCounts, census_from_counts, census_to_counts, class_number,
+                       extend_counts, l_polynomial)
 
 F2 = make_field(2, 1)
 cover = CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x^3+x+1", F2))

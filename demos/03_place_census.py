@@ -7,9 +7,10 @@ which one happens is decided by a trace (characteristic 2) or a
 quadratic character (characteristic 3) in the residue field.
 """
 
-from ffcn import (CoverKind, CoverModel, make_field, monic_irreducibles,
-                  parse_rational, places_of_degree, residue, residue_field,
-                  splitting_type)
+from ffcn.covers import CoverKind, CoverModel, splitting_type
+from ffcn.gf import make_field
+from ffcn.polyring import (monic_irreducibles, parse_rational, places_of_degree, residue,
+                           residue_field)
 
 F2 = make_field(2, 1)
 

@@ -10,8 +10,8 @@ data shows it has class number one.
 
 import sys
 
-from ffcn import (build_family, find_survivors, min_point_degree,
-                  survivor_analysis, verify_row)
+from ffcn.table64 import build_family, find_survivors, survivor_analysis, verify_row
+from ffcn.varieties import min_point_degree
 
 rows = build_family()
 print("built", len(rows), "cubic-quadric models")

@@ -27,8 +27,8 @@ import re
 from functools import lru_cache
 from types import MappingProxyType
 
-from .gf import (GF, FieldError, _digits, _prime_factors, embedding,
-                 frobenius_table, make_field, orbit_representatives)
+from .gf import (GF, FieldError, _digits, embedding, frobenius_table, make_field,
+                 orbit_representatives)
 
 
 class PoleError(ValueError):
@@ -190,6 +190,20 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while not g.is_zero:
         f, g = g, f % g
     return f.monic()
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_irreducible(f: Poly) -> bool:

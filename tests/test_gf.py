@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from ffcn.gf import (FIELD_MAX, GF, SUPPORTED_P, FieldError, _is_field, embed,
-                     embedding, frobenius_table, make_field, orbit_representatives)
-from ffcn.polyring import Poly, is_irreducible
+import ffcn
+from ffcn.gf import (FIELD_MAX, SUPPORTED_P, FieldError, _primitive_powers, embed, embedding,
+                     frobenius_table, make_field, orbit_representatives)
+from ffcn.polyring import Poly, _prime_factors, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -130,35 +134,102 @@ def test_ternary_add_sub_neg_match_digitwise_arithmetic(k):
     (2, (1, 0, 1), False),     # t^2 + 1 = (t + 1)^2
     (3, (1, 0, 1), True),      # t^2 + 1
     (2, (1, 1, 0, 1), True),   # t^3 + t + 1
+    (2, (1, 0, 1, 0, 1), False),  # (t^2 + t + 1)^2, with no root in GF(2)
+    (3, (1, 0, 2, 0, 1), False),  # (t^2 + 1)^2, with no root in GF(3)
 ])
 def test_ring_test_runs_without_tables(p, modulus, irreducible):
-    # the candidate ring is tested with ring operations only: it has no
-    # log tables, and a reducible one must be rejected, not raise
-    ring = GF(p, len(modulus) - 1, modulus)
-    assert _is_field(ring) is irreducible
-    assert ring._log is None and ring._zech is None
+    # a candidate is decided by walks in its quotient ring, before any
+    # field or table exists; a reducible one is rejected, not raised on
+    assert (_primitive_powers(p, modulus) is not None) is irreducible
 
 
 def test_canonical_moduli():
-    # lexicographically smallest monic irreducible, little-endian coeffs
+    # the first candidate with a primitive t + c, little-endian coeffs
     assert make_field(2, 2).modulus == (1, 1, 1)          # t^2+t+1
     assert make_field(2, 3).modulus == (1, 1, 0, 1)       # t^3+t+1
     assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)    # t^4+t+1
     assert make_field(2, 17).modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)  # t^17+t^3+1
 
 
+# the fields whose first irreducible candidate has no primitive t + c:
+# (p, k) -> (first irreducible candidate, modulus)
+CHANGED_MODULI = {
+    (2, 9): ((1, 1) + (0,) * 7 + (1,),  # t^9+t+1
+             (1, 0, 0, 0, 1) + (0,) * 4 + (1,)),  # t^9+t^4+1
+    (2, 14): ((1,) + (0,) * 4 + (1,) + (0,) * 8 + (1,),  # t^14+t^5+1
+              (1, 1, 0, 1, 0, 1) + (0,) * 8 + (1,)),  # t^14+t^5+t^3+t+1
+    (3, 8): ((2, 0, 1) + (0,) * 5 + (1,),  # t^8+t^2+2
+             (2, 0, 2) + (0,) * 5 + (1,)),  # t^8+2t^2+2
+    (3, 10): ((1, 0, 2) + (0,) * 7 + (1,),  # t^10+2t^2+1
+              (2, 1, 0, 1) + (0,) * 6 + (1,)),  # t^10+t^3+t+2
+}
+
+
+def _reference_mul(p, modulus):
+    """The product of Z_p[t]/(modulus) by the reference products above,
+    which need no field tables."""
+    if p == 2:
+        mask = sum(c << i for i, c in enumerate(modulus))
+        return lambda a, b: _clmul_mod(a, b, mask)
+    return lambda a, b: _ternary_mul_mod(a, b, modulus)
+
+
+def _has_order(mul, a, n):
+    """a has order n under mul, by square-and-multiply: a^n = 1 and no
+    a^(n/r) = 1 for a prime r dividing n."""
+    def power(x, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, x)
+            x, e = mul(x, x), e >> 1
+        return out
+
+    return power(a, n) == 1 and all(power(a, n // r) != 1 for r in _prime_factors(n))
+
+
 @pytest.mark.parametrize("p", SUPPORTED_P)
-def test_moduli_are_the_first_irreducible_candidates(p):
-    # make_field tests candidates by powers in their quotient rings;
-    # polyring tests them independently, by a q-power matrix and gcds
+def test_moduli_are_the_first_candidates_with_a_primitive_t_plus_c(p):
+    # make_field walks powers in the candidates' quotient rings; this
+    # decides the rule by polyring's irreducibility test and the
+    # reference products, not by the field's tables
     Fp = make_field(p, 1)
     for k in range(1, 18 if p == 2 else 11):
-        modulus = make_field(p, k).modulus
+        F = make_field(p, k)
+        modulus, n = F.modulus, F.order - 1
         assert is_irreducible(Poly(Fp, modulus))
+        mul = _reference_mul(p, modulus)
+        # exp[1] is the generator, the smallest element of order p^k - 1
+        generator = F._exp[1]
+        assert _has_order(mul, generator, n), k
+        assert not any(_has_order(mul, x, n) for x in range(1, generator)), k
+        if k == 1:
+            assert (modulus, generator) == ((0, 1), p - 1)
+            continue
+        assert p <= generator < 2 * p, k  # t + c
+        # no earlier candidate has a primitive t + c: those with a root
+        # in GF(p) are reducible, so none of their elements is primitive
         index = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
-        for c in range(index):
-            candidate = [c // p ** i % p for i in range(k)] + [1]
-            assert not is_irreducible(Poly(Fp, candidate)), (k, candidate)
+        first_irreducible = None
+        for i in range(index):
+            candidate = tuple(i // p ** j % p for j in range(k)) + (1,)
+            earlier = _reference_mul(p, candidate)
+            assert not any(_has_order(earlier, p + c, n) for c in range(p)), (k, candidate)
+            if first_irreducible is None and is_irreducible(Poly(Fp, candidate)):
+                first_irreducible = candidate
+        if (p, k) in CHANGED_MODULI:
+            assert (first_irreducible, modulus) == CHANGED_MODULI[p, k]
+        else:
+            assert first_irreducible is None, k
+
+
+def test_importing_gf_loads_no_other_ffcn_module():
+    # the package re-exports nothing, so the field layer imports alone
+    code = "import sys, ffcn.gf; print(sorted(m for m in sys.modules if m.split('.')[0] == 'ffcn'))"
+    src = os.path.dirname(os.path.dirname(ffcn.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout == "['ffcn', 'ffcn.gf']\n"
 
 
 def test_field_size_limits():
