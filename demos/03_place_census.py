@@ -1,7 +1,9 @@
 """Places, residue fields, and how degree-2 covers split them.
 
 A place of the rational function field GF(q)(x) is a monic irreducible
-polynomial (or the pole of x).  In a degree-2 cover each base place
+polynomial (or the pole of x).  ``monic_irreducibles`` lists the places
+of one degree, each with its canonical root: the least root in the
+residue field GF(q^d).  In a degree-2 cover each base place
 either ramifies, splits in two, or stays inert with doubled degree;
 which one happens is decided by a trace (characteristic 2) or a
 quadratic character (characteristic 3) in the residue field.
@@ -9,16 +11,17 @@ quadratic character (characteristic 3) in the residue field.
 
 from ffcn.covers import CoverKind, CoverModel, splitting_type
 from ffcn.gf import make_field
-from ffcn.polyring import (monic_irreducibles, parse_rational, places_of_degree, residue,
-                           residue_field)
+from ffcn.polyring import (element_str, monic_irreducibles, parse_rational, places_of_degree,
+                           residue, residue_field)
 
 F2 = make_field(2, 1)
 
-print("monic irreducibles over GF(2) by degree:")
+print("monic irreducibles over GF(2) by degree, each with its canonical root in GF(2^d):")
 for d in range(1, 6):
-    polys = monic_irreducibles(F2, d)
-    shown = ", ".join(str(p) for p in polys[:4])
-    more = "" if len(polys) <= 4 else f", ... ({len(polys)} total)"
+    places = monic_irreducibles(F2, d)
+    R = make_field(2, d)
+    shown = ", ".join(f"{u} at {element_str(R, root)}" for u, root in list(places.items())[:3])
+    more = "" if len(places) <= 3 else f", ... ({len(places)} total)"
     print(f"  degree {d}: {shown}{more}")
 
 place = places_of_degree(F2, 3)[0]

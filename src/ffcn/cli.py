@@ -34,9 +34,9 @@ from .catalog import (DEFAULT_CATALOG, build_model, count_depth, get_entry,
                       verify_curve)
 from .covers import InvalidCoverError, NonStandardCoverError, splitting_type
 from .gf import FieldError, make_field
-from .polyring import (Place, irreducible_count, is_irreducible,
-                       monic_irreducibles, place_valuation, places_of_degree,
-                       residue, residue_field, unit_residue)
+from .polyring import (irreducible_count, is_irreducible, monic_irreducibles,
+                       place_valuation, places_of_degree, residue, residue_field,
+                       unit_residue)
 from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, SurvivorMismatchError,
                       WitnessMismatchError, build_family, find_survivors,
                       survivor_analysis, verify_row)
@@ -342,9 +342,9 @@ def _selftest_checks():
                 _require(len(polys) == expected,
                          f"{F}, degree {d}: {len(polys)} monic irreducibles, "
                          f"formula {expected}")
-                for f in polys:
+                R = make_field(p, k * d)
+                for f, root in polys.items():
                     _require(is_irreducible(f), f"{f} over {F} is reducible")
-                    R, root = residue_field(Place(F, f, _checked=True))
                     _require(f.eval_in(root, R) == 0,
                              f"{f} over {F} does not vanish at its residue root")
 

@@ -6,10 +6,11 @@ Codes, 3.7).  Artin-Schreier: a pole of odd order m ramifies with
 different exponent m + 1, and any other place splits iff the residue of
 f has absolute trace 0.  Kummer: a place of odd valuation ramifies with
 different exponent 1, and any other place splits iff the unit residue
-of f is a square.  Valuations come from f's support, found by trial
-division, and the genus from the Hurwitz formula.  The support of f and
-the genus are cached by value, so each cover's support is walked once
-however often its model is rebuilt.
+of f is a square.  Valuations come from f's support, the places at
+whose canonical roots its numerator or denominator vanishes, and the
+genus from the Hurwitz formula.  The support of f and the genus are
+cached by value, so each cover's support is walked once however often
+its model is rebuilt.
 
 The place-degree census applies the split test without building the
 places: each finite place of degree d is its canonical root, one least
@@ -94,19 +95,20 @@ def support_places(f: RationalFunction):
     """{place: valuation} at every place where f has nonzero valuation, a
     read-only mapping cached by value; any other place has valuation 0.
 
-    Finite support is found by trial division against the monic
-    irreducibles up to the degree of numerator/denominator, which walks
-    GF(q^D) for D = max(deg num, deg den); the infinite place comes last
-    when its valuation is nonzero.
+    The numerator and denominator are evaluated at the canonical roots of
+    the places of degree up to D = max(deg num, deg den), in GF(q^D), and
+    the valuation is taken where one of them vanishes (it is nonzero, as
+    they are coprime).  The infinite place comes last, when in the support.
     """
     F = f.field
     out = {}
     for d in range(1, max(f.num.degree, f.den.degree) + 1):
-        for u in monic_irreducibles(F, d):
-            place = Place(F, u, _checked=True)
-            v = place_valuation(f, place)
-            if v:
-                out[place] = v
+        places, R = monic_irreducibles(F, d), make_field(F.p, F.k * d)
+        roots = places.values()
+        for u, a, b in zip(places, f.num.values_in(roots, R), f.den.values_in(roots, R)):
+            if not (a and b):
+                place = Place(F, u)
+                out[place] = place_valuation(f, place)
     v_inf = f.den.degree - f.num.degree
     if v_inf:
         out[Place.infinite(F)] = v_inf

@@ -60,6 +60,7 @@ least members.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 SUPPORTED_P = (2, 3)
 # the largest field order make_field builds; it equals the enumeration
@@ -100,7 +101,8 @@ class GF:
         """The field with this modulus (k+1 coefficients, little-endian,
         monic) and the powers g^0, ..., g^(q-2) of its generator g.
 
-        ``exp`` holds two periods of g^i, so a sum of two logs needs no
+        ``exp``, the list ``powers`` extended in place (so no copy of it
+        is alive), holds two periods of g^i, so a sum of two logs needs no
         reduction, then zeros for the sentinel ``log[0] = 2(q-1)``.
         ``zech`` holds one period: it is indexed by a difference of two
         logs below q - 1, and a negative index wraps to the same residue."""
@@ -109,8 +111,6 @@ class GF:
         self.order = q = p ** k
         self.modulus = modulus
         zero = 2 * (q - 1)
-        self._exp = exp = [0] * (2 * zero + 1)
-        exp[:q - 1] = exp[q - 1:zero] = powers
         self._log = log = [zero] * q
         for i, e in enumerate(powers):
             log[e] = i
@@ -118,7 +118,10 @@ class GF:
         if p == 3:
             # 1 + e changes only the constant digit of e
             self._zech = [log[e + 1 if e % 3 < 2 else e - 2] for e in powers]
-        else:
+        self._exp = exp = powers
+        exp += exp
+        exp += repeat(0, zero + 1)
+        if p == 2:
             self._trace_bits = sum(self._trace_sum(1 << i) << i for i in range(k))
 
     def __repr__(self):

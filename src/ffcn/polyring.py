@@ -5,10 +5,12 @@ transport of places).
 Places are Frobenius orbits: the places of degree d are the orbits
 {a^(q^i)} of the elements a of exact degree d in GF(q^d), the place
 polynomial is the product of (x - a^(q^i)), and the canonical residue
-root is min(orbit).  One cached walk over the least members of the
-orbits of x -> x^q on GF(q^d) (``gf.orbit_representatives``) yields every
-place of degree d together with its root, and the x^q table gives the
-rest of each orbit (Lidl & Niederreiter, Finite Fields, ch. 2-3).
+root is min(orbit).  ``monic_irreducibles``, one cached walk over the
+least members of the orbits of x -> x^q on GF(q^d)
+(``gf.orbit_representatives``), yields every place of degree d together
+with its root, and the x^q table gives the rest of each orbit (Lidl &
+Niederreiter, Finite Fields, ch. 2-3).  No place is proved irreducible
+again; ``is_irreducible`` (Rabin's test) checks the walk independently.
 
 Polynomial text has one grammar, read by ``read_terms`` and written by
 ``format_terms``: terms joined by ``+`` and ``-``, each an optional
@@ -250,12 +252,13 @@ def _q_power_matrix(f: Poly) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_orbits(field: GF, d: int) -> MappingProxyType:
+def monic_irreducibles(field: GF, d: int) -> MappingProxyType:
     """{place polynomial: canonical root} for every monic irreducible of
-    degree d, in place order, as a read-only mapping.  The roots are the
-    least members of the orbits of x -> x^q on GF(q^d) of size d; each
-    place polynomial is the product of (x - r) over the orbit of its
-    root."""
+    degree exactly d, ascending in the element ordering of coefficient
+    vectors, as a read-only mapping; ``make_field`` refuses d < 1.  The
+    roots are the least members of the orbits of x -> x^q on GF(q^d) of
+    size d; each place polynomial is the product of (x - r) over the
+    orbit of its root."""
     R = make_field(field.p, field.k * d)
     preimage = {v: a for a, v in enumerate(embedding(field, R))}
     q = field.order
@@ -270,13 +273,6 @@ def _frobenius_orbits(field: GF, d: int) -> MappingProxyType:
         found.append((Poly(field, [preimage[c] for c in R.from_roots(orbit)]), alpha))
     found.sort(key=lambda item: item[0].coeffs[::-1])
     return MappingProxyType(dict(found))
-
-
-@lru_cache(maxsize=None)
-def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree exactly d, ascending in the
-    element ordering of coefficient vectors; ``make_field`` refuses d < 1."""
-    return tuple(_frobenius_orbits(field, d))
 
 
 def moebius_mu(n: int) -> int:
@@ -309,14 +305,12 @@ class Place:
 
     __slots__ = ("field", "poly")
 
-    def __init__(self, field: GF, poly: Poly | None = None, _checked: bool = False):
+    def __init__(self, field: GF, poly: Poly | None = None):
         if poly is not None:
             if poly.field is not field:
                 raise FieldError("place polynomial over the wrong field")
             if not poly.is_monic:
                 raise ValueError("place polynomial must be monic")
-            if not _checked and not is_irreducible(poly):
-                raise ValueError(f"{poly} is not irreducible")
         self.field = field
         self.poly = poly
 
@@ -346,7 +340,7 @@ class Place:
 
 def places_of_degree(field: GF, d: int):
     """Finite places of degree d, ascending; the infinite place last for d=1."""
-    out = [Place(field, f, _checked=True) for f in monic_irreducibles(field, d)]
+    out = [Place(field, f) for f in monic_irreducibles(field, d)]
     if d == 1:
         out.append(Place.infinite(field))
     return out
@@ -425,7 +419,7 @@ def residue_field(place: Place):
     if place.is_infinite:
         return F, None
     d = place.poly.degree
-    return make_field(F.p, F.k * d), _frobenius_orbits(F, d)[place.poly]
+    return make_field(F.p, F.k * d), monic_irreducibles(F, d)[place.poly]
 
 
 def residue(f: RationalFunction, place: Place) -> int:
@@ -481,7 +475,7 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
     if place.is_infinite:
         if c == 0:
             return place
-        return Place(F, Poly(F, (F.mul(d, F.inv(c)), 1)), _checked=True)
+        return Place(F, Poly(F, (F.mul(d, F.inv(c)), 1)))
     u = place.poly
     n = u.degree
     num = Poly(F, (b, a))
@@ -493,7 +487,7 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
     # only if n = 1: the lead c^n*u(a/c), or a^n if c = 0, is not 0 as det != 0 and u has no root
     if acc.degree < n:
         return Place.infinite(F)
-    return Place(F, acc.monic(), _checked=True)
+    return Place(F, acc.monic())
 
 
 # ---------------------------------------------------------------------------

@@ -402,31 +402,25 @@ def _embedded_terms(poly: MultiPoly, ext: GF) -> tuple:
                  for exps, c in poly.terms)
 
 
-def _jacobian(model, ext: GF) -> list:
-    """The partial derivatives of the model's forms, one row per form,
-    embedded in ext as ``GF.evaluate`` takes them."""
-    return [[_embedded_terms(p.partial(v), ext) for v in range(p.nvars)]
-            for p in model.polys]
-
-
 @lru_cache(maxsize=None)
 def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
     """Points over GF(q^m), m <= m_probe, where the Jacobian drops rank.
 
     Empty tuple means the probe passed.  Results are (m, point) pairs,
     in ascending lexicographic order of normalized tuples for each m.
-    The partial derivatives are embedded in each GF(q^m) once and
-    evaluated at one point per orbit of the walk (``_model_points``):
-    they are defined over GF(q), so a point is singular iff its
-    conjugates are, and only the singular points are expanded into their
-    conjugates.
+    The partial derivatives are taken once, embedded in each GF(q^m)
+    once and evaluated at one point per orbit of the walk
+    (``_model_points``): they are defined over GF(q), so a point is
+    singular iff its conjugates are, and only the singular points are
+    expanded into their conjugates.
     """
     if m_probe < 1:
         raise ValueError("probe depth must be >= 1")
+    partials = [[p.partial(v) for v in range(p.nvars)] for p in model.polys]
     bad = []
     for m in range(1, m_probe + 1):
         ext = _extension(model.field, m)
-        jac = _jacobian(model, ext)
+        jac = [[_embedded_terms(d, ext) for d in row] for row in partials]
         frob = frobenius_table(ext, model.field.order)
         singular = []
         for pt, n in _model_points(model.polys, ext):

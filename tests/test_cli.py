@@ -46,13 +46,21 @@ def test_cli_loads_only_the_standard_library():
 
 
 def test_cli_import_stays_light():
-    # the records are plain classes: importing the CLI must not pull in
-    # dataclasses (and with it inspect, ast and dis) or typing
-    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
-    code = f"import sys, ffcn.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    # the records are plain classes: importing the CLI, and running verify
+    # and table64 after it, must not pull in dataclasses (and with it
+    # inspect, ast and dis) or typing; nor fractions, decimal or numbers,
+    # as the arithmetic is integer-only; nor csv, which only --format csv
+    # needs
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis",
+             "fractions", "decimal", "numbers", "csv")
+    code = ("import os, sys, ffcn.cli\n"
+            "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+            "codes = [ffcn.cli.main([c, '--format', 'json']) for c in ('verify', 'table64')]\n"
+            "sys.stdout = out\n"
+            f"print(*codes, *[m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=ENV, check=True)
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_verify_single_curve():
@@ -599,12 +607,14 @@ def test_selftest_fails_when_a_listed_polynomial_is_reducible(monkeypatch, capsy
     # the count stays right; only the per-polynomial checks can see it
     real = cli.monic_irreducibles
     F4 = make_field(2, 2)
-    quadratics = real(F4, 2)
-    reducible = quadratics[0] * quadratics[1]
+    first, second = list(real(F4, 2))[:2]
+    reducible = first * second
 
     def swapped(field, d):
-        polys = real(field, d)
-        return (reducible,) + polys[1:] if (field, d) == (F4, 4) else polys
+        places = real(field, d)
+        if (field, d) != (F4, 4):
+            return places
+        return dict([(reducible, 0)] + list(places.items())[1:])
 
     monkeypatch.setattr(cli, "monic_irreducibles", swapped)
     assert cli.main(["selftest"]) == 1

@@ -8,9 +8,9 @@ from ffcn.covers import (CoverKind, CoverModel, InvalidCoverError,
                          cover_genus, place_census, ramification_data,
                          splitting_type, support_places, validate_standard_form)
 from ffcn.gf import make_field
-from ffcn.polyring import (Poly, RationalFunction, irreducible_count,
-                           monic_irreducibles, parse_rational, place_valuation,
-                           places_of_degree, poly_gcd, residue_field)
+from ffcn.polyring import (Place, Poly, RationalFunction, monic_irreducibles,
+                           parse_rational, place_valuation, places_of_degree,
+                           poly_gcd, residue_field)
 from ffcn.zeta import census_from_counts, census_to_counts
 
 F2 = make_field(2, 1)
@@ -155,8 +155,29 @@ def test_each_cover_support_is_walked_once(monkeypatch):
         assert cover.genus == 2
         assert cover.cross_check_depth == 6
         assert place_census(cover, 5).counts == (0, 3, 3, 1, 6)
-    # f = (x^3+x^2+1)/(x^3+x+1): one valuation per finite place of degree <= 3
-    assert len(walked) == len(set(walked)) == sum(irreducible_count(2, d) for d in (1, 2, 3))
+    # f = (x^3+x^2+1)/(x^3+x+1): a valuation only at the two places where
+    # the numerator or the denominator vanishes
+    assert walked == [place for place in support_places(cover.f) if not place.is_infinite]
+    assert [str(place.poly) for place in walked] == ["x^3+x+1", "x^3+x^2+1"]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_support_matches_trial_division(field):
+    # the reference divides f by every monic irreducible of degree <= 6
+    rng = random.Random(f"support {field}")
+    for _ in range(40):
+        num, den = (Poly(field, [rng.randrange(field.order) for _ in range(rng.randint(0, 6))]
+                         + [rng.randrange(1, field.order)]) for _ in range(2))
+        f = RationalFunction(num, den)
+        expected = {}
+        for d in range(1, 7):
+            for u in monic_irreducibles(field, d):
+                place = Place(field, u)
+                if v := place_valuation(f, place):
+                    expected[place] = v
+        if f.den.degree != f.num.degree:
+            expected[Place.infinite(field)] = f.den.degree - f.num.degree
+        assert list(support_places(f).items()) == list(expected.items()), f
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_monic_irreducibles_match_brute_force(pk, d_max):
     field = make_field(*pk)
     for d in range(1, d_max + 1):
         expected = tuple(f for f in _monic_polys(field, d) if is_irreducible(f))
-        assert monic_irreducibles(field, d) == expected
+        assert tuple(monic_irreducibles(field, d)) == expected
 
 
 @pytest.mark.parametrize("pk,d_max", WALK_CASES)
@@ -114,11 +114,25 @@ def test_residue_root_is_the_smallest_root(pk, d_max):
             assert root == smallest
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_each_enumerated_root_is_a_root_and_least_in_its_orbit(field):
+    # the orbit by repeated q-th powers, not by the cached x^q table
+    q = field.order
+    for d in range(1, 7):
+        R = make_field(field.p, field.k * d)
+        for f, root in monic_irreducibles(field, d).items():
+            assert f.eval_in(root, R) == 0, (f, root)
+            orbit = [root]
+            while (nxt := R.pow(orbit[-1], q)) != root:
+                orbit.append(nxt)
+            assert len(orbit) == d and min(orbit) == root, (f, orbit)
+
+
 def test_the_cached_orbits_and_name_indices_cannot_be_changed():
-    orbits = polyring._frobenius_orbits(F2, 3)
-    assert list(orbits) == list(monic_irreducibles(F2, 3))
+    places = monic_irreducibles(F2, 3)
+    assert list(places) == [parse_poly("x^3+x+1", F2), parse_poly("x^3+x^2+1", F2)]
     with pytest.raises(TypeError):
-        orbits[parse_poly("x^3+x+1", F2)] = 0
+        places[parse_poly("x^3+x+1", F2)] = 0
     index = polyring._term_patterns(("x", "y"))[2]
     assert dict(index) == {"x": 0, "y": 1}
     with pytest.raises(TypeError):
@@ -413,8 +427,6 @@ GUARDS = {
                           FieldError, "place polynomial over the wrong field"),
     "place-not-monic": (lambda: Place(F3, Poly(F3, (0, 2))),
                         ValueError, "place polynomial must be monic"),
-    "place-reducible": (lambda: Place(F2, Poly(F2, (0, 0, 1))),
-                        ValueError, "x^2 is not irreducible"),
     "rational-across-fields": (lambda: RationalFunction(Poly.x(F2), Poly.one(F4)),
                                FieldError, "numerator and denominator over different fields"),
     "rational-zero-denominator": (lambda: RationalFunction(Poly.x(F2), Poly.zero(F2)),

@@ -9,7 +9,7 @@ from ffcn.gf import FieldError, embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (PROBE_DEPTH, MultiPoly, ProjectiveCurve, SingularModelError,
-                            _dependent, _jacobian, _model_points, _representatives,
+                            _dependent, _embedded_terms, _model_points, _representatives,
                             curve_point_counts,
                             format_multipoly, format_point, min_point_degree,
                             normalize_point, parse_multipoly, parse_point,
@@ -431,8 +431,8 @@ def test_probe_jacobian_matches_multipoly_evaluation(model):
         ext = make_field(F.p, F.k * m)
         if ext.order > 16:
             break
-        jac = _jacobian(model, ext)
         partials = [[f.partial(v) for v in range(f.nvars)] for f in model.polys]
+        jac = [[_embedded_terms(d, ext) for d in row] for row in partials]
         for pt in projective_points(model.dim, ext):
             assert ([[ext.evaluate(d, pt) for d in row] for row in jac]
                     == [[d(pt, ext) for d in row] for row in partials]), (m, pt)
