@@ -12,7 +12,8 @@ from ffcn.covers import CoverKind, CoverModel, cover_genus, place_census
 from ffcn.gf import make_field
 from ffcn.polyring import parse_rational
 from ffcn.zeta import (PointCounts, census_from_counts, census_to_counts, class_number,
-                       extend_counts, l_polynomial)
+                       extend_counts, l_polynomial, real_weil_polynomial,
+                       roots_in_weil_interval)
 
 F2 = make_field(2, 1)
 cover = CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x^3+x+1", F2))
@@ -30,6 +31,13 @@ print("point counts N_1..N_6:", counts)
 L = l_polynomial(PointCounts(2, g, tuple(counts[:g])))
 print("L-polynomial coefficients:", L.coeffs)
 print("class number h = L(1) =", class_number(L))
+
+# l_polynomial checks nothing about L; a curve's L is a Weil polynomial,
+# every inverse root of absolute value sqrt(q), and this test proves it.
+weil = roots_in_weil_interval(real_weil_polynomial(L), 2)
+print("every inverse root has absolute value sqrt(2):", weil)
+if not weil:
+    sys.exit("L is not a Weil polynomial")
 
 # The L-polynomial predicts every further count.  Comparing predictions
 # against the independently computed census is a strong consistency

@@ -140,10 +140,15 @@ def test_enumeration_disagreeing_with_the_l_extension_fails(monkeypatch):
 
 
 def test_counts_with_no_positive_class_number_fail(monkeypatch):
-    # viii without its place of degree 4: the census is integral, L(1) < 1
+    # viii without its place of degree 4: the census is integral, L(1) = 0;
+    # the Weil test refuses L, whose h and coefficients are kept
     report = _viii_with_counts(monkeypatch, lambda N: [0, 0, 0, 0] + N[4:])
-    assert report.problems == ("class number L(1) must be positive",)
-    assert (report.h, report.l_coeffs, report.cross_checked) == (0, (), ())
+    assert report.problems == (
+        "computed class number 0 != claimed 1",
+        "L is not a Weil polynomial: not every inverse root has absolute value sqrt(2)",
+        "N_5: enumeration 15 vs L-extension 0", "N_6: enumeration 90 vs L-extension 48")
+    assert (report.h, report.l_coeffs, report.cross_checked) == (
+        0, (1, -3, 2, 0, 0, 0, 8, -24, 16), ())
     assert report.census == (0, 0, 0, 0, 3)
 
 

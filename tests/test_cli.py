@@ -352,7 +352,8 @@ def test_table64_survivor_other_than_viii_exits_one(monkeypatch, capsys):
 
 def test_verify_l_extension_beyond_the_weil_bound_fails_one_curve(monkeypatch, capsys):
     # curve ii counted as N = 0, 10, 0, 9, 41, 65: its L extends to N_3 = 27,
-    # beyond the Weil bound; every curve still prints, and the run exits 1
+    # beyond the Weil bound, so the Weil test refuses L; L and h still print,
+    # every curve still prints, and the run exits 1
     real, ii = covers.CoverModel.counts, build_model(get_entry("ii"))
     monkeypatch.setattr(covers.CoverModel, "counts", lambda model, n: (
         [0, 10, 0, 9, 41, 65][:n] if model == ii else real(model, n)))
@@ -364,10 +365,32 @@ def test_verify_l_extension_beyond_the_weil_bound_fails_one_curve(monkeypatch, c
     assert list(records) == [e.curve_id for e in DEFAULT_CATALOG]
     assert [r["id"] for r in records.values() if r["status"] == "fail"] == ["ii"]
     assert records["ii"]["problems"] == [
-        "L-extension: N_3=27 violates the Weil bound for g=2, q=2",
+        "computed class number 3 != claimed 1", NOT_WEIL,
+        "N_3: enumeration 0 vs L-extension 27", "N_4: enumeration 9 vs L-extension 34",
+        "N_5: enumeration 41 vs L-extension 0", "N_6: enumeration 65 vs L-extension -65",
         "census inversion gives B_4 = -1/4"]
-    assert (records["ii"]["l_coeffs"], records["ii"]["h_computed"]) == ([], 0)
+    assert (records["ii"]["l_coeffs"], records["ii"]["h_computed"]) == ([1, -3, 7, -6, 4], 3)
     assert report["status"] == "fail"
+
+
+def test_verify_a_count_past_the_cross_check_beyond_the_weil_bound_fails(monkeypatch, capsys):
+    # curve i cross-checks N_2..N_4 of N_1..N_5; N_5 + 5 = 46 keeps B_5 = 9
+    # integral, so the Weil bound on N_5 is the one check that refuses it
+    real, i = covers.CoverModel.counts, build_model(get_entry("i"))
+
+    def counts(model, n):
+        N = real(model, n)
+        return N[:4] + [N[4] + 5] + N[5:] if model == i else N
+
+    monkeypatch.setattr(covers.CoverModel, "counts", counts)
+    assert cli.main(["verify", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    records = {r["id"]: r for r in json.loads(out)["curves"]}
+    assert [r["id"] for r in records.values() if r["status"] == "fail"] == ["i"]
+    assert records["i"]["problems"] == ["N_5=46 violates the Weil bound for g=1, q=2"]
+    assert (records["i"]["l_coeffs"], records["i"]["h_computed"],
+            records["i"]["cross_checked_degrees"]) == ([1, -2, 2], 1, [2, 3, 4])
 
 
 def test_table64_witness_mismatch_exits_one(monkeypatch, capsys):
