@@ -48,7 +48,8 @@ at a list of elements in one pass per coefficient, ``GF.evaluate`` a
 multivariate form given by its terms through sums of logs, and
 ``GF.from_roots`` multiplies out the product of (x - r).  The trace for
 p = 2 is GF(2)-linear: the parity of ``a & mask``, where bit i of the
-mask is the trace of t^i.
+mask is the trace of t^i.  ``GF.rank`` is the one Gaussian elimination
+in ffcn: the rank of a list of rows of elements.
 
 The Frobenius map a -> a^q (q a power of p) is one cached table per
 field and q, ``frobenius_table``.  ``orbit_representatives`` walks that
@@ -223,6 +224,22 @@ class GF:
                     prod[i] = prod[i - 1] ^ exp[lr + log[prod[i]]]
             prod[0] = self.mul(prod[0], r)
         return prod
+
+    def rank(self, rows) -> int:
+        """The rank of the rows, lists of elements of equal length, by
+        Gaussian elimination: each row is cleared against the pivots of
+        the rows before it, and the pivots are counted."""
+        done = []  # (pivot column, row scaled to a 1 there)
+        for row in rows:
+            for col, pivot in done:
+                c = row[col]
+                if c:
+                    row = [self.sub(a, self.mul(c, b)) for a, b in zip(row, pivot)]
+            col = next((j for j, v in enumerate(row) if v), None)
+            if col is not None:
+                inv = self.inv(row[col])
+                done.append((col, [self.mul(inv, v) for v in row]))
+        return len(done)
 
     def mul(self, a: int, b: int) -> int:
         log = self._log

@@ -10,7 +10,8 @@ least members of the orbits of x -> x^q on GF(q^d)
 (``gf.orbit_representatives``), yields every place of degree d together
 with its root, and the x^q table gives the rest of each orbit (Lidl &
 Niederreiter, Finite Fields, ch. 2-3).  No place is proved irreducible
-again; ``is_irreducible`` (Rabin's test) checks the walk independently.
+again; ``is_irreducible`` (Berlekamp's criterion) checks the walk
+independently.
 
 Polynomial text has one grammar, read by ``read_terms`` and written by
 ``format_terms``: terms joined by ``+`` and ``-``, each an optional
@@ -96,13 +97,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
         return Poly(F, out)
-
-    def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -194,27 +188,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """True iff f is irreducible over its base field.
 
-    Rabin's test: f of degree d is irreducible iff f divides x^(q^d) - x
-    and gcd(x^(q^(d/r)) - x, f) = 1 for every prime r dividing d.  The
-    chain x^(q^e) mod f is stepped by one d x d matrix: r -> r^q is
-    GF(q)-linear on GF(q)[x]/(f), and column i of the matrix is x^(iq).
+    Berlekamp's criterion (Berlekamp 1967; Lidl & Niederreiter, Finite
+    Fields, ch. 4): f of degree d >= 2 is irreducible iff gcd(f, f') = 1
+    and Q - I has rank d - 1 (``GF.rank``).  Q is the matrix of the
+    GF(q)-linear map r -> r^q on GF(q)[x]/(f), whose column i is x^(iq);
+    its fixed points are the r with f | r^q - r, and for square-free f
+    they are a space of dimension the number of irreducible factors.
     """
     d = f.degree
     if d < 1:
@@ -222,21 +204,13 @@ def is_irreducible(f: Poly) -> bool:
     if d == 1:
         return True
     F = f.field
-    f = f.monic()
-    add, mul = F.add, F.mul
-    cols = _q_power_matrix(f)
-    gcd_at = {d // r for r in _prime_factors(d)}
-    x = Poly.x(F)
-    r = x.coeffs
-    for e in range(1, d + 1):
-        image = [0] * d
-        for c, col in zip(r, cols):
-            if c:
-                image = [add(a, mul(c, b)) if b else a for a, b in zip(image, col)]
-        r = image
-        if e in gcd_at and poly_gcd(Poly(F, r) - x, f).degree > 0:
-            return False
-    return Poly(F, r) == x
+    derivative = Poly(F, [F.mul(i % F.p, c) for i, c in enumerate(f.coeffs)][1:])
+    if poly_gcd(f, derivative).degree > 0:  # a repeated factor, or f' = 0
+        return False
+    # the columns of Q - I as rows: a transpose has the same rank
+    rows = [[F.sub(v, int(i == j)) for i, v in enumerate(col)]
+            for j, col in enumerate(_q_power_matrix(f))]
+    return F.rank(rows) == d - 1
 
 
 def _q_power_matrix(f: Poly) -> list[list[int]]:

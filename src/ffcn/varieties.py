@@ -412,7 +412,9 @@ def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
     once and evaluated at one point per orbit of the walk
     (``_model_points``): they are defined over GF(q), so a point is
     singular iff its conjugates are, and only the singular points are
-    expanded into their conjugates.
+    expanded into their conjugates.  A point is singular where the
+    Jacobian, one gradient row per form, has rank (``GF.rank``) below
+    the number of forms.
     """
     if m_probe < 1:
         raise ValueError("probe depth must be >= 1")
@@ -425,28 +427,10 @@ def smoothness_probe(model, m_probe: int = PROBE_DEPTH):
         singular = []
         for pt, n in _model_points(model.polys, ext):
             rows = [[ext.evaluate(d, pt) for d in row] for row in jac]
-            if _dependent(rows, ext):
+            if ext.rank(rows) < len(rows):
                 singular += _conjugates(pt, n, frob)
         bad += [(m, pt) for pt in sorted(singular)]
     return tuple(bad)
-
-
-def _dependent(rows, ext: GF) -> bool:
-    """Whether the rows, one gradient per form, are linearly dependent:
-    the Jacobian has rank below the codimension.  Gaussian elimination,
-    each row cleared against the pivots of the rows before it."""
-    done = []  # (pivot column, row scaled to a 1 there)
-    for row in rows:
-        for col, pivot in done:
-            c = row[col]
-            if c:
-                row = [ext.sub(a, ext.mul(c, b)) for a, b in zip(row, pivot)]
-        col = next((j for j, v in enumerate(row) if v), None)
-        if col is None:
-            return True
-        inv = ext.inv(row[col])
-        done.append((col, [ext.mul(inv, v) for v in row]))
-    return False
 
 
 def curve_point_counts(model, m_max: int) -> list[int]:

@@ -10,7 +10,7 @@ import pytest
 import ffcn
 from ffcn.gf import (FIELD_MAX, SUPPORTED_P, FieldError, _primitive_powers, embed, embedding,
                      frobenius_table, make_field, orbit_representatives)
-from ffcn.polyring import Poly, _prime_factors, is_irreducible
+from ffcn.polyring import Poly, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
 
@@ -172,6 +172,18 @@ def _reference_mul(p, modulus):
         mask = sum(c << i for i, c in enumerate(modulus))
         return lambda a, b: _clmul_mod(a, b, mask)
     return lambda a, b: _ternary_mul_mod(a, b, modulus)
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
 
 
 def _has_order(mul, a, n):
@@ -485,3 +497,36 @@ def test_trace_mask_matches_the_sum_of_conjugates(k):
         for _ in range(k):
             s, x = F.add(s, x), F.mul(x, x)
         assert F.trace(a) == s, a
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_rank_matches_brute_force(p, k):
+    # the rank is log_q of the size of the row span, which is built by
+    # adding every multiple of each row to every combination of the
+    # rows before it.  The rows are r random rows, r = 0..min(rows, cols),
+    # and combinations of them, shuffled, so zero and repeated rows occur
+    F = make_field(p, k)
+    q = F.order
+    rng = random.Random(f"rank {p}^{k}")
+    for nrows, ncols in itertools.product(range(1, 5), range(1, 6)):
+        seen = set()
+        for r in [r for r in range(min(nrows, ncols) + 1) for _ in range(8)]:
+            rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(r)]
+            while len(rows) < nrows:
+                row = [0] * ncols
+                for b in rows[:r]:
+                    c = rng.choice((0, 0, 1, rng.randrange(q)))
+                    row = [F.add(x, F.mul(c, y)) for x, y in zip(row, b)]
+                rows.append(row)
+            rng.shuffle(rows)
+            span = {(0,) * ncols}
+            for row in rows:
+                span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, row))
+                        for v in span for c in range(q)}
+            rank = round(math.log(len(span), q))
+            assert q ** rank == len(span)
+            copy = [list(row) for row in rows]
+            assert F.rank(rows) == rank, rows
+            assert rows == copy  # the rows are not changed
+            seen.add(rank)
+        assert seen == set(range(min(nrows, ncols) + 1)), (nrows, ncols)

@@ -53,13 +53,73 @@ def test_valuation_is_additive():
                     == place_valuation(f, place) + place_valuation(g, place))
 
 
+# powers g^m of one irreducible g: the fixed space of r -> r^q on
+# GF(q)[x]/(g^m) is GF(q), so d - rank(Q - I) = 1 as for an irreducible,
+# and only gcd(f, f') = 1 rejects them
+PRIME_POWERS = [
+    (F2, "x^2+1"),                # (x+1)^2
+    (F2, "x^3+x^2+x+1"),          # (x+1)^3
+    (F2, "x^4+x^2+1"),            # (x^2+x+1)^2
+    (F2, "x^6+x^2+1"),            # (x^3+x+1)^2
+    (F3, "x^4+2x^2+1"),           # (x^2+1)^2
+    (F3, "x^9+2x^3+2"),           # (x^3+2x+2)^3, whose derivative is 0
+    (F4, "x^4+x^2+(a+1)"),        # (x^2+x+a)^2
+    (F4, "x^3+ax^2+(a+1)x+1"),    # (x+a)^3
+]
+
+
+def _fixed_dimension(f):
+    """d - rank(Q - I), where column j of Q is x^(jq) mod f, computed by
+    powering x: for square-free f, the number of irreducible factors."""
+    F, d = f.field, f.degree
+    rows = []
+    for j in range(d):
+        col = (Poly.x(F) ** (j * F.order) % f).coeffs
+        rows.append([F.sub(col[i] if i < len(col) else 0, int(i == j)) for i in range(d)])
+    return d - F.rank(rows)
+
+
 def test_irreducibility_known_cases():
     assert is_irreducible(parse_poly("x^2+x+1", F2))
-    assert not is_irreducible(parse_poly("x^2+1", F2))       # (x+1)^2
     assert is_irreducible(parse_poly("x^3+2x+2", F3))
     assert not is_irreducible(parse_poly("x^4+1", F3))
     assert is_irreducible(parse_poly("x^4+x+1", F2))
-    assert not is_irreducible(parse_poly("x^4+x^2+1", F2))
+    assert is_irreducible(parse_poly("x^2+x+a", F4))
+    for field, text in PRIME_POWERS:
+        f = parse_poly(text, field)
+        assert _fixed_dimension(f) == 1, text
+        assert not is_irreducible(f), text
+
+
+def test_irreducibility_agrees_with_sympy():
+    # sympy, a test-only oracle: its verdict on seeded polynomials of
+    # degree 2..12, its factor count on the square-free ones against
+    # Berlekamp's d - rank(Q - I), and its irreducibles in coefficient
+    # order against the place walk
+    sympy = pytest.importorskip("sympy")
+    x, rng = sympy.Symbol("x"), random.Random(20261022)
+    seen = set()
+    for field, d_max in ((F2, 7), (F3, 5)):
+        p = field.p
+
+        def oracle(f):
+            return sympy.Poly(f.coeffs[::-1], x, modulus=p)
+
+        for _ in range(150):
+            d = rng.randint(2, 12)
+            f = Poly(field, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+            g = oracle(f)
+            assert is_irreducible(f) == g.is_irreducible, f
+            if g.is_sqf:
+                factors = len(g.factor_list()[1])
+                assert _fixed_dimension(f) == factors, f
+                seen.add((p, min(factors, 2)))
+            else:
+                seen.add((p, 0))
+        for d in range(1, d_max + 1):
+            expected = tuple(f for f in _monic_polys(field, d) if oracle(f).is_irreducible)
+            assert tuple(monic_irreducibles(field, d)) == expected, d
+    assert seen == {(p, n) for p in (2, 3) for n in (0, 1, 2)}
 
 
 def test_irreducible_count_raises_when_the_moebius_sum_is_off(monkeypatch):

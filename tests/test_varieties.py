@@ -9,7 +9,7 @@ from ffcn.gf import FieldError, embed, make_field
 from ffcn.polyring import element_str
 from ffcn.table64 import SURVIVOR_FAMILY, SURVIVOR_MASK, build_family
 from ffcn.varieties import (PROBE_DEPTH, MultiPoly, ProjectiveCurve, SingularModelError,
-                            _dependent, _embedded_terms, _model_points, _representatives,
+                            _embedded_terms, _model_points, _representatives,
                             curve_point_counts,
                             format_multipoly, format_point, min_point_degree,
                             normalize_point, parse_multipoly, parse_point,
@@ -585,28 +585,3 @@ def test_three_quadrics_in_p4():
     # the probe ranks three gradients at every point: none drops rank
     assert smoothness_probe(model, 4) == ()
     assert [len(points_on_model(model, make_field(2, m))) for m in range(1, 5)] == [4, 12, 4, 16]
-
-
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 1)])
-def test_dependent_rows_match_brute_force(p, k):
-    # rows are dependent iff a nonzero combination of them vanishes
-    ext = make_field(p, k)
-    rng = random.Random(f"dependent {p}^{k}")
-    seen = set()
-    for _ in range(300):
-        nrows = rng.randint(1, 3)
-        rows = [[rng.choice((0, 0, rng.randrange(ext.order))) for _ in range(4)]
-                for _ in range(nrows)]
-        expected = any(
-            not any(_combination(ext, coeffs, rows))
-            for coeffs in itertools.product(range(ext.order), repeat=nrows) if any(coeffs))
-        assert _dependent([list(r) for r in rows], ext) == expected, rows
-        seen.add((nrows, expected))
-    assert len(seen) == 6
-
-
-def _combination(ext, coeffs, rows):
-    out = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        out = [ext.add(a, ext.mul(c, b)) for a, b in zip(out, row)]
-    return out
