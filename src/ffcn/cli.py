@@ -32,7 +32,7 @@ from . import __version__
 from .catalog import (DEFAULT_CATALOG, build_model, count_depth, get_entry,
                       load_catalog, model_from_spec, section_facts,
                       verify_curve)
-from .covers import InvalidCoverError, NonStandardCoverError, splitting_type
+from .covers import InvalidCoverError, splitting_type
 from .gf import FieldError, make_field
 from .polyring import (irreducible_count, is_irreducible, monic_irreducibles,
                        place_valuation, places_of_degree, residue, residue_field,
@@ -52,8 +52,7 @@ EXIT_USAGE = 2
 EXIT_FLUSH_FAILED = 120  # the interpreter's status when its flush at exit fails
 
 # RecursionError: JSON nested deeper than the decoder's recursion limit
-PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError, RecursionError,
-                json.JSONDecodeError, FieldError)
+PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError, RecursionError)
 # input met while counting: a field beyond gf.FIELD_MAX (the budget refuses
 # it first) or a pencil walk beyond the budget; anything else is a fault
 COUNT_ERRORS = (FieldError, BudgetError)
@@ -66,16 +65,12 @@ class _Exit(Exception):
 
 
 def _stage(label: str, input_errors, fn, *args):
-    """``fn(*args)``, with a failure mapped to its exit.  A cover outside
-    the handled standard form is unusable input (matched first, since
-    ``NonStandardCoverError`` subclasses ``InvalidCoverError``), a
-    mathematical failure exits 1 under ``label``, and ``input_errors``
-    exit 2: ``PARSE_ERRORS`` while loading a catalog or a model,
-    ``COUNT_ERRORS`` while counting."""
+    """``fn(*args)``, with a failure mapped to its exit: a mathematical
+    failure exits 1 under ``label``, and ``input_errors`` exit 2:
+    ``PARSE_ERRORS`` while loading a catalog or a model, ``COUNT_ERRORS``
+    while counting."""
     try:
         return fn(*args)
-    except NonStandardCoverError as exc:
-        raise _Exit(EXIT_USAGE, f"input error: {exc}") from None
     except MATH_ERRORS as exc:
         raise _Exit(EXIT_MISMATCH, f"{label}: {exc}") from None
     except input_errors as exc:
@@ -84,8 +79,8 @@ def _stage(label: str, input_errors, fn, *args):
 
 def _check_cost(model, n: int):
     """Refuse counting N_1..N_n beyond ENUMERATION_BUDGET.  n may depend on
-    the genus: reading a cover's genus walks only f's support, which
-    ``model_from_spec`` has already kept within the budget."""
+    the genus: a cover's is read off f's support, walked when the model
+    was built, which ``model_from_spec`` has already kept within the budget."""
     check_budget(model.enumeration_size(n))
 
 

@@ -8,9 +8,10 @@ f has absolute trace 0.  Kummer: a place of odd valuation ramifies with
 different exponent 1, and any other place splits iff the unit residue
 of f is a square.  Valuations come from f's support, the places at
 whose canonical roots its numerator or denominator vanishes, and the
-genus from the Hurwitz formula.  The support of f and the genus are
-cached by value, so each cover's support is walked once however often
-its model is rebuilt.
+genus from the Hurwitz formula.  The rules hold in standard form only,
+so ``CoverModel`` refuses any other f when it is built.  The support of
+f is cached by value, so each cover's support is walked once however
+often its model is rebuilt.
 
 The place-degree census applies the split test without building the
 places: each finite place of degree d is its canonical root, one least
@@ -39,11 +40,10 @@ class CoverKind(enum.Enum):
 
 
 class InvalidCoverError(ValueError):
-    """The cover fails a check: it is not in the handled standard form
-    (``NonStandardCoverError``), or N_1 breaks the Weil bound."""
+    """N_1 of the cover's census breaks the Weil bound."""
 
 
-class NonStandardCoverError(InvalidCoverError):
+class NonStandardCoverError(ValueError):
     """The cover is not in the standard form this module handles: its
     kind does not fit the characteristic, f is zero, an Artin-Schreier f
     has no pole or a pole of even order, or a Kummer f has no place of
@@ -51,16 +51,31 @@ class NonStandardCoverError(InvalidCoverError):
 
 
 class CoverModel(record("CoverModel", "kind f")):
-    """The cover of ``kind`` given by the right-hand side ``f``."""
+    """The cover of ``kind`` given by the right-hand side ``f``, in
+    standard form: any other f is refused here, with every problem found."""
 
     __slots__ = ()
 
     def __new__(cls, kind: CoverKind, f: RationalFunction):
         p = f.field.p
         if kind is CoverKind.ARTIN_SCHREIER and p != 2:
-            raise NonStandardCoverError("Artin-Schreier covers need characteristic 2")
-        if kind is CoverKind.KUMMER and p == 2:
-            raise NonStandardCoverError("Kummer covers need odd characteristic")
+            problems = ["Artin-Schreier covers need characteristic 2"]
+        elif kind is CoverKind.KUMMER and p == 2:
+            problems = ["Kummer covers need odd characteristic"]
+        elif f.is_zero:
+            problems = ["right-hand side is identically zero"]
+        elif kind is CoverKind.ARTIN_SCHREIER:
+            poles = [(place, -v) for place, v in support_places(f).items() if v < 0]
+            problems = [f"even pole order {m} at {place}: not in standard form"
+                        for place, m in poles if m % 2 == 0]
+            if not poles:
+                problems = ["no poles: the extension is constant or inseparable-like"]
+        elif not any(v % 2 for v in support_places(f).values()):
+            problems = ["f is a square times a constant: no ramification"]
+        else:
+            problems = []
+        if problems:
+            raise NonStandardCoverError("; ".join(problems))
         return super().__new__(cls, kind, f)
 
     @property
@@ -80,14 +95,10 @@ class CoverModel(record("CoverModel", "kind f")):
         return census_to_counts(place_census(self, n), n)
 
     def enumeration_size(self, n: int) -> int:
-        """Elements of GF(q^m), the largest field the census to degree n or
-        the support walk (m = max(deg num, deg den)) visits; past the field
-        limit, m is capped as ``extension_order`` says."""
-        return extension_order(self.field, max(n, self.f.num.degree, self.f.den.degree))
-
-
-RamificationDatum = record("RamificationDatum",
-                           "place ramification_index different_exponent degree")
+        """Elements of GF(q^n), the largest field the census to degree n
+        visits; past the field limit, n is capped as ``extension_order``
+        says."""
+        return extension_order(self.field, n)
 
 
 @lru_cache(maxsize=None)
@@ -121,54 +132,19 @@ def _is_ramified(cover: CoverModel, v: int) -> bool:
     return v % 2 != 0
 
 
-def validate_standard_form(cover: CoverModel) -> list[str]:
-    """Diagnostics; empty list means the cover is acceptable."""
-    problems = []
-    if cover.f.is_zero:
-        return ["right-hand side is identically zero"]
-    support = support_places(cover.f).items()
-    if cover.kind is CoverKind.ARTIN_SCHREIER:
-        poles = [(pl, v) for pl, v in support if v < 0]
-        if not poles:
-            problems.append("no poles: the extension is constant or inseparable-like")
-        for pl, v in poles:
-            if (-v) % 2 == 0:
-                problems.append(f"even pole order {-v} at {pl}: not in standard form")
-    elif not any(v % 2 for _, v in support):
-        problems.append("f is a square times a constant: no ramification")
-    return problems
-
-
-def ramification_data(cover: CoverModel) -> tuple[RamificationDatum, ...]:
-    """One datum per ramified place, in ``support_places`` order.
-
-    Artin-Schreier: e = 2 at each pole, d_P = (p-1)(m_P+1) with m_P the
-    pole order.  Kummer degree 2: e = 2 and d_P = 1 (tame equality case
-    of Dedekind's different theorem) at each place of odd valuation,
-    whatever its size.
-    """
-    problems = validate_standard_form(cover)
-    if problems:
-        raise NonStandardCoverError("; ".join(problems))
-    p = cover.field.p
-    data = []
-    for place, v in support_places(cover.f).items():
-        if not _is_ramified(cover, v):
-            continue
-        if cover.kind is CoverKind.ARTIN_SCHREIER:
-            d_exp = (p - 1) * (-v + 1)
-        else:
-            d_exp = 1
-        data.append(RamificationDatum(place, 2, d_exp, place.degree))
-    return tuple(data)
-
-
-@lru_cache(maxsize=None)
 def cover_genus(cover: CoverModel) -> int:
-    """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff.
-    Raises NonStandardCoverError unless the cover is in standard form."""
+    """Hurwitz genus formula with rational base: 2g - 2 = -4 + deg Diff,
+    deg Diff the sum of d_P deg P over the ramified places P.
+
+    Artin-Schreier: e = 2 at each pole, d_P = (p-1)(m_P+1) = 1 - v_P with
+    m_P = -v_P the pole order.  Kummer degree 2: e = 2 and d_P = 1 (tame
+    equality case of Dedekind's different theorem) at each place of odd
+    valuation, whatever its size."""
     # deg Diff is even and >= 2 in standard form: odd pole orders; sum v_P deg P = 0
-    diff_degree = sum(r.different_exponent * r.degree for r in ramification_data(cover))
+    artin_schreier = cover.kind is CoverKind.ARTIN_SCHREIER
+    diff_degree = sum((1 - v if artin_schreier else 1) * place.degree
+                      for place, v in support_places(cover.f).items()
+                      if _is_ramified(cover, v))
     return diff_degree // 2 - 1
 
 
@@ -206,9 +182,8 @@ def place_census(cover: CoverModel, max_degree: int) -> PlaceCensus:
     and ``splitting_type``'s split test decides it.  The infinite place
     and the roots of f's finite support go through ``splitting_type``.
 
-    Raises NonStandardCoverError unless the cover is in standard form, and
-    when N_1 breaks the Weil bound (a cover that secretly extends the
-    constant field splits every place).
+    Raises InvalidCoverError when N_1 breaks the Weil bound (a cover that
+    secretly extends the constant field splits every place).
     """
     if max_degree < 1:
         raise ValueError("census degree bound must be >= 1")

@@ -5,8 +5,8 @@ import pytest
 from ffcn import covers
 from ffcn.catalog import build_model, count_depth, get_entry
 from ffcn.covers import (CoverKind, CoverModel, InvalidCoverError,
-                         cover_genus, place_census, ramification_data,
-                         splitting_type, support_places, validate_standard_form)
+                         NonStandardCoverError, cover_genus, place_census,
+                         splitting_type, support_places)
 from ffcn.gf import make_field
 from ffcn.polyring import (Place, Poly, RationalFunction, monic_irreducibles,
                            parse_rational, place_valuation, places_of_degree,
@@ -27,9 +27,10 @@ def _kummer(f_str, field=F3):
 
 
 def test_kind_characteristic_guards():
-    with pytest.raises(InvalidCoverError):
+    with pytest.raises(NonStandardCoverError,
+                       match="^Artin-Schreier covers need characteristic 2$"):
         CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x", F3))
-    with pytest.raises(InvalidCoverError):
+    with pytest.raises(NonStandardCoverError, match="^Kummer covers need odd characteristic$"):
         CoverModel(CoverKind.KUMMER, parse_rational("x", F2))
 
 
@@ -42,12 +43,21 @@ def test_census_to_no_degree_is_refused():
 
 
 def test_standard_form_diagnostics():
-    assert validate_standard_form(_as("x^3+x+1")) == []
-    assert validate_standard_form(_kummer("x^3+2x+2")) == []
+    assert _as("x^3+x+1").f == parse_rational("x^3+x+1", F2)
+    assert _kummer("x^3+2x+2").f == parse_rational("x^3+2x+2", F3)
     # x^2 has an even pole order at infinity: not in standard form
-    assert validate_standard_form(_as("x^2")) != []
+    with pytest.raises(NonStandardCoverError) as info:
+        _as("x^2")
+    assert str(info.value) == "even pole order 2 at Place(infinity): not in standard form"
     # a square times a constant has no ramification
-    assert validate_standard_form(_kummer("x^2")) != []
+    with pytest.raises(NonStandardCoverError) as info:
+        _kummer("x^2")
+    assert str(info.value) == "f is a square times a constant: no ramification"
+    # every even pole is named, in support order
+    with pytest.raises(NonStandardCoverError) as info:
+        _as("x^6/(x^2+x+1)^2")
+    assert str(info.value) == ("even pole order 2 at Place(x^2+x+1): not in standard form"
+                               "; even pole order 2 at Place(infinity): not in standard form")
 
 
 def test_genus_values():
@@ -59,24 +69,24 @@ def test_genus_values():
     assert cover_genus(_as("x")) == 0  # deg Diff = 2, so 2g-2 = -4+2
 
 
-def test_ramification_data_kummer():
-    data = ramification_data(_kummer("x^3+2x+2"))
-    assert len(data) == 2
-    finite, infinite = data
-    assert not finite.place.is_infinite and finite.degree == 3
-    assert infinite.place.is_infinite
-    for r in data:
-        assert r.ramification_index == 2
-        assert r.different_exponent == 1  # tame: d_P = e - 1
+def _support(cover):
+    return [(place.degree, place.is_infinite, v) for place, v in support_places(cover.f).items()]
 
 
-def test_ramification_data_artin_schreier():
-    data = ramification_data(_as("x^3+x+1"))
-    assert len(data) == 1
-    (inf,) = data
-    assert inf.place.is_infinite
-    assert inf.different_exponent == 4  # (p-1)(m+1) with pole order 3
-    assert inf.different_exponent > inf.ramification_index - 1  # wild
+def test_hurwitz_sum_kummer():
+    # x^3+2x+2 is irreducible: v = 1 at its place of degree 3 and v = -3 at
+    # infinity, both odd, so both ramify, each tame with d_P = e - 1 = 1
+    cover = _kummer("x^3+2x+2")
+    assert _support(cover) == [(3, False, 1), (1, True, -3)]
+    assert cover_genus(cover) == (1 * 3 + 1 * 1) // 2 - 1
+
+
+def test_hurwitz_sum_artin_schreier():
+    # only the pole ramifies, of order 3 at infinity, and wildly: d_P =
+    # (p-1)(m+1) = 4 > e - 1; the zero at the place of degree 3 is unramified
+    cover = _as("x^3+x+1")
+    assert _support(cover) == [(3, False, 1), (1, True, -3)]
+    assert cover_genus(cover) == 4 * 1 // 2 - 1
 
 
 def test_splitting_trichotomy_covers_every_place():
@@ -107,35 +117,19 @@ def test_inert_places_recorded_at_doubled_degree():
 
 
 def test_constant_field_extension_rejected():
-    # y^2 + y = x^2 + x has no poles: z := y + x satisfies z^2 + z = 0
-    with pytest.raises(InvalidCoverError):
-        place_census(_as("x^2+x"), 2)
+    # y^2 + y = x^2 + x: z := y + x satisfies z^2 + z = 0, and the pole of
+    # f at infinity has the even order 2
+    with pytest.raises(NonStandardCoverError,
+                       match=r"^even pole order 2 at Place\(infinity\): not in standard form$"):
+        _as("x^2+x")
 
 
-@pytest.fixture
-def uncached_genus():
-    """cover_genus is cached by value: no genus computed under a patch
-    may outlive the test."""
-    cover_genus.cache_clear()
-    yield
-    cover_genus.cache_clear()
-
-
-def _with_different_exponents(monkeypatch, cover, exponents):
-    """Patch ramification_data to give the cover one ramified rational
-    place per different exponent."""
-    (datum,) = ramification_data(cover)
-    monkeypatch.setattr(covers, "ramification_data", lambda c: tuple(
-        datum._replace(different_exponent=e) for e in exponents))
-
-
-def test_weil_check_refuses_n1_beyond_the_genus(monkeypatch, uncached_genus):
+def test_weil_check_refuses_n1_beyond_the_genus(monkeypatch):
     # curve i has N_1 = 1; with a different of degree 2 its genus reads 0,
     # and genus 0 over GF(2) forces N_1 = 3
     cover = build_model(get_entry("i"))
     assert place_census(cover, 1).counts == (1,)
-    cover_genus.cache_clear()
-    _with_different_exponents(monkeypatch, cover, (2,))
+    monkeypatch.setattr(covers, "cover_genus", lambda c: 0)
     assert cover.genus == 0
     with pytest.raises(InvalidCoverError, match=r"^N_1 = 1 violates the Weil bound: "
                                                 r"constant field extension\?$"):
@@ -143,10 +137,9 @@ def test_weil_check_refuses_n1_beyond_the_genus(monkeypatch, uncached_genus):
 
 
 def test_each_cover_support_is_walked_once(monkeypatch):
-    # the support and the genus are cached by value: two copies of a model
-    # share them, and the census reads valuations off the cached support
+    # the support is cached by value: two copies of a model share it, and
+    # the genus and the census read valuations off the cached support
     support_places.cache_clear()
-    cover_genus.cache_clear()
     walked = []
     real = covers.place_valuation
     monkeypatch.setattr(covers, "place_valuation",
@@ -178,6 +171,101 @@ def test_support_matches_trial_division(field):
         if f.den.degree != f.num.degree:
             expected[Place.infinite(field)] = f.den.degree - f.num.degree
         assert list(support_places(f).items()) == list(expected.items()), f
+
+
+# ---------------------------------------------------------------------------
+# differential test: standard form decided at construction, against the
+# lazy check it replaced (its characteristic guards, ``validate_standard_form``
+# and the different exponents of ``ramification_data``, kept here as the
+# reference)
+
+def _reference_standard_form(kind, f):
+    """(problems, genus): the problems the lazy check listed, and the
+    genus from its different exponents when it listed none."""
+    p = f.field.p
+    if kind is CoverKind.ARTIN_SCHREIER and p != 2:
+        return ["Artin-Schreier covers need characteristic 2"], None
+    if kind is CoverKind.KUMMER and p == 2:
+        return ["Kummer covers need odd characteristic"], None
+    if f.is_zero:
+        return ["right-hand side is identically zero"], None
+    support = support_places(f).items()
+    problems = []
+    if kind is CoverKind.ARTIN_SCHREIER:
+        poles = [(pl, v) for pl, v in support if v < 0]
+        if not poles:
+            problems.append("no poles: the extension is constant or inseparable-like")
+        for pl, v in poles:
+            if (-v) % 2 == 0:
+                problems.append(f"even pole order {-v} at {pl}: not in standard form")
+    elif not any(v % 2 for _, v in support):
+        problems.append("f is a square times a constant: no ramification")
+    if problems:
+        return problems, None
+    diff_degree = 0
+    for place, v in support:
+        if kind is CoverKind.ARTIN_SCHREIER and v < 0:
+            diff_degree += (p - 1) * (-v + 1) * place.degree
+        elif kind is CoverKind.KUMMER and v % 2 != 0:
+            diff_degree += place.degree
+    return [], diff_degree // 2 - 1
+
+
+def _draw_right_hand_sides(rng, F):
+    """150 distinct seeded f over F with max(deg num, deg den) <= 6: zero, nonzero
+    constants, c * prod u^e over one to three places u of degree <= 3
+    with e in -4..4 (even orders at finite places and at infinity, and
+    squares times constants), and num / den drawn coefficient by
+    coefficient."""
+    places = [u for d in (1, 2, 3) for u in monic_irreducibles(F, d)]
+    out = dict.fromkeys([RationalFunction(Poly(F, (c,))) for c in range(F.order)]
+                        + [RationalFunction(Poly.zero(F), places[0])])
+    while len(out) < 90:
+        num, den = Poly(F, (rng.randrange(1, F.order),)), Poly.one(F)
+        for u in rng.sample(places, rng.randint(1, 3)):
+            e = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+            if e > 0:
+                num = num * u ** e
+            else:
+                den = den * u ** -e
+        if max(num.degree, den.degree) <= 6:
+            out[RationalFunction(num, den)] = None
+    while len(out) < 150:
+        num, den = (Poly(F, [rng.randrange(F.order) for _ in range(rng.randint(0, 6))]
+                         + [rng.randrange(1, F.order)]) for _ in range(2))
+        out[RationalFunction(num, den)] = None
+    return list(out)
+
+
+def _problem_kind(problem):
+    if problem.startswith("even pole order"):
+        return "even pole at infinity" if "infinity" in problem else "even finite pole"
+    return problem.split(":")[0]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_standard_form_matches_the_lazy_check(field):
+    # each f under both kinds: 150 right-hand sides, 300 covers per field
+    rng = random.Random(f"standard form {field}")
+    seen = set()
+    for f in _draw_right_hand_sides(rng, field):
+        for kind in CoverKind:
+            problems, genus = _reference_standard_form(kind, f)
+            seen.update(map(_problem_kind, problems))
+            if problems:
+                with pytest.raises(NonStandardCoverError) as info:
+                    CoverModel(kind, f)
+                assert str(info.value) == "; ".join(problems), f
+            else:
+                seen.add(kind)
+                assert cover_genus(CoverModel(kind, f)) == genus, f
+    if field.p == 2:
+        assert seen == {CoverKind.ARTIN_SCHREIER, "Kummer covers need odd characteristic",
+                        "right-hand side is identically zero", "no poles",
+                        "even finite pole", "even pole at infinity"}
+    else:
+        assert seen == {CoverKind.KUMMER, "Artin-Schreier covers need characteristic 2",
+                        "right-hand side is identically zero", "f is a square times a constant"}
 
 
 # ---------------------------------------------------------------------------

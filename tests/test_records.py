@@ -10,7 +10,7 @@ import pytest
 
 from ffcn.catalog import (DEFAULT_CATALOG, CatalogEntry, build_model, get_entry,
                           model_from_spec)
-from ffcn.covers import CoverKind, CoverModel, InvalidCoverError
+from ffcn.covers import CoverKind, CoverModel, NonStandardCoverError
 from ffcn.gf import FieldError, make_field
 from ffcn.polyring import parse_rational
 from ffcn.varieties import ProjectiveCurve, parse_multipoly
@@ -46,10 +46,10 @@ INVALID = {
         FieldError, "different fields"),
     "artin-schreier-odd-characteristic": (
         lambda: CoverModel(CoverKind.ARTIN_SCHREIER, parse_rational("x^3+x+1", F3)),
-        InvalidCoverError, "characteristic 2"),
+        NonStandardCoverError, "characteristic 2"),
     "kummer-characteristic-2": (
         lambda: CoverModel(CoverKind.KUMMER, parse_rational("x^3+x+1", F2)),
-        InvalidCoverError, "odd characteristic"),
+        NonStandardCoverError, "odd characteristic"),
     "catalog-unknown-kind": (
         lambda: CatalogEntry("x", 2, 1, 0, 1, "hyperelliptic", {}, ""),
         ValueError, "unknown model kind 'hyperelliptic'"),
@@ -66,7 +66,8 @@ def test_construction_checks_raise(case):
 @pytest.mark.parametrize("valid,change,exc", [
     (get_entry("i"), {"kind": "hyperelliptic"}, ValueError),
     (build_model(get_entry("viii")), {"polys": (parse_multipoly(CUBIC, F2, X14),)}, ValueError),
-    (build_model(get_entry("vi")), {"kind": CoverKind.ARTIN_SCHREIER}, InvalidCoverError),
+    (build_model(get_entry("vi")), {"kind": CoverKind.ARTIN_SCHREIER},
+     NonStandardCoverError),
 ], ids=["entry-kind", "space-quadric", "cover-kind"])
 def test_replace_runs_the_construction_checks(valid, change, exc):
     with pytest.raises(exc):
