@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .covers import CoverKind, CoverModel
+from .covers import CoverModel
 from .gf import extension_order, make_field
 from .polyring import Place, moebius_transport, parse_poly, parse_rational
 from .records import record
@@ -78,7 +78,7 @@ def model_from_spec(spec: dict):
             return ProjectiveCurve(polys)
         f = parse_rational(spec["f"], F,
                            check_degree=lambda d: check_budget(extension_order(F, d)))
-        return CoverModel(CoverKind(kind), f)
+        return CoverModel(kind, f)
     except KeyError as exc:
         raise ValueError(f"model spec lacks the field {exc}") from None
 

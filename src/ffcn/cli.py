@@ -37,9 +37,8 @@ from .gf import FieldError, make_field
 from .polyring import (irreducible_count, is_irreducible, monic_irreducibles,
                        place_valuation, places_of_degree, residue, residue_field,
                        unit_residue)
-from .table64 import (SURVIVOR_FAMILY, SURVIVOR_MASK, SurvivorMismatchError,
-                      WitnessMismatchError, build_family, find_survivors,
-                      survivor_analysis, verify_row)
+from .table64 import (SurvivorMismatchError, WitnessMismatchError, build_family,
+                      find_survivors, survivor_analysis, verify_row)
 from .varieties import (PROBE_DEPTH, BudgetError, SingularModelError,
                         check_budget, format_multipoly)
 from .zeta import (CountInconsistencyError, LPoly, PlaceCensus, analyse_counts,
@@ -205,9 +204,7 @@ def cmd_table64(ns) -> int:
                "rows_passing": sum(r["status"] == "pass" for r in records),
                "survivor_undetermined": False,
                "survivors": [{"family": r.family, "mask": r.mask_str} for r in survivors]}
-    survivor_ok = (len(survivors) == 1
-                   and survivors[0].family == SURVIVOR_FAMILY
-                   and survivors[0].mask == SURVIVOR_MASK)
+    survivor_ok = len(survivors) == 1
     if survivor_ok:
         rep = _stage("survivor analysis error", COUNT_ERRORS,
                      survivor_analysis, survivors[0])

@@ -51,13 +51,14 @@ class NonStandardCoverError(ValueError):
 
 
 class CoverModel(record("CoverModel", "kind f")):
-    """The cover of ``kind`` given by the right-hand side ``f``, in
-    standard form: any other f is refused here, with every problem found."""
+    """The cover of ``kind`` (a ``CoverKind`` or its value) given by the
+    right-hand side ``f``, in standard form: any other f is refused here,
+    with every problem found."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: CoverKind, f: RationalFunction):
-        p = f.field.p
+    def __new__(cls, kind: CoverKind | str, f: RationalFunction):
+        kind, p = CoverKind(kind), f.field.p
         if kind is CoverKind.ARTIN_SCHREIER and p != 2:
             problems = ["Artin-Schreier covers need characteristic 2"]
         elif kind is CoverKind.KUMMER and p == 2:

@@ -467,12 +467,11 @@ def moebius_transport(place: Place, m: tuple[int, int, int, int]) -> Place:
 # ---------------------------------------------------------------------------
 # text format
 
-def format_poly(f: Poly, var: str = "x", symbol: str = "a") -> str:
-    return format_terms(f.field, [((i,), c) for i, c in enumerate(f.coeffs)][::-1],
-                        (var,), symbol)
+def format_poly(f: Poly, var: str = "x") -> str:
+    return format_terms(f.field, [((i,), c) for i, c in enumerate(f.coeffs)][::-1], (var,))
 
 
-def format_terms(field: GF, terms, names, symbol: str = "a", sep: str = "") -> str:
+def format_terms(field: GF, terms, names, sep: str = "") -> str:
     """Text of the (exponents, coefficient) terms, in the order given, in
     the grammar that ``read_terms`` reads: zero terms are skipped and no
     term left gives ``0``; a coefficient 1 is omitted before a factor, any
@@ -485,7 +484,7 @@ def format_terms(field: GF, terms, names, symbol: str = "a", sep: str = "") -> s
             continue
         factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
         if c != 1 or not factors:
-            s = element_str(field, c, symbol)
+            s = element_str(field, c)
             factors.insert(0, f"({s})" if factors and "+" in s else s)
         parts.append(sep.join(factors))
     return "+".join(parts) or "0"
@@ -515,7 +514,7 @@ def parse_element(s: str, field: GF, symbol: str = "a") -> int:
     return value
 
 
-def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
+def read_terms(s: str, field: GF, varnames) -> dict:
     """{exponents: coefficient} of polynomial text in ``varnames`` (see the
     module docstring), like terms summed.  A term that does not read,
     also in its coefficient, raises ``TermError`` naming it and the text."""
@@ -532,7 +531,7 @@ def read_terms(s: str, field: GF, varnames, symbol: str = "a") -> dict:
             if m.end() < len(term):
                 raise ValueError(f"unexpected {term[m.end():]!r}"
                                  + (f" after {m[0]!r}" if m[0] else ""))
-            c = parse_element(m[1].strip("()"), field, symbol) if m[1] else 1
+            c = parse_element(m[1].strip("()"), field) if m[1] else 1
             exps = [0] * len(varnames)
             for v, n in factor.findall(m[2]):
                 exps[index[v]] += _exponent(n) if n else 1
@@ -571,12 +570,11 @@ def _text(s) -> str:
     return s
 
 
-def parse_poly(s: str, field: GF, var: str = "x", symbol: str = "a",
-               check_degree=None) -> Poly:
-    """The polynomial in ``var`` that the text describes.  ``check_degree``,
+def parse_poly(s: str, field: GF, check_degree=None) -> Poly:
+    """The polynomial in x that the text describes.  ``check_degree``,
     if given, is called with the degree before the coefficient list is
     built, and raises to refuse it."""
-    terms = read_terms(s, field, (var,), symbol)
+    terms = read_terms(s, field, ("x",))
     degree = max(e for (e,) in terms)
     if check_degree is not None:
         check_degree(degree)
@@ -600,24 +598,23 @@ def _split_terms(s: str):
     yield sign, s[start:]
 
 
-def format_rational(f: RationalFunction, var: str = "x", symbol: str = "a") -> str:
-    num = format_poly(f.num, var, symbol)
+def format_rational(f: RationalFunction) -> str:
+    num = format_poly(f.num)
     if f.den.degree == 0:
         return num
-    return f"({num})/({format_poly(f.den, var, symbol)})"
+    return f"({num})/({format_poly(f.den)})"
 
 
-def parse_rational(s: str, field: GF, var: str = "x", symbol: str = "a",
-                   check_degree=None) -> RationalFunction:
+def parse_rational(s: str, field: GF, check_degree=None) -> RationalFunction:
     """num or num/den, where each side is a polynomial or a power (poly)^n.
     ``check_degree`` is called as in ``parse_poly``, and on the degree of
     each power before it is expanded."""
     text, s = s, _text(s).replace(" ", "")
     num, slash, den = _split_fraction(s)
-    num = _parse_power(num, field, var, symbol, check_degree)
+    num = _parse_power(num, field, check_degree)
     if not slash:
         return RationalFunction(num)
-    den = _parse_power(den, field, var, symbol, check_degree)
+    den = _parse_power(den, field, check_degree)
     if den.is_zero:
         raise ValueError(f"zero denominator in rational function {text!r}")
     return RationalFunction(num, den)
@@ -634,7 +631,7 @@ def _split_fraction(s: str):
     return s, "", ""
 
 
-def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree) -> Poly:
+def _parse_power(s: str, field: GF, check_degree) -> Poly:
     """The polynomial that 'poly' or '(s)^n' describes, dropping any
     parentheses that enclose all of s; ``check_degree`` is called on the
     degree of the power before it is expanded."""
@@ -654,7 +651,7 @@ def _parse_power(s: str, field: GF, var: str, symbol: str, check_degree) -> Poly
                 raise ValueError(f"bad exponent {rest[1:]!r} in power {s!r}")
             n *= _exponent(exp[1], f"bad power {s!r}: ")
         s = s[1:i]
-    poly = parse_poly(s, field, var, symbol, check_degree)
+    poly = parse_poly(s, field, check_degree)
     if check_degree is not None:
         check_degree(poly.degree * n)
     return poly ** n

@@ -66,7 +66,7 @@ from math import lcm, prod
 
 from .gf import (FIELD_MAX, GF, FieldError, embed, extension_order,
                  frobenius_table, make_field, orbit_representatives)
-from .polyring import element_str, format_terms, parse_element, read_terms
+from .polyring import format_terms, read_terms
 from .records import record
 
 
@@ -465,36 +465,12 @@ def min_point_degree(model, max_degree: int):
 # ---------------------------------------------------------------------------
 # text format for multivariate polynomials
 
-def format_multipoly(poly: MultiPoly, varnames: tuple[str, ...] | None = None,
-                     symbol: str = "a") -> str:
+def format_multipoly(poly: MultiPoly) -> str:
+    """The form's text in x1..xn (``polyring.format_terms``)."""
     return format_terms(poly.field, poly.terms,
-                        varnames or [f"x{i + 1}" for i in range(poly.nvars)], symbol, "*")
+                        [f"x{i + 1}" for i in range(poly.nvars)], "*")
 
 
-def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...],
-                    symbol: str = "a") -> MultiPoly:
+def parse_multipoly(s: str, field: GF, varnames: tuple[str, ...]) -> MultiPoly:
     """The form in ``varnames`` that the text describes (``polyring.read_terms``)."""
-    return MultiPoly.build(field, len(varnames), read_terms(s, field, varnames, symbol))
-
-
-def format_point(coords, field: GF, symbol: str = "a") -> str:
-    return "(" + ":".join(element_str(field, c, symbol) for c in coords) + ")"
-
-
-def parse_point(s: str, symbol_fields: dict[str, GF], default_field: GF):
-    """Parse '(c1:c2:...)' where coordinates may use generator symbols.
-
-    symbol_fields maps a symbol (e.g. 'a', 'b') to its field; the point
-    field is the field of the symbol that occurs, else default_field.
-    """
-    body = s.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(":")]
-    field = default_field
-    for sym, fld in symbol_fields.items():
-        if any(sym in p for p in parts):
-            field = fld
-            break
-    sym = next((k for k, v in symbol_fields.items() if v is field), "a")
-    return tuple(parse_element(p, field, sym) for p in parts), field
+    return MultiPoly.build(field, len(varnames), read_terms(s, field, varnames))

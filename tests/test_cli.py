@@ -196,21 +196,18 @@ def test_kummer_cover_with_valuations_beyond_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,label", [
     ("zeta", "model error"), ("places", "model error"), ("verify", "verification error")])
-@pytest.mark.parametrize("target,message", [
-    ("cover_genus", "Hurwitz formula gives non-genus 2g = -3"),
-    ("place_census", "N_1 = 9 violates the Weil bound: constant field extension?")],
-    ids=["hurwitz", "weil"])
-def test_cover_failing_a_theorem_exits_one(monkeypatch, capsys, command, label,
-                                           target, message):
+@pytest.mark.parametrize("message", [
+    "N_1 = 9 violates the Weil bound: constant field extension?"], ids=["weil"])
+def test_cover_failing_a_theorem_exits_one(monkeypatch, capsys, command, label, message):
     def fail(*args):
         raise covers.InvalidCoverError(message)
 
-    monkeypatch.setattr(covers, target, fail)
+    monkeypatch.setattr(covers, "place_census", fail)
     assert cli.main([command, "--curve", "i"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    if target == "place_census":  # met while counting, after the genus
-        label = {"zeta": "zeta pipeline error", "places": "census error"}.get(command, label)
+    # met while counting, after the genus
+    label = {"zeta": "zeta pipeline error", "places": "census error"}.get(command, label)
     assert err == f"{label}: {message}\n"
 
 
@@ -348,6 +345,16 @@ def test_table64_survivor_other_than_viii_exits_one(monkeypatch, capsys):
     assert cli.main(["table64", "--format", "json"]) == 1
     assert capsys.readouterr() == (
         "", "survivor analysis error: family 2 mask 1011: the survivor's model is "
+            "not catalog curve viii's\n")
+
+
+def test_table64_one_survivor_that_is_not_viii_exits_one(monkeypatch, capsys):
+    # a single survivor is analysed only if its model is viii's
+    row = next(r for r in table64.build_family() if (r.family, r.mask) == (1, (0, 0, 0, 0)))
+    monkeypatch.setattr(cli, "find_survivors", lambda rows: [row])
+    assert cli.main(["table64"]) == 1
+    assert capsys.readouterr() == (
+        "", "survivor analysis error: family 1 mask 0000: the survivor's model is "
             "not catalog curve viii's\n")
 
 
@@ -842,22 +849,6 @@ def test_table64_refuses_dmax_at_every_value(capsys):
     # bound, cheap or costly, is an option
     for dmax in ("0", "1", "3", "4", "5", "8", "9"):
         _assert_unrecognized(capsys, "table64", ["--dmax", dmax])
-
-
-def test_table64_pencil_walks_no_surface_beyond_the_budget(monkeypatch, capsys):
-    # family 4 closes at degree 3, where its surface is scanned in x4:
-    # 73 prefixes of P^2(GF(8)) times 8, the largest walk of any pencil;
-    # the rows' own curves need 73
-    monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 583)
-    table64._pencil.cache_clear()
-    assert cli.main(["table64"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("input error: the run would enumerate 584 candidates in one "
-                   "field, beyond the budget of 583\n")
-    monkeypatch.setattr(varieties, "ENUMERATION_BUDGET", 584)
-    assert cli.main(["table64"]) == 0
-    table64._pencil.cache_clear()
 
 
 def test_budget_admits_the_largest_runs_in_use():

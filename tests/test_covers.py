@@ -34,6 +34,16 @@ def test_kind_characteristic_guards():
         CoverModel(CoverKind.KUMMER, parse_rational("x", F2))
 
 
+def test_kind_is_a_cover_kind_or_its_value():
+    f = parse_rational("x^3+x+1", F2)
+    model = CoverModel("artin_schreier", f)
+    assert model.kind is CoverKind.ARTIN_SCHREIER
+    assert model == _as("x^3+x+1")
+    assert (cover_genus(model), model.counts(3)) == (1, [1, 5, 13])
+    with pytest.raises(ValueError, match="^'bogus' is not a valid CoverKind$"):
+        CoverModel("bogus", f)
+
+
 def test_census_to_no_degree_is_refused():
     # without the check, an empty census would fail on tallying infinity
     with pytest.raises(ValueError) as info:

@@ -442,11 +442,10 @@ def test_parse_element_reads_non_canonical_text():
     assert parse_element("b^3", F8, "b") == F8.pow(2, 3)
 
 
-@pytest.mark.parametrize("pk,symbol", [((2, 1), "a"), ((3, 1), "a"), ((2, 2), "a"),
-                                       ((2, 3), "b"), ((3, 2), "a")],
-                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(8)-b", "GF(9)"])
+@pytest.mark.parametrize("pk", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)"])
 @pytest.mark.parametrize("sep", ["", "*"], ids=["sep-none", "sep-star"])
-def test_written_terms_read_back(pk, symbol, sep):
+def test_written_terms_read_back(pk, sep):
     F = make_field(*pk)
     rng = random.Random(31 * pk[0] + pk[1])
     for _ in range(60):
@@ -454,8 +453,8 @@ def test_written_terms_read_back(pk, symbol, sep):
         names = ("x",) if nvars == 1 else tuple(f"x{i + 1}" for i in range(nvars))
         terms = {tuple(rng.choice((0, 0, 1, 2, 5)) for _ in names): rng.randrange(1, F.order)
                  for _ in range(rng.randint(1, 5))}
-        text = format_terms(F, terms.items(), names, symbol, sep)
-        assert read_terms(text, F, names, symbol) == terms, text
+        text = format_terms(F, terms.items(), names, sep)
+        assert read_terms(text, F, names) == terms, text
 
 
 def test_written_text_goldens():

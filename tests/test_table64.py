@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from ffcn import table64, varieties
+from ffcn import table64
 from ffcn.gf import make_field
-from ffcn.table64 import (CUBICS, MASKS, PUBLISHED_TABLE, QUADRICS,
-                          SURVIVOR_FAMILY, SURVIVOR_MASK,
-                          build_family, find_survivors,
+from ffcn.table64 import (CUBICS, MASKS, PUBLISHED_TABLE, QUADRICS, _format_witness,
+                          _read_witness, build_family, find_survivors,
                           pencil_witness, survivor_analysis, verify_row)
 from ffcn.varieties import (MultiPoly, ProjectiveCurve, min_point_degree,
                             parse_multipoly)
 
 F2 = make_field(2, 1)
 VARS = ("x1", "x2", "x3", "x4")
+# (family, mask) of the table's one row with no point of degree <= 3
+SURVIVOR = (2, (1, 0, 1, 1))
 
 
 def test_family_shape():
@@ -73,8 +74,7 @@ def test_witness_degrees_match_field_of_definition():
 def test_unique_survivor():
     survivors = find_survivors(build_family())
     assert len(survivors) == 1
-    assert survivors[0].family == SURVIVOR_FAMILY
-    assert survivors[0].mask == SURVIVOR_MASK
+    assert (survivors[0].family, survivors[0].mask) == SURVIVOR
     assert survivors[0].paper_witness is None
 
 
@@ -113,7 +113,7 @@ def test_claimed_degree_below_the_computed_minimum_fails():
     # the survivor's least point has degree 4; a claimed rational witness
     # is refused
     (survivor,) = [row for row in build_family()
-                   if (row.family, row.mask) == (SURVIVOR_FAMILY, SURVIVOR_MASK)]
+                   if (row.family, row.mask) == SURVIVOR]
     bad = survivor._replace(paper_witness="(1:0:0:0)")
     assert verify_row(bad).problems == ("published witness is not on the curve",
                                         "computed minimal degree 4 exceeds claimed 1")
@@ -164,8 +164,7 @@ def test_every_mask_closes_by_degree_four(monkeypatch):
     table64._pencil.cache_clear()
     rows = build_family()
     assert all(verify_row(row).computed_min_degree is not None for row in rows)
-    assert [(row.family, row.mask) for row in find_survivors(rows)] == [
-        (SURVIVOR_FAMILY, SURVIVOR_MASK)]
+    assert [(row.family, row.mask) for row in find_survivors(rows)] == [SURVIVOR]
     table64._pencil.cache_clear()
     assert sorted(walks) == [(family, d) for family, top in {1: 1, 2: 4, 3: 1, 4: 3}.items()
                              for d in range(1, top + 1)]
@@ -233,6 +232,15 @@ def test_pencil_reads_the_rows_own_model():
             expected = min_point_degree(model, 4)
             res = verify_row(row._replace(model=model))
             assert res.computed_min_degree == expected[0]
-            assert res.computed_witness == varieties.format_point(
-                expected[1], expected[2], "b" if expected[2].k == 3 else "a")
+            assert res.computed_witness == _format_witness(expected)
+
+
+def test_witness_text_round_trip():
+    # the writer emits the canonical polynomial form (b^3 is written b+1),
+    # so the round trip keeps values rather than spellings
+    for s in ("(1:0:1:1)", "(1:0:a:1)", "(b:0:b^3:1)", "(b:0:b+1:1)"):
+        coords, field = _read_witness(s)
+        assert _read_witness(_format_witness((None, coords, field))) == (coords, field)
+    assert _read_witness("(b:0:b^3:1)") == _read_witness("(b:0:b+1:1)")
+    assert [_read_witness(s)[1].k for s in ("(1:0:1:1)", "(1:0:a:1)", "(b:0:1:1)")] == [1, 2, 3]
 
